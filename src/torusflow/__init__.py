@@ -6,6 +6,15 @@ numerical diagnostics (commutant probes, limit-set classification, order
 estimation, equidistribution and Haar averaging) used to certify them.
 """
 
+import os as _os
+
+# The BLAS/OpenMP pools are sized when NumPy is first imported, so
+# TORUSFLOW_THREADS is mapped onto them before any submodule imports it;
+# a variable already set wins.
+if _threads := _os.environ.get("TORUSFLOW_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _threads)
+
 __version__ = "0.1.0"
 
 from .construction import (
@@ -62,7 +71,6 @@ from .radial import (
     NormalFormReport,
     RadialSolution,
     RadialSolverError,
-    adaptive_simpson,
     annulus_grid,
     normalize_lifted_field,
     solve_radial,

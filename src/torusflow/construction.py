@@ -221,12 +221,15 @@ def haar_average_function(fn, chart, n_nodes=64):
     """
     lam = _torus_grid(chart.n, n_nodes)
 
+    def one(p):
+        return np.mean(np.asarray(fn(_orbit_grid(chart, lam, p)), dtype=float),
+                       axis=0)
+
     def averaged(p):
         p = np.asarray(p, dtype=float)
         if p.ndim > 1:
-            return np.array([averaged(row) for row in p])
-        orbit = _orbit_grid(chart, lam, p)
-        return np.mean(np.asarray(fn(orbit), dtype=float), axis=0)
+            return np.array([one(row) for row in p])
+        return one(p)
 
     return averaged
 
@@ -254,21 +257,24 @@ def haar_average_field(fld, n_nodes=64, name=None):
 
     if chart.is_sphere:
 
-        def func(y):
-            y = np.asarray(y, dtype=float)
-            if y.ndim > 1:
-                return np.stack([func(row) for row in y], axis=0)
+        def one(y):
             vecs = fld.func(torus_act_s5(lam, y))
             return np.mean(torus_act_s5(-lam, vecs), axis=0)
 
     else:
 
-        def func(p):
-            p = np.asarray(p, dtype=float)
-            if p.ndim > 1:
-                return np.stack([func(row) for row in p], axis=0)
+        def one(p):
             # translations have identity pushforward
             return np.mean(fld.func(_orbit_grid(chart, lam, p)), axis=0)
+
+    # one row at a time: a rows x nodes batch on S^5 is megabytes per
+    # temporary.  ``func`` must not call itself, or every Haar field is a
+    # reference cycle that keeps ``lam`` alive until a full GC pass.
+    def func(p):
+        p = np.asarray(p, dtype=float)
+        if p.ndim > 1:
+            return np.stack([one(row) for row in p], axis=0)
+        return one(p)
 
     return FieldHandle(
         name or f"haar({fld.name})", chart, func,

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import torusflow
+from torusflow import cli
 from torusflow.cli import main
+from torusflow.radial import RadialSolverError
 
 
 def run(args):
@@ -105,3 +111,30 @@ def test_wrong_p0_dimension_returns_2(tmp_path):
     cfg.write_text(json.dumps({"p0": [0.5]}))
     assert run(["trace", "--scenario", "line", "--config", str(cfg),
                 "--quiet", "--out", str(tmp_path / "t.csv")]) == 2
+
+
+def test_numerical_failure_returns_3(monkeypatch, tmp_path):
+    # RadialSolverError is a ValueError, but it is a numerical failure
+    def fail(args):
+        raise RadialSolverError("quadrature missed tol")
+
+    monkeypatch.setattr(cli, "cmd_probe", fail)
+    assert run(["probe", "--quiet", "--out", str(tmp_path / "p.json")]) == 3
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+def test_threads_mapped_before_numpy_import(preset, want):
+    # the mapping must happen on `import torusflow`, before NumPy sizes
+    # its pools; an explicitly set pool size wins
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["TORUSFLOW_THREADS"] = "1"
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(torusflow.__file__))
+    code = ("import os, torusflow; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "os.environ['OMP_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == [want, "1"]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,22 @@ def test_average_on_product_chart_kills_angular_modes():
     fld = FieldHandle("mode", chart, func)
     bar = haar_average_field(fld, n_nodes=16)
     assert np.linalg.norm(bar.func(np.array([0.5, 1.2]))) < 1e-14
+
+
+@pytest.mark.parametrize("chart", [Chart("sphere5"), Chart("product", k=1, n=1)])
+def test_dropped_haar_average_is_freed_without_gc(chart):
+    # with the cycle collector off, only reference counting can free a
+    # dropped average: it must not hold a reference cycle through itself
+    pts = np.full((2, chart.dim), chart.dim ** -0.5)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        bar = haar_average_field(FieldHandle("id", chart, np.copy), n_nodes=4)
+        av = haar_average_function(lambda p: p[..., 0], chart, n_nodes=4)
+        bar.func(pts), av(pts)
+        refs = [weakref.ref(bar.func), weakref.ref(av)]
+        del bar, av
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

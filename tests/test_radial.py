@@ -4,7 +4,6 @@ import pytest
 from torusflow.radial import (
     NormalFormReport,
     RadialSolverError,
-    adaptive_simpson,
     annulus_grid,
     normalize_lifted_field,
     solve_radial,
@@ -13,17 +12,51 @@ from torusflow.radial import (
 ANNULUS = (0.1, 2.0)
 
 
-def test_adaptive_simpson_scalar_oracles():
-    assert np.isclose(adaptive_simpson(lambda s: s**2, 0.0, 1.0, 1e-12),
-                      1.0 / 3.0, atol=1e-12)
-    assert np.isclose(adaptive_simpson(np.exp, 0.0, 1.0, 1e-12),
-                      np.e - 1.0, atol=1e-12)
+@pytest.mark.parametrize("deg", [1, 2, 3, 24, 47])
+def test_polynomial_g_exact_to_round_off(deg):
+    # the integrand g(u x) / u of a degree-d monomial is u^(d-1) x1^a x2^b,
+    # which the 24-node rule integrates exactly for d <= 2 * 24 - 1;
+    # the solution is g / d, and one batched call of g suffices
+    a = deg // 2
+    calls = []
+
+    def g(x):
+        calls.append(len(x))
+        return x[..., 0] ** a * x[..., 1] ** (deg - a)
+
+    grid = annulus_grid(*ANNULUS, k=2)
+    sol = solve_radial(g, ANNULUS, tol=1e-10, k=2)
+    want = g(grid) / deg
+    calls.clear()
+    err = np.abs(sol(grid) - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(err) < 1e-13
+    assert calls == [72 * len(grid)]
 
 
-def test_adaptive_simpson_vector_valued():
-    val = adaptive_simpson(lambda s: np.array([np.sin(s), np.cos(s)]),
-                           0.0, np.pi / 2, 1e-12)
-    assert np.allclose(val, [1.0, 1.0], atol=1e-11)
+@pytest.mark.parametrize("scale", [0.1, 1.0, 100.0, 1e4])
+def test_tolerance_is_relative_to_f(scale):
+    # an absolute 1e-14 target made g = 100 x1^2 x2 at tol = 1e-10 run
+    # for minutes; relative to max(1, |f|) it is met on the first panel
+    g = lambda x: scale * x[..., 0] ** 2 * x[..., 1]
+    grid = annulus_grid(*ANNULUS, k=2, n_per_axis=8)
+    sol = solve_radial(g, ANNULUS, tol=1e-10, k=2)
+    want = g(grid) / 3.0
+    assert np.max(np.abs(sol(grid) - want) / np.maximum(1.0, np.abs(want))) < 1e-13
+
+
+def test_singular_integrand_raises():
+    # g(u x) / u = sqrt(|x1|) / sqrt(u) is singular at u = 0: the two rules
+    # keep disagreeing however many panels are used
+    sol = solve_radial(lambda x: np.sqrt(np.abs(x[..., 0])), ANNULUS, k=2)
+    with pytest.raises(RadialSolverError, match="panels"):
+        sol(annulus_grid(*ANNULUS, k=2, n_per_axis=6))
+
+
+def test_nan_from_g_raises():
+    sol = solve_radial(lambda x: np.where(x[..., 0] > 0.25, np.nan, x[..., 0]),
+                       ANNULUS, k=2)
+    with pytest.raises(RadialSolverError):
+        sol(np.array([0.5, 0.5]))
 
 
 def test_solve_radial_rejects_bad_input():
@@ -31,6 +64,10 @@ def test_solve_radial_rejects_bad_input():
         solve_radial(lambda x: x[..., 0], (2.0, 0.1), k=2)
     with pytest.raises(RadialSolverError):
         solve_radial(lambda x: x[..., 0] + 1.0, ANNULUS, k=2)
+    with pytest.raises(RadialSolverError):
+        solve_radial(lambda x: x[..., 0], ANNULUS, tol=0.0, k=2)
+    with pytest.raises(RadialSolverError):
+        solve_radial(lambda x: x[..., 0] + np.nan, ANNULUS, k=2)
 
 
 def test_annulus_grid_respects_radii():
