@@ -24,7 +24,7 @@ from .fields import (
     line_model_fields,
     rational_relation,
 )
-from .geometry import TWO_PI, Chart, embed_s5, torus_act_s5
+from .geometry import TWO_PI, Chart, torus_act_s5
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,8 @@ class ConstructionManifest:
         orders = [f.order for f in self.field.singular_fibers]
         if len(set(orders)) != len(orders):
             raise ValueError(f"declared orders {orders} are not distinct")
-        chart = self.field.chart
         for fib in self.field.singular_fibers:
-            p = fib.point()
-            if chart.is_sphere:
-                p = embed_s5(p, (0.0, 0.0, 0.0))
-            elif chart.dim > chart.base_dim:
-                p = np.concatenate([p, np.zeros(chart.dim - chart.base_dim)])
+            p = self.field.chart.lift(fib.point())
             resid = float(np.linalg.norm(self.field.func(p)))
             if resid > 1e-12:
                 raise ValueError(

@@ -7,7 +7,6 @@ computed with central finite differences; nothing here is symbolic.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping
@@ -478,12 +477,13 @@ def pushforward_residual(F, A, p, h=DEFAULT_FD_STEP):
     return float(np.linalg.norm(jac @ a_p - np.asarray(A(F(p)), dtype=float)))
 
 
-def batched_pushforward_residual(F, A, pts, h=DEFAULT_FD_STEP):
-    """Pushforward residuals ||DF(p) A(p) - A(F(p))|| over a batch of points.
+def batched_jacobian(F, pts, h=DEFAULT_FD_STEP):
+    """Central-difference Jacobians of a batched F at the rows of pts.
 
-    Both F and A must accept batched input.  All coordinate perturbations
-    are stacked into a single call to F, which matters when every
-    evaluation of F is expensive (for example a quadrature).
+    Returns ``(jac, F(pts))`` with ``jac[i, c, o] = dF_o/dp_c`` at pts[i].
+    All coordinate perturbations and the points themselves go into a
+    single call to F, which matters when every evaluation of F is
+    expensive (for example a quadrature).
     """
     pts = np.asarray(pts, dtype=float)
     m, d = pts.shape
@@ -492,17 +492,19 @@ def batched_pushforward_residual(F, A, pts, h=DEFAULT_FD_STEP):
     minus = (pts[:, None, :] - h * eye).reshape(-1, d)
     vals = np.asarray(F(np.concatenate([plus, minus, pts], axis=0)),
                       dtype=float)
-    fp = vals[: m * d].reshape(m, d, d)
-    fm = vals[m * d: 2 * m * d].reshape(m, d, d)
-    f_at = vals[2 * m * d:]
-    jac = (fp - fm) / (2.0 * h)  # jac[i, c, o] = dF_o/dp_c at pts[i]
+    jac = (vals[: m * d].reshape(m, d, d)
+           - vals[m * d: 2 * m * d].reshape(m, d, d)) / (2.0 * h)
+    return jac, vals[2 * m * d:]
+
+
+def batched_pushforward_residual(F, A, pts, h=DEFAULT_FD_STEP):
+    """Pushforward residuals ||DF(p) A(p) - A(F(p))|| over a batch of points.
+
+    Both F and A must accept batched input; the Jacobian of F comes from
+    one batched call (``batched_jacobian``).
+    """
+    pts = np.asarray(pts, dtype=float)
+    jac, f_at = batched_jacobian(F, pts, h)
     a_at = np.asarray(A(pts), dtype=float)
     push = np.einsum("ico,ic->io", jac, a_at)
     return np.linalg.norm(push - np.asarray(A(f_at), dtype=float), axis=1)
-
-
-def sphere_tangent_projection(v, y):
-    """Project an ambient vector onto the tangent space of S^5 at y."""
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return v - np.sum(v * y, axis=-1, keepdims=True) * y

@@ -1,25 +1,27 @@
 """Flow integration and trajectory diagnostics.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with PI step
-control and cubic Hermite dense output.  Limit-set classification runs on
-the direction field (the field divided by its norm, throttled near the
-declared target fibers): this reparametrizes trajectories by arc length
-without changing their orbits, so the polynomial-order slowdown near
-high-order zeros does not stall the classification.
+One integrator, an embedded Dormand-Prince 5(4) pair with PI step control
+(``_adaptive_steps``), serves ``integrate`` (with cubic Hermite dense
+output), ``classify_limit`` and ``basin_census``.  It advances one point or
+a batch of points; a batch shares one step size, set by its worst row.
+Limit-set classification runs on the direction field (the field divided
+by its norm, throttled near the declared target fibers): this
+reparametrizes trajectories by arc length without changing their orbits,
+so the polynomial-order slowdown near high-order zeros does not stall the
+classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .fields import FieldHandle
 from .geometry import TWO_PI, Chart, in_triangle
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (the fields are autonomous: no nodes needed)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -36,7 +38,14 @@ _E = _B5 - _B4
 
 
 class FlowError(RuntimeError):
-    """Integration failure: step underflow or step budget exhausted."""
+    """Integration failure: step underflow or step budget exhausted.
+
+    ``reason`` is "underflow" or "step_budget".
+    """
+
+    def __init__(self, message, reason):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass
@@ -68,23 +77,28 @@ class Trajectory:
 
 
 def _error_norm(err, y0, y1, rtol, atol):
+    """Largest RMS error norm over the rows (one row for a single point)."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return float(np.max(np.sqrt(np.mean((err / scale) ** 2, axis=-1))))
 
 
 def _initial_step(f0, y0, direction, rtol):
-    scale = 1.0 + np.linalg.norm(y0)
-    rate = np.linalg.norm(f0)
-    if rate < 1e-300:
-        return direction * 1e-3
-    return direction * min(1e-2 * scale / rate, 1.0) * max(rtol, 1e-12) ** 0.25
+    """Smallest over the rows of the one-point starting step."""
+    scale = 1.0 + np.linalg.norm(y0, axis=-1)
+    rate = np.linalg.norm(f0, axis=-1)
+    with np.errstate(divide="ignore", over="ignore"):
+        h = np.minimum(1e-2 * scale / rate, 1.0) * max(rtol, 1e-12) ** 0.25
+    return direction * float(np.min(np.where(rate < 1e-300, 1e-3, h)))
 
 
 def _adaptive_steps(f, t0, y0, t_end, cfg, postprocess=None):
     """Generator of accepted steps (t, y, f(y), err_norm, rejected_before).
 
+    ``y0`` is one point (d,) or a batch (m, d); a batch advances with one
+    shared step size, accepted when every row's RMS error norm is at most 1.
     The first yield is the initial condition with err 0.  Raises FlowError
-    on step underflow or when cfg.max_steps is exhausted before t_end.
+    on step underflow or when cfg.max_steps is exhausted before t_end;
+    its ``reason`` is "underflow" or "step_budget".
     """
     direction = 1.0 if t_end >= t0 else -1.0
     t = float(t0)
@@ -94,27 +108,29 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, postprocess=None):
     if t_end == t0:
         return
     h = _initial_step(k1, y, direction, cfg.rtol)
+    K = np.empty((7, y.size))  # stage derivatives, one flattened row each
+    stage = K.reshape((7,) + y.shape)
     err_prev = 1.0
     n_steps = 0
     while direction * (t_end - t) > 0:
         rejected = 0
+        stage[0] = k1
         while True:
             n_steps += 1
             if n_steps > cfg.max_steps:
                 raise FlowError(
-                    f"step budget {cfg.max_steps} exhausted at t={t:g}"
+                    f"step budget {cfg.max_steps} exhausted at t={t:g}",
+                    "step_budget",
                 )
             if direction * (t + h - t_end) > 0:
                 h = t_end - t
             if abs(h) < 1e-14 * max(1.0, abs(t)):
-                raise FlowError(f"step underflow at t={t:g}, point {y}")
-            k = [k1]
+                raise FlowError(f"step underflow at t={t:g}, point {y}",
+                                "underflow")
             for i in range(1, 7):
-                yi = y + h * (np.stack(k, axis=0).T @ _A[i])
-                k.append(np.asarray(f(yi), dtype=float))
-            karr = np.stack(k, axis=0)
-            y_new = y + h * (karr.T @ _B5)
-            err_vec = h * (karr.T @ _E)
+                stage[i] = f(y + h * (_A[i] @ K[:i]).reshape(y.shape))
+            y_new = y + h * (_B5 @ K).reshape(y.shape)
+            err_vec = h * (_E @ K).reshape(y.shape)
             err = _error_norm(err_vec, y, y_new, cfg.rtol, cfg.atol)
             if err <= 1.0:
                 break
@@ -126,7 +142,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, postprocess=None):
             y_new = postprocess(y_new)
             k1 = np.asarray(f(y_new), dtype=float)
         else:
-            k1 = k[6]  # FSAL
+            k1 = stage[6]  # FSAL
         y = y_new
         # PI controller (Hairer's choices)
         if err < 1e-10:
@@ -339,6 +355,7 @@ class CensusReport:
     source_fraction: float
     unclassified_fraction: float
     seed: int
+    stop_reason: str  # all_assigned | horizon | step_budget | underflow
 
 
 def _default_base_sampler(chart, meta):
@@ -364,30 +381,17 @@ def _default_base_sampler(chart, meta):
     return disc
 
 
-def _base_velocity(field, xs):
-    """Base components of the field over a batch of base points.
-
-    Valid because every library field is fiber-independent: its base
-    dynamics close up under the chart's base projection.
-    """
-    chart = field.chart
-    if chart.is_sphere:
-        from .geometry import embed_s5
-
-        ys = embed_s5(xs, np.zeros_like(np.column_stack([xs[:, 0]] * 3)))
-        return chart.base_tangent(ys, field.func(ys))
-    pad = chart.dim - xs.shape[1]
-    pts = np.concatenate([xs, np.zeros((len(xs), pad))], axis=1)
-    return field.func(pts)[:, : xs.shape[1]]
-
-
 def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
                  slowdown=1e-2, horizon=500.0, max_steps=100_000,
                  rtol=1e-6, atol=1e-9):
     """Backward-classify a sample of base points to their source fibers.
 
     Uses the (decoupled) base dynamics of the field, run as one batched
-    integration of the backward direction field with per-sample freezing.
+    integration of the backward direction field with per-sample freezing:
+    after each accepted step a sample within ``fiber_tol`` of a target is
+    assigned and its velocity is zero from then on.  ``stop_reason`` says
+    why the integration ended; samples still unassigned then count as
+    unclassified.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
@@ -408,7 +412,10 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         )
 
     def velocity(pts):
-        v = -_base_velocity(field, pts)
+        # base dynamics of the lift: valid because every library field is
+        # fiber-independent, so it closes up under the base projection
+        ys = chart.lift(pts)
+        v = -chart.base_tangent(ys, field.func(ys))
         nv = np.linalg.norm(v, axis=1, keepdims=True)
         nv[nv < 1e-300] = 1.0
         d = dists(pts).min(axis=1, keepdims=True)
@@ -416,38 +423,21 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         v[assigned >= 0] = 0.0
         return v
 
-    t, h = 0.0, 1e-3
-    y = xs.copy()
-    k1 = velocity(y)
-    err_prev = 1.0
-    for _ in range(max_steps):
-        active = assigned < 0
-        if not np.any(active) or t >= horizon:
-            break
-        k = [k1]
-        for i in range(1, 7):
-            k.append(velocity(y + h * np.tensordot(np.stack(k, 0), _A[i],
-                                                   axes=(0, 0))))
-        karr = np.stack(k, 0)
-        y_new = y + h * np.tensordot(karr, _B5, axes=(0, 0))
-        err_vec = h * np.tensordot(karr, _E, axes=(0, 0))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        per_row = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
-        err = float(per_row[active].max()) if np.any(active) else 0.0
-        if err <= 1.0:
-            t += h
-            y = y_new
-            dmat = dists(y)
-            hit = (dmat.min(axis=1) < fiber_tol) & active
-            if np.any(hit):
-                assigned[hit] = dmat[hit].argmin(axis=1)
-            k1 = velocity(y)
-            factor = 0.9 * max(err, 1e-10) ** -0.14 * err_prev ** 0.08
-            err_prev = max(err, 1e-10)
-        else:
-            factor = max(0.2, 0.9 * err**-0.2)
-        h *= min(10.0, max(0.2, factor))
-        h = min(h, horizon - t) if t < horizon else h
+    def record_hits(pts):
+        dmat = dists(pts)
+        hit = (dmat.min(axis=1) < fiber_tol) & (assigned < 0)
+        assigned[hit] = dmat[hit].argmin(axis=1)
+        return pts
+
+    stop_reason = "horizon"
+    cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=max_steps)
+    try:
+        for _ in _adaptive_steps(velocity, 0.0, xs, horizon, cfg, record_hits):
+            if np.all(assigned >= 0):
+                stop_reason = "all_assigned"
+                break
+    except FlowError as exc:
+        stop_reason = exc.reason
 
     counts = {}
     for j, lbl in enumerate(labels):
@@ -462,6 +452,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         source_fraction=n_source / n_samples,
         unclassified_fraction=n_unassigned / n_samples,
         seed=seed,
+        stop_reason=stop_reason,
     )
 
 

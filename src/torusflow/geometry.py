@@ -21,8 +21,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-SPHERE_TOL = 1e-12
-
 
 def wrap_angles(raw):
     """Reduce angles componentwise into [0, 2*pi)."""
@@ -88,13 +86,6 @@ def base_projection_pi(y):
     )
 
 
-def singular_indicator_s5(y):
-    """Product of the three pair norms; zero exactly on the singular set."""
-    y = np.asarray(y, dtype=float)
-    x = base_projection_pi(y)
-    return x[..., 0] * x[..., 1] * (y[..., 4] ** 2 + y[..., 5] ** 2)
-
-
 def embed_s5(x, phis=(0.0, 0.0, 0.0)):
     """Point of S^5 over base point x = (x1, x2) with given pair phases.
 
@@ -130,71 +121,6 @@ def in_triangle(x, margin=0.0):
         & (x[..., 1] >= margin)
         & (x[..., 0] + x[..., 1] <= 1.0 - margin)
     )
-
-
-# ---------------------------------------------------------------------------
-# point types
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """Point of R^k x T^n; angles are stored wrapped into [0, 2*pi)."""
-
-    x: tuple
-    theta: tuple
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        theta = wrap_angles(self.theta)
-        if theta.size < 1:
-            raise ValueError("need at least one torus angle")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite Euclidean coordinates")
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "theta", tuple(theta))
-
-    def coords(self):
-        return np.array(self.x + self.theta)
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Point of S^5, renormalized at construction."""
-
-    y: tuple
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (6,):
-            raise ValueError("sphere point needs 6 coordinates")
-        r = np.linalg.norm(y)
-        if not np.isfinite(r) or r == 0.0:
-            raise ValueError("degenerate sphere point")
-        y = y / r
-        if abs(np.linalg.norm(y) - 1.0) > SPHERE_TOL:
-            raise ValueError("renormalization failed")
-        object.__setattr__(self, "y", tuple(y))
-
-    def coords(self):
-        return np.array(self.y)
-
-
-@dataclass(frozen=True)
-class TrianglePoint:
-    """Point of the closed base triangle with vertices (0,0), (1,0), (0,1)."""
-
-    x: tuple
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.shape != (2,):
-            raise ValueError("triangle point needs 2 coordinates")
-        if x[0] < 0 or x[1] < 0 or x[0] + x[1] > 1.0 + 1e-15:
-            raise ValueError(f"outside the closed triangle: {tuple(x)}")
-        object.__setattr__(self, "x", tuple(x))
-
-    def coords(self):
-        return np.array(self.x)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +179,18 @@ class Chart:
         if self.kind == "circle_product":
             return p[..., :1]
         return p[..., : self.k]
+
+    def lift(self, base_point):
+        """Chart point over a base point with zero phases / fiber angles.
+
+        Broadcasts over leading axes; on the sphere this is ``embed_s5``.
+        """
+        x = np.asarray(base_point, dtype=float)
+        if self.kind == "sphere5":
+            return embed_s5(x)
+        return np.concatenate(
+            [x, np.zeros(x.shape[:-1] + (self.dim - self.base_dim,))], axis=-1
+        )
 
     def fiber_angles(self, p):
         p = np.asarray(p, dtype=float)

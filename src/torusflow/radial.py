@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fields import batched_jacobian
+
 _NODES = 24  # nodes per panel of the rule checked against 2 * _NODES nodes
 _MAX_PANELS = 64
 _ACCEPT = 0.1  # share of tol * max(1, |f|) the two rules may differ by
@@ -170,17 +172,9 @@ class NormalFormReport:
         pts = np.asarray(points, dtype=float)
         k, n = self.k, len(self.correctors)
         b = np.asarray(self.frequencies, dtype=float)
-        m, d = pts.shape
-        if d != k + n:
+        if pts.shape[1] != k + n:
             raise RadialSolverError(f"points must have {k + n} coordinates")
-        F = self.coordinate_change()
-        eye = np.eye(d)
-        plus = (pts[:, None, :] + h * eye).reshape(-1, d)
-        minus = (pts[:, None, :] - h * eye).reshape(-1, d)
-        vals = F(np.concatenate([plus, minus, pts], axis=0))
-        jac = (vals[: m * d].reshape(m, d, d)
-               - vals[m * d: 2 * m * d].reshape(m, d, d)) / (2.0 * h)
-        f_at = vals[2 * m * d:]
+        jac, f_at = batched_jacobian(self.coordinate_change(), pts, h)
         x_tilde = pts.copy()
         for r, g in enumerate(g_list):
             x_tilde[:, k + r] = np.asarray(g(pts[:, :k]), dtype=float)

@@ -263,17 +263,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _embed_fiber_point(chart, base_point):
-    from .geometry import embed_s5
-
-    p = np.asarray(base_point, dtype=float)
-    if chart.is_sphere:
-        return embed_s5(p, (0.0, 0.0, 0.0))
-    if chart.dim > chart.base_dim:
-        return np.concatenate([p, np.zeros(chart.dim - chart.base_dim)])
-    return p
-
-
 def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
                     commutation_t=1.0, commutation_tol=1e-6):
     """Run the certification checks recorded in a construction manifest.
@@ -292,7 +281,7 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
 
     worst = 0.0
     for fib in fld.singular_fibers:
-        p = _embed_fiber_point(chart, fib.point())
+        p = chart.lift(fib.point())
         worst = max(worst, float(np.linalg.norm(fld.func(p))))
     checks["declared_zeros_vanish"] = {
         "passed": worst <= 1e-12, "value": worst, "tol": 1e-12,
@@ -305,12 +294,8 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
     }
 
     if chart.n > 0:
-        if chart.is_sphere:
-            p0 = _embed_fiber_point(chart, (0.3, 0.3))
-        elif chart.base_angular:
-            p0 = np.concatenate([[0.5], np.zeros(chart.n)])
-        else:
-            p0 = np.concatenate([0.5 * np.ones(chart.k), np.zeros(chart.n)])
+        p0 = chart.lift((0.3, 0.3) if chart.is_sphere
+                        else np.full(chart.base_dim, 0.5))
         lam = rng.uniform(0.0, TWO_PI, size=chart.n)
         resid = flow_commutation_residual(fld, lam, p0, commutation_t)
         checks["flow_commutes_with_action"] = {
@@ -322,7 +307,7 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
         worst_dev = 0.0
         worst_r2 = 1.0
         for fib in fld.singular_fibers:
-            rep = estimate_order(fld, _embed_fiber_point(chart, fib.point()))
+            rep = estimate_order(fld, chart.lift(fib.point()))
             worst_dev = max(worst_dev, abs(rep.estimated_order - fib.order))
             worst_r2 = min(worst_r2, rep.r_squared)
         checks["orders_match_declared"] = {

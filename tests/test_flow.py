@@ -134,6 +134,37 @@ def test_census_reproducible():
     assert a.counts == b.counts
 
 
+def test_census_reports_why_it_stopped():
+    m = line_model_fields("line", n=1, a=(1.0,))
+    short = basin_census(m.Xprime, 4, max_steps=20)
+    assert short.stop_reason == "step_budget"
+    assert short.unclassified_fraction > 0
+    assert basin_census(m.Xprime, 4).stop_reason == "all_assigned"
+
+
+def _expected_source(base, x):
+    """Backward limit from the sign of Y between consecutive zeros."""
+    if base == "line":  # the sinks 1 and 3 separate the sources 0, 2, 4
+        return (x > 1.0).astype(int) + (x > 3.0).astype(int)
+    # Y = sin(3a): sources 0, 2pi/3, 4pi/3 sit mid-way between the sinks
+    return (np.mod(x + np.pi / 3.0, TWO_PI) // (TWO_PI / 3.0)).astype(int)
+
+
+@pytest.mark.parametrize("base, lo, hi, sinks", [
+    ("line", -0.95, 4.95, (1.0, 3.0)),
+    ("circle", 0.01, TWO_PI - 0.01, (np.pi / 3.0, np.pi, 5.0 * np.pi / 3.0)),
+], ids=["line", "circle"])
+def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks):
+    xs = np.linspace(lo, hi, 61)
+    xs = xs[np.min(np.abs(xs[:, None] - np.array(sinks)), axis=1) > 0.02]
+    m = line_model_fields(base, n=1, a=(1.0,))
+    rep = basin_census(m.Xprime, len(xs),
+                       sampler=lambda rng, n: xs[:, None].copy())
+    want = np.bincount(_expected_source(base, xs), minlength=3)
+    assert rep.counts == {f"source_{i}": int(c) for i, c in enumerate(want)}
+    assert rep.stop_reason == "all_assigned"
+
+
 # ---------------------------------------------------------------------------
 # order estimation
 
