@@ -200,10 +200,43 @@ def apply_effective_damping(fld, gauge, name=None):
 # Haar averaging over the torus
 
 
-def _torus_grid(n, n_nodes):
-    axes = [np.arange(n_nodes) * (TWO_PI / n_nodes)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+# orbit points per call of the averaged function: at 16 or more nodes on
+# S^5 a block is one row, so a call's temporaries stay the size of one orbit
+_HAAR_BLOCK = 1 << 12
+
+
+def _haar_mean(fn, chart, n_nodes, transport):
+    """Mean of ``fn`` over the torus orbit of each row, on a uniform grid.
+
+    Evaluates ``fn`` once per block of rows on all their orbit points;
+    with ``transport`` each value is a sphere vector, moved back by the
+    inverse rotation before averaging.  A point (d,) gives one value, a
+    batch (m, d) gives m values.
+    """
+    n = chart.n
+    nodes = np.indices((n_nodes,) * n).reshape(n, -1).T * (TWO_PI / n_nodes)
+    per_call = max(1, _HAAR_BLOCK // len(nodes))
+
+    def averaged(p):
+        p = np.asarray(p, dtype=float)
+        rows = p.reshape(-1, p.shape[-1])
+        means = []
+        for start in range(0, len(rows), per_call):
+            block = rows[start:start + per_call]
+            orbit = chart.act(nodes, block[:, None, :]).reshape(-1, p.shape[-1])
+            vals = np.asarray(fn(orbit), dtype=float)
+            del orbit  # free the orbit before the transport allocates
+            # (rows, nodes, ...): each row's orbit is contiguous, so its
+            # sum does not depend on the block size
+            vals = vals.reshape((len(block), len(nodes)) + vals.shape[1:])
+            if transport:
+                vals = torus_act_s5(-nodes, vals)
+            means.append(vals.mean(axis=1))
+        out = np.concatenate(means)
+        return out[0] if p.ndim == 1 else out.reshape(p.shape[:-1]
+                                                      + out.shape[1:])
+
+    return averaged
 
 
 def haar_average_function(fn, chart, n_nodes=64):
@@ -214,29 +247,7 @@ def haar_average_function(fn, chart, n_nodes=64):
     function already invariant under the action is reproduced exactly at
     every point.
     """
-    lam = _torus_grid(chart.n, n_nodes)
-
-    def one(p):
-        return np.mean(np.asarray(fn(_orbit_grid(chart, lam, p)), dtype=float),
-                       axis=0)
-
-    def averaged(p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim > 1:
-            return np.array([one(row) for row in p])
-        return one(p)
-
-    return averaged
-
-
-def _orbit_grid(chart, lam, p):
-    """Points lam . p for every group element in one stacked batch."""
-    if chart.is_sphere:
-        return torus_act_s5(lam, p)
-    orbit = np.broadcast_to(p, (len(lam), p.size)).copy()
-    nb = chart.dim - chart.n
-    orbit[:, nb:] = np.mod(orbit[:, nb:] + lam, TWO_PI)
-    return orbit
+    return _haar_mean(fn, chart, n_nodes, transport=False)
 
 
 def haar_average_field(fld, n_nodes=64, name=None):
@@ -248,31 +259,9 @@ def haar_average_field(fld, n_nodes=64, name=None):
     product charts the action is a translation, so transport is trivial.
     """
     chart = fld.chart
-    lam = _torus_grid(chart.n, n_nodes)
-
-    if chart.is_sphere:
-
-        def one(y):
-            vecs = fld.func(torus_act_s5(lam, y))
-            return np.mean(torus_act_s5(-lam, vecs), axis=0)
-
-    else:
-
-        def one(p):
-            # translations have identity pushforward
-            return np.mean(fld.func(_orbit_grid(chart, lam, p)), axis=0)
-
-    # one row at a time: a rows x nodes batch on S^5 is megabytes per
-    # temporary.  ``func`` must not call itself, or every Haar field is a
-    # reference cycle that keeps ``lam`` alive until a full GC pass.
-    def func(p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim > 1:
-            return np.stack([one(row) for row in p], axis=0)
-        return one(p)
-
     return FieldHandle(
-        name or f"haar({fld.name})", chart, func,
+        name or f"haar({fld.name})", chart,
+        _haar_mean(fld.func, chart, n_nodes, transport=chart.is_sphere),
         singular_fibers=fld.singular_fibers,
         sources=fld.sources,
         meta=dict(fld.meta),

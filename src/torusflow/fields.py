@@ -113,15 +113,24 @@ def rational_relation(a, max_coeff=50, tol=1e-9):
     n = a.size
     if n == 1:
         return None if abs(a[0]) > tol else (1,)
+    small = np.flatnonzero(np.abs(a) < tol)
+    if small.size:
+        # -e_i is a relation of the least size, first in the grid order
+        return tuple(-int(i == small[0]) for i in range(n))
     bound = max_coeff if n <= 3 else 10
-    rng = [np.arange(-bound, bound + 1)] * n
-    grid = np.stack(np.meshgrid(*rng, indexing="ij"), axis=-1).reshape(-1, n)
-    vals = np.abs(grid @ a)
-    mask = (vals < tol) & np.any(grid != 0, axis=1)
+    head = np.indices((2 * bound + 1,) * (n - 1)).reshape(n - 1, -1).T - bound
+    # every last coefficient with |head . a' + m a_n| < tol <= |a_n| lies
+    # within 1 of -head . a' / a_n: try its floor and the next integer
+    last = np.floor(-(head @ a[:-1]) / a[-1])[:, None] + (0, 1)
+    grid = np.concatenate(
+        [np.repeat(head, 2, axis=0), last.reshape(-1, 1)], axis=1
+    ).astype(int)
+    mask = ((np.abs(grid @ a) < tol) & (np.abs(grid[:, -1]) <= bound)
+            & np.any(grid != 0, axis=1))
     if not np.any(mask):
         return None
     hits = grid[mask]
-    # report the smallest relation
+    # report the smallest relation, the first in the grid order on ties
     best = hits[np.argmin(np.sum(np.abs(hits), axis=1))]
     return tuple(int(m) for m in best)
 

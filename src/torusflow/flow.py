@@ -155,13 +155,18 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, postprocess=None):
 
 
 def _hermite(t, t0, t1, y0, y1, f0, f1):
-    """Cubic Hermite interpolant on [t0, t1] evaluated at times t."""
+    """Cubic Hermite interpolants evaluated at times t.
+
+    Row i interpolates on [t0[i], t1[i]] from the end values y0[i], y1[i]
+    and derivatives f0[i], f1[i].
+    """
     h = t1 - t0
     s = (t - t0) / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s**2 * (3 - 2 * s)
     h11 = s**2 * (s - 1)
+    h = h[:, None]
     return (h00[:, None] * y0 + h10[:, None] * h * f0
             + h01[:, None] * y1 + h11[:, None] * h * f1)
 
@@ -199,18 +204,15 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
     derivs = np.stack(fs, axis=0)
 
     if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        out = np.empty((t_eval.size, points.shape[1]))
+        t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
         order = np.argsort(times) if t1 >= t0 else np.argsort(-times)
         tt, yy, ff = times[order], points[order], derivs[order]
         key = tt if t1 >= t0 else -tt
         idx = np.clip(np.searchsorted(key, t_eval if t1 >= t0 else -t_eval,
                                       side="right") - 1, 0, len(tt) - 2)
-        for seg in np.unique(idx):
-            sel = idx == seg
-            out[sel] = _hermite(t_eval[sel], tt[seg], tt[seg + 1],
-                                yy[seg], yy[seg + 1], ff[seg], ff[seg + 1])
-        times, points = t_eval, out
+        points = _hermite(t_eval, tt[idx], tt[idx + 1], yy[idx], yy[idx + 1],
+                          ff[idx], ff[idx + 1])
+        times = t_eval
 
     if chart is not None:
         points = chart.wrap(points)

@@ -201,14 +201,19 @@ class Chart:
         return p[..., self.k:]
 
     def act(self, lam, p):
-        """Torus action on the chart (rotation on S^5, fiber translation else)."""
+        """Torus action on the chart (rotation on S^5, fiber translation else).
+
+        Broadcasts over leading axes of both arguments.
+        """
         p = np.asarray(p, dtype=float)
         lam = np.asarray(lam, dtype=float)
         if self.kind == "sphere5":
             return torus_act_s5(lam, p)
-        out = p.copy()
         nb = self.dim - self.n
-        out[..., nb:] = np.mod(out[..., nb:] + lam, TWO_PI)
+        out = np.empty(np.broadcast_shapes(lam.shape[:-1], p.shape[:-1])
+                       + p.shape[-1:])
+        out[..., :nb] = p[..., :nb]
+        out[..., nb:] = np.mod(p[..., nb:] + lam, TWO_PI)
         return out
 
     def wrap(self, p):

@@ -9,7 +9,7 @@ rational relation between frequencies adds resonant modes and raises it.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,23 +35,45 @@ class CommutantProbeReport:
         return self.dimension == self.expected_dimension
 
 
-def _canonical_freq_vectors(n, max_freq):
-    """Integer vectors q with |q|_inf <= max_freq, one per {q, -q} pair."""
-    out = [np.zeros(n, dtype=int)]
-    for q in itertools.product(range(-max_freq, max_freq + 1), repeat=n):
-        q = np.array(q, dtype=int)
-        nz = q[q != 0]
-        if nz.size and nz[0] > 0:
-            out.append(q)
-    return out
+def _probe_points(k, n, n_points, seed):
+    """Sample points shared by the probes: uniform angles, and base
+    coordinates 0.3 <= |x_j| <= 1.7 with random signs, generic and bounded
+    away from the coordinate hyperplanes."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.3, 1.7, size=(n_points, k))
+    xs *= rng.choice([-1.0, 1.0], size=xs.shape)
+    thetas = rng.uniform(0.0, TWO_PI, size=(n_points, n))
+    return xs, thetas
 
 
-def _multi_indices(k, degree):
-    out = []
-    for alpha in itertools.product(range(degree + 1), repeat=k):
-        if sum(alpha) <= degree:
-            out.append(alpha)
-    return out
+def _ansatz(k, a, degree, max_freq, xs, thetas):
+    """Ansatz functions f = x^alpha * trig(q . theta) at the sample points.
+
+    alpha runs over the multi-indices with |alpha| <= degree and q over the
+    integer vectors with |q|_inf <= max_freq, one per {q, -q} pair (the
+    first nonzero entry positive), with cos and sin columns (cos only for
+    q = 0).  Returns (f, deg, Tf): the values (n_points, n_basis), the
+    degree |alpha| of each column and the drift derivative T.f, which maps
+    cos(q . theta) to -(a . q) sin and sin(q . theta) to (a . q) cos.
+    """
+    alphas = np.array(list(np.ndindex((degree + 1,) * k)))
+    alphas = alphas[alphas.sum(axis=1) <= degree]
+    # product order is lexicographic: zero sits in the middle, and the
+    # vectors after it are exactly those with a positive first nonzero
+    qs = np.array(list(np.ndindex((2 * max_freq + 1,) * a.size))) - max_freq
+    qs = qs[len(qs) // 2:]
+    phase = thetas @ qs.T
+    aq = qs @ a
+    c, s = np.cos(phase), np.sin(phase)
+    # columns cos, sin per q; drop sin(0 . theta) = 0
+    trig = np.delete(np.stack([c, s], axis=-1).reshape(len(xs), -1), 1, axis=1)
+    dtrig = np.delete(np.stack([-aq * s, aq * c], axis=-1).reshape(len(xs), -1),
+                      1, axis=1)
+    mono = np.prod(xs[:, None, :] ** alphas, axis=-1)[:, :, None]
+    f = (mono * trig[:, None, :]).reshape(len(xs), -1)
+    Tf = (mono * dtrig[:, None, :]).reshape(len(xs), -1)
+    deg = np.repeat(alphas.sum(axis=1).astype(float), trig.shape[1])
+    return f, deg, Tf
 
 
 def _nullity(cols, eps_factor):
@@ -66,7 +88,7 @@ def _nullity(cols, eps_factor):
     live = cols[:, ~zero]
     if live.shape[1] == 0:
         return nullity, np.inf
-    live = live / norms[~zero]
+    live /= norms[~zero]
     sigma = np.linalg.svd(live, compute_uv=False)
     eps = eps_factor * sigma[0]
     below = sigma < eps
@@ -91,37 +113,19 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
     """
     a = np.asarray(a, dtype=float)
     n = a.size
-    rng = np.random.default_rng(seed)
-    alphas = _multi_indices(k, degree)
-    qs = _canonical_freq_vectors(n, max_freq)
-    n_basis = len(alphas) * (2 * len(qs) - 1)
+    n_basis = math.comb(k + degree, k) * (2 * max_freq + 1) ** n
     if n_points < n_basis + 10:
         raise ValueError(
             f"underdetermined probe: {n_basis} ansatz functions need at "
             f"least {n_basis + 10} sample points, got {n_points}"
         )
-    # generic base points bounded away from the coordinate hyperplanes
-    xs = rng.uniform(0.3, 1.7, size=(n_points, k))
-    xs *= rng.choice([-1.0, 1.0], size=xs.shape)
-    thetas = rng.uniform(0.0, TWO_PI, size=(n_points, n))
-
-    cols_x, cols_t = [], []
-    for alpha in alphas:
-        mono = np.prod(xs ** np.array(alpha, dtype=float), axis=1)
-        deg = float(sum(alpha))
-        for q in qs:
-            aq = float(a @ q)
-            phase = thetas @ q
-            c, s = np.cos(phase), np.sin(phase)
-            # X.(mono*cos) = deg*mono*cos - aq*mono*sin, and the sin twin
-            cols_x.append((deg - 1.0) * mono * c - aq * mono * s)
-            cols_t.append(deg * mono * c - aq * mono * s)
-            if np.any(q != 0):
-                cols_x.append((deg - 1.0) * mono * s + aq * mono * c)
-                cols_t.append(deg * mono * s + aq * mono * c)
-
-    null_x, gap_x = _nullity(np.stack(cols_x, axis=1), eps_factor)
-    null_t, gap_t = _nullity(np.stack(cols_t, axis=1), eps_factor)
+    f, deg, cols = _ansatz(k, a, degree, max_freq,
+                           *_probe_points(k, n, n_points, seed))
+    # X.f = deg*f + T.f; the angle slots need X.f = 0, the base slots X.f = f
+    cols += deg * f
+    null_t, gap_t = _nullity(cols, eps_factor)
+    cols -= f
+    null_x, gap_x = _nullity(cols, eps_factor)
     return CommutantProbeReport(
         dimension=k * null_x + n * null_t,
         expected_dimension=k * k + n,
@@ -215,29 +219,16 @@ def drift_commutant_comparison(k=1, a=(1.0, np.e), degree=2, max_freq=2,
     n = a.size
     full = commutant_dimension_probe(k, a, degree, max_freq, n_points, seed)
 
-    # bare drift: slot condition is T.f = 0 on every slot; reuse the probe
-    # machinery by building the theta-slot matrix only
-    rng = np.random.default_rng(seed)
-    alphas = _multi_indices(k, degree)
-    qs = _canonical_freq_vectors(n, max_freq)
-    xs = rng.uniform(0.3, 1.7, size=(n_points, k))
-    thetas = rng.uniform(0.0, TWO_PI, size=(n_points, n))
-    cols = []
-    for alpha in alphas:
-        mono = np.prod(xs ** np.array(alpha, dtype=float), axis=1)
-        for q in qs:
-            aq = float(a @ q)
-            phase = thetas @ q
-            cols.append(-aq * mono * np.sin(phase))
-            if np.any(q != 0):
-                cols.append(aq * mono * np.cos(phase))
-    nullity, _ = _nullity(np.stack(cols, axis=1), 1e-8)
+    # bare drift: the slot condition is T.f = 0 on every slot
+    _, _, Tf = _ansatz(k, a, degree, max_freq,
+                       *_probe_points(k, n, n_points, seed))
+    nullity, _ = _nullity(Tf, 1e-8)
     dim_drift = (k + n) * nullity
     return {
         "dimension_full": full.dimension,
         "dimension_drift_only": dim_drift,
         "expected_full": k * k + n,
-        "ansatz_x_monomials": len(alphas),
+        "ansatz_x_monomials": math.comb(k + degree, k),
     }
 
 

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from torusflow import construction
 from torusflow.construction import (
     ConstructionManifest,
     apply_effective_damping,
@@ -180,6 +181,61 @@ def test_average_on_product_chart_kills_angular_modes():
     fld = FieldHandle("mode", chart, func)
     bar = haar_average_field(fld, n_nodes=16)
     assert np.linalg.norm(bar.func(np.array([0.5, 1.2]))) < 1e-14
+
+
+def trig_field(p):
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    out[..., 0] = (np.sin(p[..., 2])
+                   + p[..., 0] * np.cos(p[..., 2] + 2 * p[..., 3]) ** 2)
+    out[..., 1] = p[..., 1] * np.cos(p[..., 3]) ** 2
+    out[..., 2] = np.sin(p[..., 2] - p[..., 3]) ** 2
+    out[..., 3] = p[..., 0] * p[..., 1]
+    return out
+
+
+def cubic_field(y):
+    y = np.asarray(y, dtype=float)
+    return np.stack([y[..., 0] ** 3 * y[..., 3], y[..., 2] * y[..., 1] ** 2,
+                     y[..., 4], y[..., 5] * y[..., 0], y[..., 1] ** 2,
+                     y[..., 3] * y[..., 2]], axis=-1)
+
+
+@pytest.mark.parametrize("chart,func,n_nodes", [
+    (Chart("sphere5"), cubic_field, 8),
+    (Chart("product", k=2, n=2), trig_field, 16),
+])
+def test_haar_batch_equals_rows_one_at_a_time(chart, func, n_nodes):
+    # 20 rows of a 512- or 256-node orbit span several evaluation blocks
+    assert 1 < construction._HAAR_BLOCK // n_nodes ** chart.n < 20
+    rng = np.random.default_rng(5)
+    if chart.is_sphere:
+        pts = sphere_points(20)
+    else:
+        pts = np.concatenate([rng.uniform(-1.5, 1.5, (20, 2)),
+                              rng.uniform(0, 2 * np.pi, (20, 2))], axis=1)
+    bar = haar_average_field(FieldHandle("f", chart, func), n_nodes=n_nodes)
+    av = haar_average_function(lambda p: func(p)[..., 3], chart, n_nodes)
+    batch, batch_fn = bar.func(pts), av(pts)
+    assert batch.shape == pts.shape and batch_fn.shape == (20,)
+    rows = np.stack([bar.func(p) for p in pts])
+    rows_fn = np.array([av(p) for p in pts])
+    assert np.max(np.abs(batch - rows)) <= 1e-15
+    assert np.max(np.abs(batch_fn - rows_fn)) <= 1e-15
+
+
+def test_haar_average_function_shapes():
+    av = haar_average_function(invariant_scalar, Chart("sphere5"), n_nodes=4)
+    ys = sphere_points(3)
+    assert np.ndim(av(ys[0])) == 0
+    assert av(ys).shape == (3,)
+    assert av(ys[None]).shape == (1, 3)
+    chart = Chart("product", k=1, n=2)
+    av = haar_average_function(lambda p: p[..., 0] * np.sin(p[..., 2]),
+                               chart, n_nodes=4)
+    p = np.array([[0.5, 1.0, 2.0], [1.5, 0.3, 0.1]])
+    assert np.ndim(av(p[0])) == 0 and av(p).shape == (2,)
+    assert np.allclose(av(p), 0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("chart", [Chart("sphere5"), Chart("product", k=1, n=1)])

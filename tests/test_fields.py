@@ -42,11 +42,47 @@ def test_xi_plus_affine_values():
     assert np.allclose(X(np.array([2.0, 0.1, 0.2])), [2.0, 3.0, 4.0])
 
 
+def grid_relation(a, max_coeff=50, tol=1e-9):
+    """The smallest relation on the full coefficient grid, first in grid order."""
+    a = np.asarray(a, dtype=float)
+    bound = max_coeff if a.size <= 3 else 10
+    axes = [np.arange(-bound, bound + 1)] * a.size
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, a.size)
+    hits = grid[(np.abs(grid @ a) < tol) & np.any(grid != 0, axis=1)]
+    if not len(hits):
+        return None
+    return tuple(int(m) for m in hits[np.argmin(np.abs(hits).sum(axis=1))])
+
+
+def seeded_frequencies(count, seed=9):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        a = rng.uniform(-3.0, 3.0, int(rng.integers(2, 4)))
+        if i % 3 == 1:
+            m = rng.integers(-4, 5, a.size - 1)
+            a[-1] = (m @ a[:-1]) / rng.choice([1, 2, 3, -5])
+        elif i % 3 == 2:
+            a = rng.integers(-6, 7, a.size) * rng.uniform(0.1, 3.0)
+        out.append(tuple(a))
+    return out
+
+
+R2, R3 = np.sqrt(2.0), np.sqrt(3.0)
+
+
 def test_rational_relation_found_and_absent():
-    rel = rational_relation((1.0, 2.0))
-    assert rel is not None and abs(np.dot(rel, (1.0, 2.0))) < 1e-12
-    assert rational_relation((1.0, np.sqrt(2.0))) is None
+    assert rational_relation((1.0, R2)) is None
     assert rational_relation((1.0, E, E * E)) is None
+    cases = [(1.0, 0.0), (0.0, 0.0), (1.0, 0.5, 0.0), (1.0, R2, 1.0 + R2),
+             (R2, R3, R2 + R3), (1.0, 2.0, 3.0, 4.0), (3.0, -7.0, 0.5),
+             (1.0, 2.0),
+             # -0.3/0.1 rounds below 3; relations past the bound
+             (0.3, 0.1), (1.0, 0.01)]
+    for a in cases + seeded_frequencies(12):
+        rel = rational_relation(a)
+        assert rel == grid_relation(a), a
+        assert rel is None or abs(np.dot(rel, a)) < 1e-9
 
 
 def test_affine_field_warns_on_false_density_claim():

@@ -93,6 +93,30 @@ def test_chart_kinds_and_dims():
         Chart("klein_bottle")
 
 
+@pytest.mark.parametrize("chart", [Chart("product", k=2, n=2),
+                                   Chart("circle_product", n=2),
+                                   Chart("sphere5")])
+def test_chart_act_broadcasts_like_the_loop_over_pairs(chart):
+    rng = np.random.default_rng(3)
+    lam = rng.uniform(0, TWO_PI, (5, 1, chart.n))
+    p = rng.uniform(0, TWO_PI, (4, chart.dim))
+    if chart.is_sphere:
+        p = sphere_normalize(p - np.pi)
+    out = chart.act(lam, p)
+    assert out.shape == (5, 4, chart.dim)
+    if not chart.is_sphere:
+        nb = chart.dim - chart.n
+        assert np.array_equal(out[..., :nb],
+                              np.broadcast_to(p[:, :nb], (5, 4, nb)))
+        assert np.array_equal(out[..., nb:], np.mod(p[:, nb:] + lam, TWO_PI))
+    for i in range(5):
+        for j in range(4):
+            assert np.array_equal(out[i, j], chart.act(lam[i, 0], p[j]))
+    # one group element for a batch of points, and the reverse
+    assert np.array_equal(chart.act(lam[0, 0], p), out[0])
+    assert np.array_equal(chart.act(lam[:, 0], p[1]), out[:, 1])
+
+
 def test_chart_distance_uses_shortest_arc():
     c = Chart("product", k=1, n=1)
     p = np.array([0.5, 0.1])

@@ -26,12 +26,18 @@ def test_probe_k1_n1():
     assert rep.dimension == 2  # k^2 + n = 1 + 1
 
 
-def test_probe_rational_frequencies_enlarge_commutant():
+@pytest.mark.parametrize("k,a,want", [
+    (2, (1.0, SQRT2), (6, 2, 1, 150)),
     # a = (1, 2) admits the relation q = (2, -1); each resonant mode shows
     # up in every slot, giving 2*6 + 2*3 = 18 within the degree-2 ansatz
-    rep = commutant_dimension_probe(2, (1.0, 2.0), n_points=500, seed=0)
-    assert rep.dimension == 18
-    assert rep.dimension > rep.expected_dimension
+    (2, (1.0, 2.0), (18, 6, 3, 150)),
+    (1, (1.0, np.e, np.e ** 2), (4, 1, 1, 375)),
+    (1, (1.0, SQRT2, 2 * SQRT2), (12, 3, 3, 375)),
+], ids=["k2_dense", "k2_resonant", "k1_dense", "k1_resonant"])
+def test_probe_rational_frequencies_enlarge_commutant(k, a, want):
+    rep = commutant_dimension_probe(k, a, n_points=500, seed=0)
+    assert (rep.dimension, rep.nullity_x, rep.nullity_theta,
+            rep.n_basis) == want
 
 
 def test_probe_rejects_underdetermined_sampling():
