@@ -3,7 +3,8 @@
 One integrator, an embedded Dormand-Prince 5(4) pair with PI step control
 (``_adaptive_steps``), serves ``integrate`` (with cubic Hermite dense
 output), ``classify_limit`` and ``basin_census``.  It advances one point or
-a batch of points; a batch shares one step size, set by its worst row.
+a batch of points; every row of a batch has its own step size and PI
+state, and a row leaves the batch when it is finished.
 Limit-set classification runs on the direction field (the field divided
 by its norm, throttled near the declared target fibers): this
 reparametrizes trajectories by arc length without changing their orbits,
@@ -77,81 +78,128 @@ class Trajectory:
 
 
 def _error_norm(err, y0, y1, rtol, atol):
-    """Largest RMS error norm over the rows (one row for a single point)."""
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.max(np.sqrt(np.mean((err / scale) ** 2, axis=-1))))
+    """RMS error norm of each row: a float for one point, (m, 1) for a batch."""
+    q = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
+    norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=q.ndim > 1)
+                   / q.shape[-1])
+    return float(norm) if q.ndim == 1 else norm
 
 
 def _initial_step(f0, y0, direction, rtol):
-    """Smallest over the rows of the one-point starting step."""
-    scale = 1.0 + np.linalg.norm(y0, axis=-1)
-    rate = np.linalg.norm(f0, axis=-1)
+    """Starting step of each row, shaped like ``_error_norm``'s result."""
+    scale = 1.0 + np.linalg.norm(y0, axis=-1, keepdims=True)
+    rate = np.linalg.norm(f0, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", over="ignore"):
         h = np.minimum(1e-2 * scale / rate, 1.0) * max(rtol, 1e-12) ** 0.25
-    return direction * float(np.min(np.where(rate < 1e-300, 1e-3, h)))
+    h = direction * np.where(rate < 1e-300, 1e-3, h)
+    return float(h[0]) if y0.ndim == 1 else h
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, postprocess=None):
+# Per-row operations (where, max, min, all, any): builtins on the floats of
+# one point, whose steps would otherwise pay more for numpy calls than for
+# the row's arithmetic; numpy on the (m, 1) columns of a batch.
+_ONE_ROW = (lambda c, a, b: a if c else b, max, min, bool, bool)
+_ROWS = (np.where, np.maximum, np.minimum, np.all, np.any)
+
+
+def _adaptive_steps(f, t0, y0, t_end, cfg, hook=None):
     """Generator of accepted steps (t, y, f(y), err_norm, rejected_before).
 
-    ``y0`` is one point (d,) or a batch (m, d); a batch advances with one
-    shared step size, accepted when every row's RMS error norm is at most 1.
-    The first yield is the initial condition with err 0.  Raises FlowError
-    on step underflow or when cfg.max_steps is exhausted before t_end;
-    its ``reason`` is "underflow" or "step_budget".
+    ``y0`` is one point (d,) or a batch (m, d).  Every row has its own
+    time, step size and PI state and is accepted or rejected on its own
+    RMS error norm; t and err are floats for one point and (m, 1) columns
+    for a batch.  A yield follows every attempt that accepted some row.
+    After it the finished rows (at ``t_end``, or dropped by the hook) leave
+    the batch and the live rows are packed together, so ``f`` only sees
+    live rows; the generator ends when no row is left.
+
+    ``hook(ids, y)`` runs after every attempt that accepted some row, with
+    the original row numbers of the live rows (None for one point) and
+    their points, and returns ``(y, drop, cap)``: the points to go on from
+    (a new array, such as a projection, is re-evaluated by ``f``), a mask
+    of rows to drop and a per-row cap on the step size, each (m,) or None.
+
+    The first yield is the initial condition with err 0.  All live rows
+    have made the same number of attempts, so ``cfg.max_steps`` bounds the
+    attempts of each row.  Raises FlowError on step underflow or when a
+    row spends cfg.max_steps before t_end; its ``reason`` is "underflow"
+    or "step_budget".
     """
     direction = 1.0 if t_end >= t0 else -1.0
-    t = float(t0)
     y = np.array(y0, dtype=float)
     k1 = np.asarray(f(y), dtype=float)
-    yield t, y.copy(), k1.copy(), 0.0, 0
-    if t_end == t0:
+    yield float(t0), y, k1, 0.0, 0
+    if t_end == t0 or y.size == 0:
         return
+    one = y.ndim == 1
+    where, lower, upper, all_, any_ = _ONE_ROW if one else _ROWS
+    ids = None if one else np.arange(len(y))
+    t = float(t0) if one else np.full((len(y), 1), float(t0))
     h = _initial_step(k1, y, direction, cfg.rtol)
+    err_prev = 1.0 if one else np.ones_like(t)
     K = np.empty((7, y.size))  # stage derivatives, one flattened row each
     stage = K.reshape((7,) + y.shape)
-    err_prev = 1.0
-    n_steps = 0
-    while direction * (t_end - t) > 0:
-        rejected = 0
+    n_steps = rejected = 0
+    while True:
+        n_steps += 1
+        if n_steps > cfg.max_steps:
+            raise FlowError(
+                f"step budget {cfg.max_steps} exhausted at t={t}",
+                "step_budget",
+            )
+        h = where(direction * (t + h - t_end) > 0, t_end - t, h)
+        if any_(abs(h) < 1e-14 * lower(1.0, abs(t))):
+            raise FlowError(f"step underflow at t={t}, point {y}",
+                            "underflow")
         stage[0] = k1
-        while True:
-            n_steps += 1
-            if n_steps > cfg.max_steps:
-                raise FlowError(
-                    f"step budget {cfg.max_steps} exhausted at t={t:g}",
-                    "step_budget",
-                )
-            if direction * (t + h - t_end) > 0:
-                h = t_end - t
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
-                raise FlowError(f"step underflow at t={t:g}, point {y}",
-                                "underflow")
-            for i in range(1, 7):
-                stage[i] = f(y + h * (_A[i] @ K[:i]).reshape(y.shape))
-            y_new = y + h * (_B5 @ K).reshape(y.shape)
-            err_vec = h * (_E @ K).reshape(y.shape)
-            err = _error_norm(err_vec, y, y_new, cfg.rtol, cfg.atol)
-            if err <= 1.0:
-                break
-            rejected += 1
-            h *= max(cfg.min_factor,
-                     cfg.safety * max(err, 1e-10) ** -0.2)
-        t = t + h
-        if postprocess is not None:
-            y_new = postprocess(y_new)
-            k1 = np.asarray(f(y_new), dtype=float)
+        for i in range(1, 7):
+            k = f(y + h * (_A[i] @ K[:i]).reshape(y.shape))
+            stage[i] = k
+        y_new = y + h * (_B5 @ K).reshape(y.shape)
+        err = _error_norm(h * (_E @ K).reshape(y.shape), y, y_new,
+                          cfg.rtol, cfg.atol)
+        ok = err <= 1.0
+        e = lower(err, 1e-10)
+        # PI controller (Hairer's choices) for accepted rows
+        grow = upper(cfg.max_factor, lower(cfg.min_factor, where(
+            err < 1e-10, cfg.max_factor,
+            cfg.safety * e ** -0.14 * err_prev ** 0.08)))
+        if all_(ok):
+            t, y, k1, h, err_prev = t + h, y_new, k, h * grow, e  # FSAL
         else:
-            k1 = stage[6]  # FSAL
-        y = y_new
-        # PI controller (Hairer's choices)
-        if err < 1e-10:
-            factor = cfg.max_factor
-        else:
-            factor = cfg.safety * err ** -0.14 * err_prev ** 0.08
-        h *= min(cfg.max_factor, max(cfg.min_factor, factor))
-        err_prev = max(err, 1e-10)
-        yield t, y.copy(), k1.copy(), err, rejected
+            rejected += np.size(ok) - int(np.count_nonzero(ok))
+            shrink = lower(cfg.min_factor, cfg.safety * e ** -0.2)
+            t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
+            h, err_prev = h * where(ok, grow, shrink), where(ok, e, err_prev)
+            if not any_(ok):
+                continue
+        drop = None
+        if hook is not None:
+            y_hook, drop, cap = hook(ids, y)
+            if y_hook is not y:
+                y, k1 = y_hook, np.asarray(f(y_hook), dtype=float)
+            if cap is not None:
+                h = direction * np.minimum(direction * h, cap[:, None])
+        yield t, y, k1, err, rejected
+        rejected = 0
+        done = direction * (t_end - t) <= 0
+        if drop is not None:
+            done = done | drop[:, None]
+        if any_(done):
+            if all_(done):
+                return
+            keep = ~done[:, 0]
+            ids, y, k1 = ids[keep], y[keep], k1[keep]
+            t, h, err_prev = t[keep], h[keep], err_prev[keep]
+            K = np.empty((7, y.size))
+            stage = K.reshape((7,) + y.shape)
+
+
+def _renormalizer(chart):
+    """Step hook that puts sphere points back on the sphere (None elsewhere)."""
+    if chart is None or not chart.is_sphere:
+        return None
+    return lambda ids, y: (chart.wrap(y), None, None)
 
 
 def _hermite(t, t0, t1, y0, y1, f0, f1):
@@ -181,18 +229,16 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
     """
     cfg = cfg or IntegratorConfig()
     if isinstance(field, FieldHandle):
-        chart = field.chart
-        f = field.func
-        postprocess = chart.wrap if chart.is_sphere else None
+        chart, f = field.chart, field.func
     else:
-        chart, f, postprocess = None, field, None
+        chart, f = None, field
     t0, t1 = float(t_span[0]), float(t_span[1])
 
     ts, ys, fs = [], [], []
     accepted = rejected = 0
     max_err = 0.0
     for t, y, fy, err, rej in _adaptive_steps(f, t0, np.asarray(p0, float),
-                                              t1, cfg, postprocess):
+                                              t1, cfg, _renormalizer(chart)):
         ts.append(t)
         ys.append(y)
         fs.append(fy)
@@ -242,6 +288,7 @@ class LimitSetReport:
     target: Optional[str]
     final_distance: float
     horizon: float
+    stop_reason: str  # converged | horizon | step_budget | underflow
     recurrent: bool = False
 
 
@@ -285,7 +332,10 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     Integration runs in arc length on the direction field; ``horizon`` is an
     arc-length budget.  ``singular_fiber`` requires final base distance below
     ``fiber_tol`` with monotone decrease over the last decade of the run;
-    ``inconclusive`` is an ordinary outcome, not an error.
+    ``inconclusive`` is an ordinary outcome, not an error.  ``stop_reason``
+    is "converged" for a conclusive early return, "horizon" when the budget
+    is spent, and the reason of the integrator's FlowError ("step_budget" or
+    "underflow") when the integration failed.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -296,7 +346,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
 
     v0 = np.asarray(field.func(p0), dtype=float)
     if np.linalg.norm(v0) < 1e-300:
-        return LimitSetReport("fixed_point", None, 0.0, 0.0)
+        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged")
 
     f = _direction_field(field, sign, tgt_points, slowdown)
     history = []  # (arc, nearest distance, nearest label)
@@ -306,6 +356,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     returned = False
     s_end = 0.0
     p_end = p0
+    stop_reason = "horizon"
 
     def nearest(p):
         b = chart.base(p)
@@ -316,10 +367,8 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
         return dists[j], tgt[j][0]
 
     try:
-        for s, p, _, _, _ in _adaptive_steps(
-            f, 0.0, p0, horizon, cfg,
-            postprocess=chart.wrap if chart.is_sphere else None,
-        ):
+        for s, p, _, _, _ in _adaptive_steps(f, 0.0, p0, horizon, cfg,
+                                             _renormalizer(chart)):
             s_end, p_end = s, p
             d, label = nearest(p)
             history.append((s, d, label))
@@ -332,18 +381,19 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
             if d < fiber_tol and s > 0:
                 tail = [hd for hs, hd, _ in history if hs >= 0.9 * s]
                 if all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
-                    return LimitSetReport("singular_fiber", label, d, s)
+                    return LimitSetReport("singular_fiber", label, d, s,
+                                          "converged")
             if not chart.base_angular and not chart.is_sphere:
                 if np.linalg.norm(p[: chart.k]) > escape_radius:
-                    return LimitSetReport("escape", None, d, s)
-    except FlowError:
-        pass
+                    return LimitSetReport("escape", None, d, s, "converged")
+    except FlowError as exc:
+        stop_reason = exc.reason
 
     d, label = nearest(p_end)
     if base_moved <= base_tol:
-        return LimitSetReport("torus_closure", None, d, s_end,
+        return LimitSetReport("torus_closure", None, d, s_end, stop_reason,
                               recurrent=returned)
-    return LimitSetReport("inconclusive", label, d, s_end)
+    return LimitSetReport("inconclusive", label, d, s_end, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +408,7 @@ class CensusReport:
     unclassified_fraction: float
     seed: int
     stop_reason: str  # all_assigned | horizon | step_budget | underflow
+    rhs_rows: int  # base points at which the census evaluated the field
 
 
 def _default_base_sampler(chart, meta):
@@ -389,11 +440,10 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     """Backward-classify a sample of base points to their source fibers.
 
     Uses the (decoupled) base dynamics of the field, run as one batched
-    integration of the backward direction field with per-sample freezing:
-    after each accepted step a sample within ``fiber_tol`` of a target is
-    assigned and its velocity is zero from then on.  ``stop_reason`` says
-    why the integration ended; samples still unassigned then count as
-    unclassified.
+    integration of the backward direction field: after each accepted step a
+    sample within ``fiber_tol`` of a target is assigned and leaves the
+    batch.  ``stop_reason`` says why the integration ended; samples still
+    unassigned then count as unclassified.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
@@ -407,6 +457,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     n_src = len(sources)
 
     assigned = np.full(n_samples, -1, dtype=int)
+    rhs_rows = 0
 
     def dists(pts):
         return np.stack(
@@ -416,28 +467,31 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     def velocity(pts):
         # base dynamics of the lift: valid because every library field is
         # fiber-independent, so it closes up under the base projection
+        nonlocal rhs_rows
+        rhs_rows += len(pts)
         ys = chart.lift(pts)
         v = -chart.base_tangent(ys, field.func(ys))
         nv = np.linalg.norm(v, axis=1, keepdims=True)
         nv[nv < 1e-300] = 1.0
         d = dists(pts).min(axis=1, keepdims=True)
-        v = v / nv * np.minimum(1.0, d / slowdown)
-        v[assigned >= 0] = 0.0
-        return v
+        return v / nv * np.minimum(1.0, d / slowdown)
 
-    def record_hits(pts):
+    def record_hits(ids, pts):
+        # step cap max(d, slowdown): |velocity| <= min(1, d / slowdown), so
+        # one step moves a sample by about d at most and cannot cross a
+        # target.  Uncapped it can, unseen: a sign flip that only stage 2
+        # samples does not enter the error estimate (weight 0 in _B5, _B4)
         dmat = dists(pts)
-        hit = (dmat.min(axis=1) < fiber_tol) & (assigned < 0)
-        assigned[hit] = dmat[hit].argmin(axis=1)
-        return pts
+        d = dmat.min(axis=1)
+        hit = d < fiber_tol
+        assigned[ids[hit]] = dmat[hit].argmin(axis=1)
+        return pts, hit, np.maximum(d, slowdown)
 
-    stop_reason = "horizon"
     cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=max_steps)
     try:
         for _ in _adaptive_steps(velocity, 0.0, xs, horizon, cfg, record_hits):
-            if np.all(assigned >= 0):
-                stop_reason = "all_assigned"
-                break
+            pass
+        stop_reason = "all_assigned" if np.all(assigned >= 0) else "horizon"
     except FlowError as exc:
         stop_reason = exc.reason
 
@@ -455,6 +509,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         unclassified_fraction=n_unassigned / n_samples,
         seed=seed,
         stop_reason=stop_reason,
+        rhs_rows=rhs_rows,
     )
 
 

@@ -59,6 +59,20 @@ def test_sphere_renormalization_keeps_unit_norm():
     assert drift < 1e-8
 
 
+def test_one_point_step_sequence_is_pinned():
+    # the accepted-step sequence of one point; a change of the controller
+    # arithmetic moves the end point by far more than the tolerance
+    m = line_model_fields("circle", n=2, a=(1.0, SQRT2))
+    traj = integrate(m.Xprime, [0.5, 0.1, 0.2], (0.0, 50.0))
+    assert traj.stats["accepted"] == 214
+    assert traj.stats["rejected"] == 0
+    np.testing.assert_allclose(
+        traj.end, [1.0434850562054998, 1.853810406912714, 2.680262463287036],
+        rtol=1e-12, atol=0.0)
+    assert traj.stats["max_local_error"] == pytest.approx(
+        0.16782328986357553, rel=1e-12)
+
+
 def test_step_budget_raises():
     X = xi_plus_affine(1, (1.0,))
     cfg = IntegratorConfig(max_steps=3)
@@ -83,6 +97,7 @@ def test_classify_forward_reaches_sink():
     assert rep.kind == "singular_fiber"
     assert rep.target == "sink_1"
     assert rep.final_distance < 1e-5
+    assert rep.stop_reason == "converged"
 
 
 def test_classify_backward_reaches_source():
@@ -102,6 +117,15 @@ def test_classify_torus_closure():
     rep = classify_limit(X, np.array([0.0, 0.1, 0.2]), "forward",
                          horizon=30.0)
     assert rep.kind == "torus_closure"
+    assert rep.stop_reason == "horizon"
+
+
+def test_classify_reports_a_spent_step_budget():
+    m = line_model_fields("line", n=1, a=(1.0,))
+    rep = classify_limit(m.Xprime, np.array([0.4, 0.0]), "forward",
+                         cfg=IntegratorConfig(max_steps=5))
+    assert rep.stop_reason == "step_budget"
+    assert rep.kind == "inconclusive"
 
 
 def test_classify_escape():
@@ -142,6 +166,16 @@ def test_census_reports_why_it_stopped():
     assert basin_census(m.Xprime, 4).stop_reason == "all_assigned"
 
 
+def test_census_work_per_sample_does_not_grow_with_n():
+    # finished samples leave the batch and each keeps its own step size,
+    # so the field rows grow about linearly with the sample count
+    m = line_model_fields("line", n=1, a=(1.0,))
+    small = basin_census(m.Xprime, 200, seed=1)
+    large = basin_census(m.Xprime, 800, seed=1)
+    assert small.rhs_rows > 0
+    assert large.rhs_rows / small.rhs_rows <= 4.4
+
+
 def _expected_source(base, x):
     """Backward limit from the sign of Y between consecutive zeros."""
     if base == "line":  # the sinks 1 and 3 separate the sources 0, 2, 4
@@ -150,14 +184,22 @@ def _expected_source(base, x):
     return (np.mod(x + np.pi / 3.0, TWO_PI) // (TWO_PI / 3.0)).astype(int)
 
 
-@pytest.mark.parametrize("base, lo, hi, sinks", [
-    ("line", -0.95, 4.95, (1.0, 3.0)),
-    ("circle", 0.01, TWO_PI - 0.01, (np.pi / 3.0, np.pi, 5.0 * np.pi / 3.0)),
-], ids=["line", "circle"])
-def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks):
-    xs = np.linspace(lo, hi, 61)
+_CIRCLE_SINKS = (np.pi / 3.0, np.pi, 5.0 * np.pi / 3.0)
+
+
+# The 241-point circle cases fail when a sample may step with a unit-speed
+# velocity over a zero: the error estimate does not see the crossing.
+@pytest.mark.parametrize("base, lo, hi, sinks, n_points, a", [
+    ("line", -0.95, 4.95, (1.0, 3.0), 61, (1.0,)),
+    ("circle", 0.01, TWO_PI - 0.01, _CIRCLE_SINKS, 61, (1.0,)),
+    ("circle", 0.01, TWO_PI - 0.01, _CIRCLE_SINKS, 241, (1.0,)),
+    ("circle", 0.01, TWO_PI - 0.01, _CIRCLE_SINKS, 241, (1.0, SQRT2)),
+], ids=["line", "circle", "circle-241", "circle-n2-241"])
+def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks,
+                                               n_points, a):
+    xs = np.linspace(lo, hi, n_points)
     xs = xs[np.min(np.abs(xs[:, None] - np.array(sinks)), axis=1) > 0.02]
-    m = line_model_fields(base, n=1, a=(1.0,))
+    m = line_model_fields(base, n=len(a), a=a)
     rep = basin_census(m.Xprime, len(xs),
                        sampler=lambda rng, n: xs[:, None].copy())
     want = np.bincount(_expected_source(base, xs), minlength=3)
