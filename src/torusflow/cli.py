@@ -127,9 +127,11 @@ def cmd_trace(args):
     manifest = _build_manifest(args.scenario, cfg)
     fld = manifest.field
     dim = fld.chart.dim
-    p0 = np.asarray(cfg.get("p0", [0.5] * dim), dtype=float)
+    p0 = np.asarray(cfg.get("p0", fld.chart.wrap([0.5] * dim)), dtype=float)
     if p0.size != dim:
         raise ConfigError(f"p0 must have {dim} coordinates")
+    if fld.chart.is_sphere and abs(np.linalg.norm(p0) - 1.0) > 1e-9:
+        raise ConfigError("p0 must lie on the unit sphere")
     t_span = cfg.get("t_span", [0.0, 10.0])
     n_eval = int(cfg.get("n_eval", 200))
     icfg = IntegratorConfig(

@@ -5,11 +5,11 @@ One integrator, an embedded Dormand-Prince 5(4) pair with PI step control
 output), ``classify_limit`` and ``basin_census``.  It advances one point or
 a batch of points; every row of a batch has its own step size and PI
 state, and a row leaves the batch when it is finished.
-Limit-set classification runs on the direction field (the field divided
-by its norm, throttled near the declared target fibers): this
-reparametrizes trajectories by arc length without changing their orbits,
-so the polynomial-order slowdown near high-order zeros does not stall the
-classification.
+The limits of a T-invariant field are those of its base dynamics, which
+``classify_limit`` and ``basin_census`` run on one base direction field
+(``_BaseFlow``: the base tangent over its norm, throttled near the target
+fibers).  It keeps the base orbits, and neither the torus drift nor the
+slowdown near high-order zeros can stall the classification.
 """
 
 from __future__ import annotations
@@ -279,7 +279,78 @@ def flow_commutation_residual(field, lam, p0, t, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# limit-set classification
+# base dynamics: limit-set classification and basin census
+
+# base distance to a target within which the base direction field slows
+_SLOWDOWN = 1e-2
+
+
+def _targets(field):
+    """Labels and base points (T, base_dim) of the sources, then zero fibers."""
+    fibers = field.singular_fibers
+    labels = [f"source_{i}" for i in range(len(field.sources))]
+    pts = list(field.sources) + [fib.base_point for fib in fibers]
+    return (labels + [fib.label for fib in fibers],
+            np.array(pts, dtype=float).reshape(len(pts), field.chart.base_dim))
+
+
+class _BaseFlow:
+    """Throttled base direction field of a T-invariant field, and its hook.
+
+    ``velocity(x)`` is ``sign`` times the field's base tangent over the base
+    points x (m, base_dim), normalized and scaled by min(1, d / _SLOWDOWN),
+    d being the base distance to the nearest target.  ``hook(ids, x)`` (for
+    ``_adaptive_steps``) drops the rows within ``fiber_tol`` of a target and
+    caps each step at max(d, _SLOWDOWN): uncapped, a step can cross a target
+    unseen, as a sign flip that only stage 2 samples has weight 0 in the
+    error estimate.  ``rows`` counts the field rows evaluated; ``dist`` holds
+    the rows' target distances at the last hook call.  Only a T-invariant
+    field has base dynamics: ValueError when the base tangent at the chart
+    point ``p`` moves by more than 1e-9 |X(p)| under two torus elements.
+    """
+
+    def __init__(self, field, sign, p, fiber_tol):
+        chart = field.chart
+        q = chart.act(np.array([[0.7], [2.9]]) * np.arange(1, chart.n + 1), p)
+        v = field(p)
+        gap = np.linalg.norm(chart.base_tangent(q, field(q))
+                             - chart.base_tangent(p, v), axis=-1).max()
+        if not gap <= 1e-9 * np.linalg.norm(v):
+            raise ValueError(f"field {field.name!r} is not invariant under "
+                             f"the torus at {p}: base tangent moves {gap:.3g}")
+        self.field, self.sign, self.fiber_tol = field, sign, fiber_tol
+        self.labels, self.tpts = _targets(field)
+        self.rows, self.dist = 0, None
+
+    def distances(self, x):
+        """Base distances (..., T) from base points x (..., base_dim)."""
+        return self.field.chart.base_distance(x[..., None, :], self.tpts)
+
+    def nearest(self, dist):
+        """Distance and label of the nearest target, from (T,) distances."""
+        if not self.labels:
+            return np.inf, None
+        j = int(np.argmin(dist))
+        return float(dist[j]), self.labels[j]
+
+    def velocity(self, x):
+        self.rows += len(x)
+        chart = self.field.chart
+        if chart.is_sphere:
+            # a step can leave the triangle: lift from the nearby edge
+            x = np.clip(x, 0.0, None)
+            x = x / np.maximum(1.0, x.sum(axis=-1, keepdims=True))
+        ys = chart.lift(x)
+        v = self.sign * chart.base_tangent(ys, self.field.func(ys))
+        nv = np.linalg.norm(v, axis=1, keepdims=True)
+        nv[nv < 1e-300] = 1.0
+        d = self.distances(x).min(axis=1, keepdims=True, initial=np.inf)
+        return v / nv * np.minimum(1.0, d / _SLOWDOWN)
+
+    def hook(self, ids, x):
+        self.dist = self.distances(x)
+        d = self.dist.min(axis=1, initial=np.inf)
+        return x, d < self.fiber_tol, np.maximum(d, _SLOWDOWN)
 
 
 @dataclass
@@ -292,112 +363,73 @@ class LimitSetReport:
     recurrent: bool = False
 
 
-def _classification_targets(field, targets=None):
-    if targets is not None:
-        return list(targets)
-    out = [(fib.label, fib.point()) for fib in field.singular_fibers]
-    out += [(f"source_{i}", np.asarray(s, dtype=float))
-            for i, s in enumerate(field.sources)]
-    return out
-
-
-def _direction_field(field, sign, target_points, slowdown):
-    """Unit-speed field, throttled linearly within ``slowdown`` of a target.
-
-    Multiplying by a positive scalar preserves orbits, so alpha/omega limits
-    are unchanged; the throttle prevents overshooting a target fiber.
-    """
-    chart = field.chart
-
-    def func(p):
-        v = field.func(p)
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            return np.zeros_like(v)
-        u = (sign / nv) * v
-        if len(target_points):
-            b = chart.base(p)
-            d = min(float(chart.base_distance(b, tp)) for tp in target_points)
-            u = u * min(1.0, d / slowdown)
-        return u
-
-    return func
-
-
 def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
-                   targets=None, fiber_tol=1e-5, recurrence_delta=1e-3,
-                   base_tol=1e-6, escape_radius=25.0, slowdown=1e-2):
+                   fiber_tol=1e-5, recurrence_delta=1e-3, base_tol=1e-6,
+                   escape_radius=25.0):
     """Classify the alpha- (backward) or omega- (forward) limit of a trajectory.
 
-    Integration runs in arc length on the direction field; ``horizon`` is an
-    arc-length budget.  ``singular_fiber`` requires final base distance below
-    ``fiber_tol`` with monotone decrease over the last decade of the run;
-    ``inconclusive`` is an ordinary outcome, not an error.  ``stop_reason``
-    is "converged" for a conclusive early return, "horizon" when the budget
-    is spent, and the reason of the integrator's FlowError ("step_budget" or
-    "underflow") when the integration failed.
+    The base point of p0 runs on the census's base direction field and step
+    cap (``_BaseFlow``) for base arc length ``horizon``.  ``singular_fiber``
+    requires final base distance below ``fiber_tol``, decreasing over the
+    last decade of the run; ``escape`` a base point beyond ``escape_radius``
+    on R^k.  Where the base tangent at p0 vanishes, the orbit stays in its
+    fiber: it runs on X / |X(p0)| for arc length ``horizon``, and a base that
+    moved at most ``base_tol`` gives ``torus_closure`` (``recurrent`` if the
+    orbit came back within ``recurrence_delta`` of p0).  ``stop_reason`` is
+    "converged" for a conclusive early return, "horizon" when the budget is
+    spent, or the FlowError's "step_budget" or "underflow".  Raises
+    ValueError when X is not T-invariant at p0.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)
     sign = 1.0 if direction == "forward" else -1.0
-    tgt = _classification_targets(field, targets)
-    tgt_points = [tp for _, tp in tgt]
-
-    v0 = np.asarray(field.func(p0), dtype=float)
+    v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
         return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged")
-
-    f = _direction_field(field, sign, tgt_points, slowdown)
-    history = []  # (arc, nearest distance, nearest label)
-    base0 = chart.base(p0)
-    base_moved = 0.0
-    left_ball = False
-    returned = False
-    s_end = 0.0
-    p_end = p0
-    stop_reason = "horizon"
-
-    def nearest(p):
-        b = chart.base(p)
-        if not tgt:
-            return np.inf, None
-        dists = [float(chart.base_distance(b, tp)) for tp in tgt_points]
-        j = int(np.argmin(dists))
-        return dists[j], tgt[j][0]
+    flow = _BaseFlow(field, sign, p0, 0.0)  # its hook drops no row
+    in_fiber = np.linalg.norm(chart.base_tangent(p0, v0)) < 1e-300
+    escapes = chart.kind == "product"  # the base is R^k
+    x = chart.base(p0)[None]
+    s_end, stop_reason = 0.0, "horizon"
+    base_moved, left_ball, returned = 0.0, False, False
+    history = []  # (base arc length, nearest distance)
 
     try:
-        for s, p, _, _, _ in _adaptive_steps(f, 0.0, p0, horizon, cfg,
-                                             _renormalizer(chart)):
-            s_end, p_end = s, p
-            d, label = nearest(p)
-            history.append((s, d, label))
-            base_moved = max(base_moved, float(chart.base_distance(chart.base(p), base0)))
-            dist0 = float(chart.distance(p, p0))
-            if dist0 > recurrence_delta:
-                left_ball = True
-            elif left_ball:
-                returned = True
-            if d < fiber_tol and s > 0:
-                tail = [hd for hs, hd, _ in history if hs >= 0.9 * s]
-                if all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
-                    return LimitSetReport("singular_fiber", label, d, s,
+        if in_fiber:
+            scale = sign / np.linalg.norm(v0)
+            for s_end, p, _, _, _ in _adaptive_steps(
+                    lambda p: scale * field.func(p), 0.0, p0, horizon, cfg,
+                    _renormalizer(chart)):
+                base_moved = max(base_moved, float(
+                    chart.base_distance(chart.base(p), x[0])))
+                if chart.distance(p, p0) > recurrence_delta:
+                    left_ball = True
+                elif left_ball:
+                    returned = True
+        else:
+            steps = _adaptive_steps(flow.velocity, 0.0, x, horizon, cfg,
+                                   flow.hook)
+            next(steps)  # the start, which no hook has seen
+            for s, x, _, _, _ in steps:
+                s_end = float(s[0, 0])
+                d, label = flow.nearest(flow.dist[0])
+                history.append((s_end, d))
+                if d < fiber_tol:
+                    tail = [hd for hs, hd in history if hs >= 0.9 * s_end]
+                    if all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
+                        return LimitSetReport("singular_fiber", label, d,
+                                              s_end, "converged")
+                if escapes and np.linalg.norm(x) > escape_radius:
+                    return LimitSetReport("escape", None, d, s_end,
                                           "converged")
-            if not chart.base_angular and not chart.is_sphere:
-                if np.linalg.norm(p[: chart.k]) > escape_radius:
-                    return LimitSetReport("escape", None, d, s, "converged")
     except FlowError as exc:
         stop_reason = exc.reason
-
-    d, label = nearest(p_end)
-    if base_moved <= base_tol:
+    d, label = flow.nearest(flow.distances(x[0]))
+    if in_fiber and base_moved <= base_tol:
         return LimitSetReport("torus_closure", None, d, s_end, stop_reason,
                               recurrent=returned)
     return LimitSetReport("inconclusive", label, d, s_end, stop_reason)
-
-
-# ---------------------------------------------------------------------------
-# basin (outset) census
 
 
 @dataclass
@@ -435,81 +467,45 @@ def _default_base_sampler(chart, meta):
 
 
 def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
-                 slowdown=1e-2, horizon=500.0, max_steps=100_000,
-                 rtol=1e-6, atol=1e-9):
+                 horizon=500.0, max_steps=100_000, rtol=1e-6, atol=1e-9):
     """Backward-classify a sample of base points to their source fibers.
 
-    Uses the (decoupled) base dynamics of the field, run as one batched
-    integration of the backward direction field: after each accepted step a
-    sample within ``fiber_tol`` of a target is assigned and leaves the
-    batch.  ``stop_reason`` says why the integration ended; samples still
-    unassigned then count as unclassified.
+    The samples run as one batch on the backward base direction field
+    (``_BaseFlow``): after each accepted step a sample within ``fiber_tol``
+    of a target is assigned and leaves the batch.  ``stop_reason`` says why
+    the integration ended; samples still unassigned count as unclassified.
+    Raises ValueError when X is not T-invariant at the first sample.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
     sampler = sampler or _default_base_sampler(chart, dict(field.meta))
     xs = sampler(rng, n_samples)
-    sources = [np.asarray(s, dtype=float) for s in field.sources]
-    others = [fib.point() for fib in field.singular_fibers]
-    labels = ([f"source_{i}" for i in range(len(sources))]
-              + [fib.label for fib in field.singular_fibers])
-    tpts = sources + others
-    n_src = len(sources)
-
+    flow = _BaseFlow(field, -1.0, chart.lift(xs[0]), fiber_tol)
     assigned = np.full(n_samples, -1, dtype=int)
-    rhs_rows = 0
 
-    def dists(pts):
-        return np.stack(
-            [chart.base_distance(pts, tp) for tp in tpts], axis=-1
-        )
-
-    def velocity(pts):
-        # base dynamics of the lift: valid because every library field is
-        # fiber-independent, so it closes up under the base projection
-        nonlocal rhs_rows
-        rhs_rows += len(pts)
-        ys = chart.lift(pts)
-        v = -chart.base_tangent(ys, field.func(ys))
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
-        nv[nv < 1e-300] = 1.0
-        d = dists(pts).min(axis=1, keepdims=True)
-        return v / nv * np.minimum(1.0, d / slowdown)
-
-    def record_hits(ids, pts):
-        # step cap max(d, slowdown): |velocity| <= min(1, d / slowdown), so
-        # one step moves a sample by about d at most and cannot cross a
-        # target.  Uncapped it can, unseen: a sign flip that only stage 2
-        # samples does not enter the error estimate (weight 0 in _B5, _B4)
-        dmat = dists(pts)
-        d = dmat.min(axis=1)
-        hit = d < fiber_tol
-        assigned[ids[hit]] = dmat[hit].argmin(axis=1)
-        return pts, hit, np.maximum(d, slowdown)
+    def record_hits(ids, x):
+        x, hit, cap = flow.hook(ids, x)
+        assigned[ids[hit]] = flow.dist[hit].argmin(axis=1)
+        return x, hit, cap
 
     cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=max_steps)
     try:
-        for _ in _adaptive_steps(velocity, 0.0, xs, horizon, cfg, record_hits):
+        for _ in _adaptive_steps(flow.velocity, 0.0, xs, horizon, cfg,
+                                 record_hits):
             pass
         stop_reason = "all_assigned" if np.all(assigned >= 0) else "horizon"
     except FlowError as exc:
         stop_reason = exc.reason
 
-    counts = {}
-    for j, lbl in enumerate(labels):
-        c = int(np.sum(assigned == j))
-        if c:
-            counts[lbl] = c
-    n_source = int(np.sum((assigned >= 0) & (assigned < n_src)))
-    n_unassigned = int(np.sum(assigned < 0))
+    hits = np.bincount(assigned[assigned >= 0], minlength=len(flow.labels))
     return CensusReport(
         n_samples=n_samples,
-        counts=counts,
-        source_fraction=n_source / n_samples,
-        unclassified_fraction=n_unassigned / n_samples,
+        counts={lbl: int(c) for lbl, c in zip(flow.labels, hits) if c},
+        source_fraction=int(hits[:len(field.sources)].sum()) / n_samples,
+        unclassified_fraction=float(np.mean(assigned < 0)),
         seed=seed,
         stop_reason=stop_reason,
-        rhs_rows=rhs_rows,
+        rhs_rows=flow.rows,
     )
 
 
@@ -561,11 +557,11 @@ def estimate_order(field, p0, radii=None, n_directions=4, declared_order=None):
         radii = np.logspace(-6.0, -4.0, 8)
     radii = np.asarray(radii, dtype=float)
     x0 = chart.base(p0)
-    if declared_order is None:
-        for fib in field.singular_fibers:
-            if chart.base_distance(x0, fib.point()) < 1e-9:
-                declared_order = fib.order
-                break
+    fibers = field.singular_fibers
+    if declared_order is None and fibers:
+        d = chart.base_distance(x0, [fib.base_point for fib in fibers])
+        if d.min() < 1e-9:
+            declared_order = fibers[int(d.argmin())].order
     slopes, r2s = [], []
     for u in _probe_directions(chart, x0, float(radii.max()),
                                n_directions, dict(field.meta)):

@@ -113,6 +113,23 @@ def test_wrong_p0_dimension_returns_2(tmp_path):
                 "--quiet", "--out", str(tmp_path / "t.csv")]) == 2
 
 
+def test_trace_on_s5_needs_p0_on_the_sphere(tmp_path):
+    out = tmp_path / "t.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p0": [0.5] * 6, "n_eval": 5}))
+    assert run(["trace", "--scenario", "s5", "--config", str(cfg),
+                "--quiet", "--out", str(out)]) == 2
+    assert not out.exists()
+    # the default start is a unit vector
+    cfg.write_text(json.dumps({"n_eval": 5}))
+    assert run(["trace", "--scenario", "s5", "--config", str(cfg),
+                "--quiet", "--out", str(out)]) == 0
+    data = [ln for ln in out.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    p0 = np.array([float(v) for v in data[0].split(",")[1:]])
+    assert abs(np.linalg.norm(p0) - 1.0) <= 1e-9
+
+
 def test_numerical_failure_returns_3(monkeypatch, tmp_path):
     # RadialSolverError is a ValueError, but it is a numerical failure
     def fail(args):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from torusflow.fields import line_model_fields, xi_plus_affine, describing_field_s5
+from torusflow.fields import (
+    FieldHandle,
+    describing_field_s5,
+    line_model_fields,
+    xi_plus_affine,
+)
 from torusflow.flow import (
     FlowError,
     IntegratorConfig,
@@ -12,7 +17,7 @@ from torusflow.flow import (
     flow_commutation_residual,
     integrate,
 )
-from torusflow.geometry import TWO_PI, embed_s5
+from torusflow.geometry import TWO_PI, Chart, embed_s5
 
 SQRT2 = np.sqrt(2.0)
 
@@ -134,6 +139,30 @@ def test_classify_escape():
     assert rep.kind == "escape"
 
 
+def test_classify_s5_forward_stays_on_the_triangle():
+    # the base point runs into the triangle's edge, where the field vanishes
+    # but no target lies; a step over the edge must not break the lift
+    X = describing_field_s5()
+    p0 = embed_s5(np.array([0.3, 0.3]), (0.1, 0.2, 0.3))
+    rep = classify_limit(X, p0, "forward", horizon=5.0)
+    assert rep.kind == "inconclusive" and rep.stop_reason == "horizon"
+    assert rep.final_distance == pytest.approx(np.sqrt(2.0) / 4.0, rel=1e-6)
+
+
+def test_base_dynamics_need_an_invariant_field():
+    # the base component sin(theta) changes along the torus orbits
+    def func(p):
+        p = np.asarray(p, dtype=float)
+        return np.stack([np.sin(p[..., 1]), np.ones_like(p[..., 1])], axis=-1)
+
+    fld = FieldHandle("twisted", Chart("product", k=1, n=1), func,
+                      sources=((0.0,),))
+    with pytest.raises(ValueError, match="not invariant"):
+        classify_limit(fld, np.array([0.5, 0.3]), "forward")
+    with pytest.raises(ValueError, match="not invariant"):
+        basin_census(fld, 4)
+
+
 # ---------------------------------------------------------------------------
 # census
 
@@ -185,6 +214,39 @@ def _expected_source(base, x):
 
 
 _CIRCLE_SINKS = (np.pi / 3.0, np.pi, 5.0 * np.pi / 3.0)
+_ZEROS = {"line": np.arange(5.0), "circle": np.arange(7) * (np.pi / 3.0)}
+
+
+def _expected_limit(base, x, direction):
+    """Limit from the sign of Y: backward the source of x's basin, forward
+    the next zero in the direction of Y (always a sink), or escape."""
+    if direction == "backward":
+        return "singular_fiber", f"source_{_expected_source(base, np.array(x))}"
+    y = np.sin(3.0 * x) if base == "circle" else np.prod(x - _ZEROS["line"])
+    ahead = _ZEROS[base][(_ZEROS[base] - x) * y > 0]
+    if ahead.size == 0:
+        return "escape", None
+    return "singular_fiber", f"sink_{ahead[np.argmin(np.abs(ahead - x))]:.6g}"
+
+
+def _classify_starts():
+    for base, xs in (("line", np.linspace(-0.9, 4.9, 25)),
+                     ("circle", np.linspace(0.05, TWO_PI - 0.05, 19))):
+        if base == "line":  # a far escape, a source approached from 1.5
+            xs = np.append(xs, (-0.5, 1.5))
+        for x in xs[np.min(np.abs(xs[:, None] - _ZEROS[base]), axis=1)
+                    >= 0.05]:
+            for direction in ("forward", "backward"):
+                yield pytest.param(base, float(x), direction,
+                                   id=f"{base}-{direction}-{x:.3f}")
+
+
+@pytest.mark.parametrize("base, x, direction", _classify_starts())
+def test_classify_matches_sign_of_y(base, x, direction):
+    m = line_model_fields(base, n=2, a=(1.0, SQRT2))
+    rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), direction)
+    assert (rep.kind, rep.target) == _expected_limit(base, x, direction)
+    assert rep.stop_reason == "converged"
 
 
 # The 241-point circle cases fail when a sample may step with a unit-speed
