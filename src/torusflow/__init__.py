@@ -39,7 +39,6 @@ from .fields import (
     fundamental_fields_s5,
     lie_bracket,
     line_model_fields,
-    numerical_jacobian,
     pushforward_residual,
     radial_field,
     rational_relation,

@@ -2,7 +2,10 @@
 
 Field evaluation rules are plain callables operating on the last axis, so
 every library field accepts batched points.  Brackets and pushforwards are
-computed with central finite differences; nothing here is symbolic.
+computed with central finite differences, all through one batched kernel
+(``batched_jacobian``); the callables they are given must act on the last
+axis as well, mapping each row of a batch to one output row.  Nothing here
+is symbolic.
 """
 
 from __future__ import annotations
@@ -444,55 +447,14 @@ def line_model_fields(base, n=1, a=(1.0,)):
 # numerical calculus
 
 
-def numerical_jacobian(f, p, h=DEFAULT_FD_STEP):
-    """Central-difference Jacobian of f at p; columns are coordinate derivatives."""
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for i in range(p.size):
-        dp = np.zeros_like(p)
-        dp[i] = h
-        cols.append((np.asarray(f(p + dp), dtype=float)
-                     - np.asarray(f(p - dp), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
-def lie_bracket(A, B, p, h=DEFAULT_FD_STEP, refine_near=None):
-    """FD Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p), error O(h^2).
-
-    When ``refine_near`` is given and the first estimate lands within a
-    factor 10 of that tolerance, the bracket is recomputed at h/2 and
-    Richardson-extrapolated.
-    """
-    p = np.asarray(p, dtype=float)
-
-    def estimate(hh):
-        a_p = np.asarray(A(p), dtype=float)
-        b_p = np.asarray(B(p), dtype=float)
-        return numerical_jacobian(B, p, hh) @ a_p - numerical_jacobian(A, p, hh) @ b_p
-
-    v = estimate(h)
-    if refine_near is not None:
-        nv = np.linalg.norm(v)
-        if refine_near / 10.0 <= nv <= refine_near * 10.0:
-            v = (4.0 * estimate(h / 2.0) - v) / 3.0
-    return v
-
-
-def pushforward_residual(F, A, p, h=DEFAULT_FD_STEP):
-    """Residual || DF(p) A(p) - A(F(p)) || of the invariance of A under F."""
-    p = np.asarray(p, dtype=float)
-    jac = numerical_jacobian(F, p, h)
-    a_p = np.asarray(A(p), dtype=float)
-    return float(np.linalg.norm(jac @ a_p - np.asarray(A(F(p)), dtype=float)))
-
-
 def batched_jacobian(F, pts, h=DEFAULT_FD_STEP):
     """Central-difference Jacobians of a batched F at the rows of pts.
 
-    Returns ``(jac, F(pts))`` with ``jac[i, c, o] = dF_o/dp_c`` at pts[i].
-    All coordinate perturbations and the points themselves go into a
-    single call to F, which matters when every evaluation of F is
-    expensive (for example a quadrature).
+    Returns ``(jac, F(pts))`` with ``jac[i, c, o] = dF_o/dp_c`` at pts[i];
+    the output width of F may differ from the width of pts.  All coordinate
+    perturbations and the points themselves go into a single call to F,
+    which matters when every evaluation of F is expensive (for example a
+    quadrature).  Raises ValueError unless F returns one row per input row.
     """
     pts = np.asarray(pts, dtype=float)
     m, d = pts.shape
@@ -501,19 +463,39 @@ def batched_jacobian(F, pts, h=DEFAULT_FD_STEP):
     minus = (pts[:, None, :] - h * eye).reshape(-1, d)
     vals = np.asarray(F(np.concatenate([plus, minus, pts], axis=0)),
                       dtype=float)
-    jac = (vals[: m * d].reshape(m, d, d)
-           - vals[m * d: 2 * m * d].reshape(m, d, d)) / (2.0 * h)
+    if vals.ndim != 2 or len(vals) != (2 * d + 1) * m:
+        raise ValueError(
+            f"F must map its {(2 * d + 1) * m} input rows to as many output "
+            f"rows, got shape {vals.shape}; write it on the last axis"
+        )
+    width = vals.shape[1]
+    jac = (vals[: m * d].reshape(m, d, width)
+           - vals[m * d: 2 * m * d].reshape(m, d, width)) / (2.0 * h)
     return jac, vals[2 * m * d:]
 
 
-def batched_pushforward_residual(F, A, pts, h=DEFAULT_FD_STEP):
-    """Pushforward residuals ||DF(p) A(p) - A(F(p))|| over a batch of points.
+def lie_bracket(A, B, p, h=DEFAULT_FD_STEP):
+    """FD Lie bracket [A, B](p) = DB(p) A(p) - DA(p) B(p), error O(h^2).
 
-    Both F and A must accept batched input; the Jacobian of F comes from
-    one batched call (``batched_jacobian``).
+    ``p`` is a point (d,) or a batch (m, d); the result has its shape.
     """
-    pts = np.asarray(pts, dtype=float)
+    p = np.asarray(p, dtype=float)
+    pts = np.atleast_2d(p)
+    jac_a, a_at = batched_jacobian(A, pts, h)
+    jac_b, b_at = batched_jacobian(B, pts, h)
+    v = (np.einsum("ico,ic->io", jac_b, a_at)
+         - np.einsum("ico,ic->io", jac_a, b_at))
+    return v.reshape(p.shape)
+
+
+def pushforward_residual(F, A, p, h=DEFAULT_FD_STEP):
+    """Residual || DF(p) A(p) - A(F(p)) || of the invariance of A under F.
+
+    ``p`` is a point (d,), giving a float, or a batch (m, d), giving (m,).
+    """
+    p = np.asarray(p, dtype=float)
+    pts = np.atleast_2d(p)
     jac, f_at = batched_jacobian(F, pts, h)
-    a_at = np.asarray(A(pts), dtype=float)
-    push = np.einsum("ico,ic->io", jac, a_at)
-    return np.linalg.norm(push - np.asarray(A(f_at), dtype=float), axis=1)
+    push = np.einsum("ico,ic->io", jac, np.asarray(A(pts), dtype=float))
+    res = np.linalg.norm(push - np.asarray(A(f_at), dtype=float), axis=1)
+    return float(res[0]) if p.ndim == 1 else res

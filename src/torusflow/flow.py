@@ -371,14 +371,15 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     The base point of p0 runs on the census's base direction field and step
     cap (``_BaseFlow``) for base arc length ``horizon``.  ``singular_fiber``
     requires final base distance below ``fiber_tol``, decreasing over the
-    last decade of the run; ``escape`` a base point beyond ``escape_radius``
-    on R^k.  Where the base tangent at p0 vanishes, the orbit stays in its
-    fiber: it runs on X / |X(p0)| for arc length ``horizon``, and a base that
-    moved at most ``base_tol`` gives ``torus_closure`` (``recurrent`` if the
-    orbit came back within ``recurrence_delta`` of p0).  ``stop_reason`` is
-    "converged" for a conclusive early return, "horizon" when the budget is
-    spent, or the FlowError's "step_budget" or "underflow".  Raises
-    ValueError when X is not T-invariant at p0.
+    last decade of the run, which must hold at least two steps; ``escape``
+    a base point beyond ``escape_radius`` on R^k.  Where the base tangent at
+    p0 vanishes, the orbit stays in its fiber: it runs on X / |X(p0)| for
+    arc length ``horizon``, and a base that moved at most ``base_tol``
+    gives ``torus_closure`` (``recurrent`` if the orbit came back within
+    ``recurrence_delta`` of p0).  ``stop_reason`` is "converged" for a
+    conclusive early return, "horizon" when the budget is spent, or the
+    FlowError's "step_budget" or "underflow".  Raises ValueError when X is
+    not T-invariant at p0.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -416,8 +417,11 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
                 d, label = flow.nearest(flow.dist[0])
                 history.append((s_end, d))
                 if d < fiber_tol:
+                    # one entry is no trend: a start within fiber_tol of a
+                    # source would count as converged after its first step
                     tail = [hd for hs, hd in history if hs >= 0.9 * s_end]
-                    if all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
+                    if len(tail) > 1 and all(
+                            b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
                         return LimitSetReport("singular_fiber", label, d,
                                               s_end, "converged")
                 if escapes and np.linalg.norm(x) > escape_radius:

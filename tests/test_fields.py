@@ -6,7 +6,7 @@ from torusflow.fields import (
     FieldHandle,
     affine_torus_field,
     base_gradient_field,
-    batched_pushforward_residual,
+    batched_jacobian,
     connection_fields_s5,
     describing_field_s5,
     field_scale,
@@ -15,7 +15,6 @@ from torusflow.fields import (
     lie_bracket,
     lifted_field_s5,
     line_model_fields,
-    numerical_jacobian,
     pushforward_residual,
     radial_field,
     rational_relation,
@@ -123,9 +122,9 @@ def test_base_gradient_field_zero_and_jacobian():
     Y = base_gradient_field()
     p = np.array([0.25, 0.25])
     assert np.allclose(Y(p), 0.0)
-    jac = numerical_jacobian(Y.func, p)
+    jac, _ = batched_jacobian(Y.func, p[None])
     # g(1/4,1/4) = 2 * (1/2) * (1/16) = 1/16, so DY = I/16 (a source)
-    assert np.allclose(jac, np.eye(2) / 16.0, atol=1e-9)
+    assert np.allclose(jac[0], np.eye(2) / 16.0, atol=1e-9)
 
 
 def test_tau_s5_zero_inventory():
@@ -203,22 +202,23 @@ def test_field_algebra():
 
 def test_lie_bracket_oracle():
     # [x d/dx, d/dx] = -d/dx
-    A = lambda p: np.array([p[0]])
-    B = lambda p: np.array([1.0])
+    A = lambda p: p[..., :1]
+    B = lambda p: np.ones_like(p[..., :1])
     val = lie_bracket(A, B, np.array([0.7]))
     assert np.allclose(val, [-1.0], atol=1e-9)
 
 
 def test_numerical_jacobian_exact_for_linear():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    jac = numerical_jacobian(lambda p: M @ p, np.array([0.3, -0.4]))
-    assert np.allclose(jac, M, atol=1e-10)
+    jac, _ = batched_jacobian(lambda p: p @ M.T, np.array([[0.3, -0.4]]))
+    # jac[i, c, o] = dF_o/dp_c, the transpose of the matrix of F
+    assert np.allclose(jac[0].T, M, atol=1e-10)
 
 
 def test_pushforward_residual_detects_symmetry():
     X = xi_plus_affine(1, (1.0,))
-    good = lambda p: np.array([2 * p[0], p[1]])
-    bad = lambda p: np.array([p[0] + 1.0, p[1]])
+    good = lambda p: np.stack([2 * p[..., 0], p[..., 1]], axis=-1)
+    bad = lambda p: np.stack([p[..., 0] + 1.0, p[..., 1]], axis=-1)
     p = np.array([0.4, 0.9])
     assert pushforward_residual(good, X.func, p) < 1e-9
     assert pushforward_residual(bad, X.func, p) > 0.5
@@ -233,7 +233,28 @@ def test_batched_pushforward_matches_pointwise():
         out[..., 0] = p[..., 0] + np.sin(p[..., 0])
         return out
 
+    def A(p):
+        out = np.zeros_like(p)
+        out[..., 0] = np.cos(p[..., 1]) * p[..., 0] ** 2
+        out[..., 1] = np.sin(p[..., 0])
+        return out
+
     pts = rng.uniform(-1, 1, size=(6, 2))
-    batch = batched_pushforward_residual(F, lambda p: X.func(p), pts)
+    batch = pushforward_residual(F, X.func, pts)
     single = [pushforward_residual(F, X.func, p) for p in pts]
-    assert np.allclose(batch, single, atol=1e-10)
+    assert batch.shape == (6,)
+    assert np.allclose(batch, single, rtol=0.0, atol=1e-15)
+    brackets = lie_bracket(A, X.func, pts)
+    assert brackets.shape == pts.shape
+    for p, row in zip(pts, brackets):
+        assert np.allclose(lie_bracket(A, X.func, p), row, rtol=0.0,
+                           atol=1e-15)
+
+
+def test_batched_jacobian_rejects_a_point_only_callable():
+    # written for one point, F would see the whole stacked batch as p
+    with pytest.raises(ValueError, match="last axis"):
+        batched_jacobian(lambda p: np.array([p[0]]), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="last axis"):
+        lie_bracket(lambda p: np.array([p[0]]), lambda p: p,
+                    np.array([0.5]))

@@ -249,6 +249,19 @@ def test_classify_matches_sign_of_y(base, x, direction):
     assert rep.stop_reason == "converged"
 
 
+# Starts within fiber_tol of a source: the distance grows from the first
+# step on, so the source must not be taken for the limit.
+@pytest.mark.parametrize("base, x", [
+    ("line", 1e-6), ("line", 2.0 - 1e-6), ("line", 2.0 + 1e-6),
+    ("line", 4.0 - 1e-6), ("circle", TWO_PI / 3.0 + 1e-6),
+])
+def test_classify_forward_leaves_a_nearby_source(base, x):
+    m = line_model_fields(base, n=2, a=(1.0, SQRT2))
+    rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), "forward")
+    assert (rep.kind, rep.target) == _expected_limit(base, x, "forward")
+    assert rep.stop_reason == "converged"
+
+
 # The 241-point circle cases fail when a sample may step with a unit-speed
 # velocity over a zero: the error estimate does not see the crossing.
 @pytest.mark.parametrize("base, lo, hi, sinks, n_points, a", [

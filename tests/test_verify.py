@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from torusflow.construction import build_line_describing, build_s5
-from torusflow.fields import SingularFiber, xi_plus_affine
+from torusflow.fields import (
+    SingularFiber,
+    pushforward_residual,
+    xi_plus_affine,
+)
 from torusflow.verify import (
     commutant_basis_check,
     commutant_dimension_probe,
@@ -92,11 +96,11 @@ def test_conjugation_residual_rejects_non_symmetries():
 
 def test_infinitesimal_mode_agrees_on_pass_fail():
     X = xi_plus_affine(1, (1.0,))
-    good = lambda p: np.array([3.0 * p[0], p[1]])
-    bad = lambda p: np.array([p[0] ** 2, p[1]])
-    pts = [np.array([0.4, 0.9])]
-    assert conjugation_residual(good, X, pts, mode="infinitesimal") < 1e-8
-    assert conjugation_residual(bad, X, pts, mode="infinitesimal") > 1e-2
+    good = lambda p: np.stack([3.0 * p[..., 0], p[..., 1]], axis=-1)
+    bad = lambda p: np.stack([p[..., 0] ** 2, p[..., 1]], axis=-1)
+    pts = np.array([[0.4, 0.9]])
+    assert np.max(pushforward_residual(good, X.func, pts)) < 1e-8
+    assert np.max(pushforward_residual(bad, X.func, pts)) > 1e-2
 
 
 def test_drift_alone_has_oversized_commutant():
