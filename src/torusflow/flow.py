@@ -4,7 +4,10 @@ One integrator, an embedded Dormand-Prince 5(4) pair with PI step control
 (``_adaptive_steps``), serves ``integrate`` (with cubic Hermite dense
 output), ``classify_limit`` and ``basin_census``.  It advances one point or
 a batch of points; every row of a batch has its own step size and PI
-state, and a row leaves the batch when it is finished.
+state, and a row leaves the batch when it is finished.  ``integrate`` takes
+a batch (m, d) of start points in one call and returns their start and end
+points; dense output needs one start point.  ``flow_commutation_residual``
+runs its two sides, for one or many torus elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics, which
 ``classify_limit`` and ``basin_census`` run on one base direction field
 (``_BaseFlow``: the base tangent over its norm, throttled near the target
@@ -219,26 +222,16 @@ def _hermite(t, t0, t1, y0, y1, f0, f1):
             + h01[:, None] * y1 + h11[:, None] * h * f1)
 
 
-def integrate(field, p0, t_span, cfg=None, t_eval=None):
-    """Integrate the flow of a field from p0 over t_span.
+def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
+    """Times, points and stats of the run from one start point (d,).
 
-    ``field`` is a FieldHandle (sphere charts are renormalized after every
-    accepted step) or a plain callable.  With ``t_eval`` the trajectory is
-    sampled by dense output at the requested times; otherwise the accepted
-    step points are returned.  Angles in the result are wrapped.
+    The points are the accepted steps, or cubic Hermite dense output at
+    ``t_eval``.
     """
-    cfg = cfg or IntegratorConfig()
-    if isinstance(field, FieldHandle):
-        chart, f = field.chart, field.func
-    else:
-        chart, f = None, field
-    t0, t1 = float(t_span[0]), float(t_span[1])
-
     ts, ys, fs = [], [], []
     accepted = rejected = 0
     max_err = 0.0
-    for t, y, fy, err, rej in _adaptive_steps(f, t0, np.asarray(p0, float),
-                                              t1, cfg, _renormalizer(chart)):
+    for t, y, fy, err, rej in _adaptive_steps(f, t0, y0, t1, cfg, renorm):
         ts.append(t)
         ys.append(y)
         fs.append(fy)
@@ -260,22 +253,92 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
                           ff[idx], ff[idx + 1])
         times = t_eval
 
+    stats = {"accepted": accepted - 1, "rejected": rejected,
+             "max_local_error": max_err}
+    return times, points, stats
+
+
+def _batch_ends(f, t0, y0, t1, cfg, renorm):
+    """Start and end points (2, m, d) and stats of a batch of m start points.
+
+    Each row's last point is recorded by the step hook, after ``renorm``
+    (the sphere renormalizer or None) has put it back on the chart.
+    """
+    ends = y0.copy()
+
+    def record(ids, y):
+        if renorm is not None:
+            y = renorm(ids, y)[0]
+        ends[ids] = y
+        return y, None, None
+
+    accepted = rejected = 0
+    max_err = 0.0
+    steps = _adaptive_steps(f, t0, y0, t1, cfg, record)
+    next(steps)  # the start, with err 0
+    for _, _, _, err, rej in steps:
+        ok = err <= 1.0
+        accepted += int(np.count_nonzero(ok))
+        rejected += rej
+        max_err = float(np.max(err, where=ok, initial=max_err))
+    stats = {"accepted": accepted, "rejected": rejected,
+             "max_local_error": max_err}
+    return np.array([t0, t1]), np.stack([y0, ends]), stats
+
+
+def integrate(field, p0, t_span, cfg=None, t_eval=None):
+    """Integrate the flow of a field from p0 over t_span.
+
+    ``field`` is a FieldHandle (sphere charts are renormalized after every
+    accepted step) or a plain callable.  For one start point p0 (d,) the
+    trajectory holds the accepted step points, or with ``t_eval`` dense
+    output at the requested times.  A batch p0 (m, d) runs as one call,
+    every row with its own step control; the result holds only the start
+    and end points, ``times`` [t0, t1] and ``points`` (2, m, d), and
+    ``t_eval`` raises ValueError.  Samples are in chronological order, so
+    ``end`` is the point at the later time also for a backward run.  The
+    stats are ints summed over rows ("accepted", "rejected") and the
+    largest accepted local error norm ("max_local_error").  Angles in the
+    result are wrapped.
+    """
+    cfg = cfg or IntegratorConfig()
+    if isinstance(field, FieldHandle):
+        chart, f = field.chart, field.func
+    else:
+        chart, f = None, field
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    p0 = np.asarray(p0, dtype=float)
+
+    renorm = _renormalizer(chart)
+    if p0.ndim == 1:
+        times, points, stats = _one_point(f, t0, p0, t1, cfg, renorm, t_eval)
+    elif t_eval is not None:
+        raise ValueError("dense output (t_eval) needs one start point, "
+                         f"not a batch of shape {p0.shape}")
+    else:
+        times, points, stats = _batch_ends(f, t0, p0, t1, cfg, renorm)
     if chart is not None:
         points = chart.wrap(points)
     if times.size > 1 and times[-1] < times[0]:
         times, points = times[::-1].copy(), points[::-1].copy()
-    stats = {"accepted": accepted - 1, "rejected": rejected,
-             "max_local_error": max_err}
     return Trajectory(chart=chart, times=times, points=points, stats=stats)
 
 
 def flow_commutation_residual(field, lam, p0, t, cfg=None):
-    """Chart distance between flowing lambda . p0 and acting on the flow of p0."""
+    """Chart distance between flowing lambda . p0 and acting on the flow of p0.
+
+    ``lam`` (n,) or (m, n) broadcasts against ``p0`` (d,) or (m, d); both
+    sides of every pair run as one batch of 2m rows, over time ``t`` of
+    either sign.  Returns a float for one lambda and one point, else the
+    (m,) residuals.
+    """
     chart = field.chart
-    p0 = np.asarray(p0, dtype=float)
-    end_a = integrate(field, chart.act(lam, p0), (0.0, t), cfg).end
-    end_b = chart.act(lam, integrate(field, p0, (0.0, t), cfg).end)
-    return float(chart.distance(end_a, end_b))
+    moved = chart.act(lam, p0)
+    starts = np.stack([moved, np.broadcast_to(p0, moved.shape)])
+    traj = integrate(field, starts.reshape(-1, chart.dim), (0.0, t), cfg)
+    ends = (traj.end if t >= 0 else traj.start).reshape(starts.shape)
+    r = chart.distance(ends[0], chart.act(lam, ends[1]))
+    return float(r) if r.ndim == 0 else r
 
 
 # ---------------------------------------------------------------------------

@@ -184,18 +184,20 @@ def conjugation_residual(F, fld, points, t=5.0, cfg=None):
     """How far a map F is from commuting with the flow of a field.
 
     Max over points of the chart distance between flow_t(F(p)) and
-    F(flow_t(p)).  Its infinitesimal form, ||DF(p) X(p) - X(F(p))||, is
+    F(flow_t(p)), for t of either sign.  ``F`` is called on one point (d,)
+    at a time; the 2 len(points) starts F(p) and p run as one batch.  Its
+    infinitesimal form, ||DF(p) X(p) - X(F(p))||, is
     ``fields.pushforward_residual``.
     """
-    chart = fld.chart
     cfg = cfg or IntegratorConfig(rtol=1e-10, atol=1e-13)
-    worst = 0.0
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        via_map = integrate(fld, np.asarray(F(p), float), (0.0, t), cfg).end
-        via_flow = np.asarray(F(integrate(fld, p, (0.0, t), cfg).end), float)
-        worst = max(worst, float(chart.distance(via_map, via_flow)))
-    return worst
+    points = [np.asarray(p, dtype=float) for p in points]
+    if not points:
+        return 0.0
+    starts = np.array([F(p) for p in points] + points, dtype=float)
+    traj = integrate(fld, starts, (0.0, t), cfg)
+    ends = traj.end if t >= 0 else traj.start  # the points at time t
+    via_flow = np.array([F(q) for q in ends[len(points):]], dtype=float)
+    return float(np.max(fld.chart.distance(ends[:len(points)], via_flow)))
 
 
 def drift_commutant_comparison(k=1, a=(1.0, np.e), degree=2, max_freq=2,

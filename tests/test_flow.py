@@ -4,6 +4,9 @@ import pytest
 from torusflow.fields import (
     FieldHandle,
     describing_field_s5,
+    field_sum,
+    fundamental_fields_s5,
+    lifted_field_s5,
     line_model_fields,
     xi_plus_affine,
 )
@@ -90,6 +93,112 @@ def test_flow_commutation_residual_product_chart():
     r = flow_commutation_residual(X, np.array([1.0, 2.5]),
                                   np.array([0.5, 0.1, 0.2]), 5.0)
     assert r < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batches of start points
+
+
+def _undamped_s5():
+    # Y' + U1 + U2 + U3: unlike the describing field (whose damping is below
+    # 1e-20 on most of the sphere) it moves every point
+    return field_sum("undamped_s5", lifted_field_s5(),
+                     *fundamental_fields_s5())
+
+
+def _batch_cases():
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3):
+        pts = np.hstack([rng.uniform(-1.0, 1.0, (4, k)),
+                         rng.uniform(0.0, TWO_PI, (4, 2))])
+        yield f"xi_T_k{k}", xi_plus_affine(k, (1.0, SQRT2)), pts
+    angles = rng.uniform(0.0, TWO_PI, (4, 2))
+    line = np.array([[-0.5], [0.7], [2.4], [3.6]])
+    yield ("line", line_model_fields("line", n=2, a=(1.0, SQRT2)).Xprime,
+           np.hstack([line, angles]))
+    circle = np.array([[0.4], [1.7], [3.5], [5.9]])
+    yield ("circle", line_model_fields("circle", n=2, a=(1.0, SQRT2)).Xprime,
+           np.hstack([circle, angles]))
+    sphere = embed_s5(np.array([[0.3, 0.3], [0.1, 0.6], [0.5, 0.2],
+                                [0.2, 0.15]]),
+                      rng.uniform(0.0, TWO_PI, (4, 3)))
+    yield "s5", describing_field_s5(), sphere
+    yield "s5_undamped", _undamped_s5(), sphere
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 2.0), (0.0, -2.0)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("name, fld, pts",
+                         [pytest.param(*c, id=c[0]) for c in _batch_cases()])
+def test_batch_rows_match_one_point_runs(name, fld, pts, t_span):
+    batch = integrate(fld, pts, t_span)
+    singles = [integrate(fld, p, t_span) for p in pts]
+    assert batch.points.shape == (2,) + pts.shape
+    np.testing.assert_array_equal(batch.times, sorted(t_span))
+    for i, one in enumerate(singles):
+        for got, want in ((batch.start[i], one.start),
+                          (batch.end[i], one.end)):
+            assert (fld.chart.distance(got, want)
+                    <= 1e-12 * np.linalg.norm(want))
+    assert batch.stats["accepted"] == sum(s.stats["accepted"] for s in singles)
+    assert batch.stats["rejected"] == sum(s.stats["rejected"] for s in singles)
+    assert type(batch.stats["accepted"]) is int
+    assert type(batch.stats["rejected"]) is int
+    # the error estimate cancels to a few digits, so rounding in the field
+    # rows (which numpy evaluates differently for a batch) shows up in it
+    assert batch.stats["max_local_error"] == pytest.approx(
+        max(s.stats["max_local_error"] for s in singles), rel=1e-3)
+    if fld.chart.is_sphere:
+        assert np.max(np.abs(np.linalg.norm(batch.points, axis=-1) - 1.0)) \
+            < 1e-8
+        if name == "s5_undamped":  # the certificate can see a moved point
+            assert np.min(fld.chart.distance(batch.start, batch.end)) > 0.1
+
+
+def test_batch_refuses_dense_output():
+    X = xi_plus_affine(1, (1.0,))
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate(X, [[1.0, 0.0], [0.5, 1.0]], (0.0, 1.0), t_eval=[0.5])
+
+
+def test_batch_step_budget_raises():
+    X = xi_plus_affine(1, (1.0,))
+    with pytest.raises(FlowError) as exc:
+        integrate(X, [[1.0, 0.0], [0.5, 1.0]], (0.0, 50.0),
+                  IntegratorConfig(max_steps=3))
+    assert exc.value.reason == "step_budget"
+
+
+def test_commutation_residual_fails_backward_for_a_twisted_field():
+    # the torus translation does not commute with the flow of a field whose
+    # base component depends on the angle; at t < 0 the residual must see it
+    def func(p):
+        p = np.asarray(p, dtype=float)
+        return np.stack([np.sin(p[..., 1]), np.ones_like(p[..., 1])], axis=-1)
+
+    fld = FieldHandle("twisted", Chart("product", k=1, n=1), func)
+    for t in (1.0, -1.0):
+        assert flow_commutation_residual(fld, [1.0], [0.5, 0.3], t) > 1e-2
+
+
+@pytest.mark.parametrize("fld, p0", [
+    (xi_plus_affine(2, (1.0, SQRT2)), np.array([0.3, -0.5, 0.1, 0.2])),
+    (_undamped_s5(), embed_s5(np.array([0.3, 0.2]), (0.1, 0.2, 0.3))),
+], ids=["product", "s5"])
+def test_many_lambda_commutation_matches_single_calls(fld, p0):
+    rng = np.random.default_rng(3)
+    lams = rng.uniform(0.0, TWO_PI, (5, fld.chart.n))
+    many = flow_commutation_residual(fld, lams, p0, 1.0)
+    loop = [flow_commutation_residual(fld, lam, p0, 1.0) for lam in lams]
+    assert many.shape == (5,)
+    assert all(type(r) is float for r in loop)
+    np.testing.assert_allclose(many, loop, rtol=1e-12, atol=1e-12)
+    # one start point per lambda
+    pts = fld.chart.act(lams[::-1], p0)
+    per_point = flow_commutation_residual(fld, lams, pts, 1.0)
+    loop = [flow_commutation_residual(fld, lam, p, 1.0)
+            for lam, p in zip(lams, pts)]
+    np.testing.assert_allclose(per_point, loop, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

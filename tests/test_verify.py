@@ -7,6 +7,7 @@ from torusflow.fields import (
     pushforward_residual,
     xi_plus_affine,
 )
+from torusflow.flow import IntegratorConfig, integrate
 from torusflow.verify import (
     commutant_basis_check,
     commutant_dimension_probe,
@@ -92,6 +93,68 @@ def test_conjugation_residual_rejects_non_symmetries():
     pts = [np.array([0.3, -0.5, 0.1, 0.2])]
     assert conjugation_residual(shear, X, pts, t=5.0) >= 1e-2
     assert conjugation_residual(translate, X, pts, t=5.0) >= 1e-2
+
+
+def _per_point_conjugation_residual(F, X, pts, t):
+    """Two one-point integrations per point, one point at a time."""
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
+
+    def at_t(q):  # samples are chronological, also for t < 0
+        return integrate(X, q, (0.0, t), cfg).points[-1 if t >= 0 else 0]
+
+    worst = 0.0
+    for p in pts:
+        via_map = at_t(np.asarray(F(p), float))
+        via_flow = np.asarray(F(at_t(p)), float)
+        worst = max(worst, float(X.chart.distance(via_map, via_flow)))
+    return worst
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_conjugation_residual_matches_per_point_runs(k):
+    # maps written for one point: A @ p[:k] fails on a batch (m, d)
+    rng = np.random.default_rng(k)
+    a = (1.0, SQRT2)
+    X = xi_plus_affine(k, a)
+    A = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    lam = rng.uniform(0.0, 2 * np.pi, 2)
+
+    def linear(p):
+        out = np.array(p, dtype=float)
+        out[:k] = A @ p[:k]
+        out[k:] += lam
+        return out
+
+    def bent(p):
+        out = linear(p)
+        out[0] += 0.2 * p[0] ** 2
+        return out
+
+    pts = [np.concatenate([rng.uniform(-1.0, 1.0, k),
+                           rng.uniform(0.0, 2 * np.pi, 2)]) for _ in range(3)]
+    for F in (linear, bent):
+        want = _per_point_conjugation_residual(F, X, pts, 5.0)
+        got = conjugation_residual(F, X, pts, t=5.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert conjugation_residual(linear, X, pts, t=5.0) < 1e-6
+    assert conjugation_residual(bent, X, pts, t=5.0) >= 1e-2
+    assert conjugation_residual(bent, X, [], t=5.0) == 0.0
+
+
+def test_conjugation_residual_runs_backward_in_time():
+    # the points at t < 0 are the batch's earliest samples, not its start
+    X = xi_plus_affine(1, (1.0,))
+
+    def bent(p):
+        out = np.array(p, dtype=float)
+        out[0] += 0.2 * p[0] ** 2
+        return out
+
+    pts = [np.array([0.5, 0.1])]
+    got = conjugation_residual(bent, X, pts, t=-2.0)
+    assert got == pytest.approx(
+        _per_point_conjugation_residual(bent, X, pts, -2.0), rel=1e-12)
+    assert got >= 1e-3  # 0 when the start points were compared
 
 
 def test_infinitesimal_mode_agrees_on_pass_fail():
