@@ -9,10 +9,11 @@ a batch (m, d) of start points in one call and returns their start and end
 points; dense output needs one start point.  ``flow_commutation_residual``
 runs its two sides, for one or many torus elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics, which
-``classify_limit`` and ``basin_census`` run on one base direction field
-(``_BaseFlow``: the base tangent over its norm, throttled near the target
-fibers).  It keeps the base orbits, and neither the torus drift nor the
-slowdown near high-order zeros can stall the classification.
+``classify_limit`` and ``basin_census`` run on one unit-speed base direction
+field, each step capped at half the base distance to the nearest target
+(``_BaseFlow``), so their horizons are base arc length.  It keeps the base
+orbits, and neither the torus drift nor the slowdown near high-order zeros
+can stall the classification.
 """
 
 from __future__ import annotations
@@ -344,9 +345,6 @@ def flow_commutation_residual(field, lam, p0, t, cfg=None):
 # ---------------------------------------------------------------------------
 # base dynamics: limit-set classification and basin census
 
-# base distance to a target within which the base direction field slows
-_SLOWDOWN = 1e-2
-
 
 def _targets(field):
     """Labels and base points (T, base_dim) of the sources, then zero fibers."""
@@ -358,18 +356,24 @@ def _targets(field):
 
 
 class _BaseFlow:
-    """Throttled base direction field of a T-invariant field, and its hook.
+    """Unit-speed base direction field of a T-invariant field, and its hook.
 
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
-    points x (m, base_dim), normalized and scaled by min(1, d / _SLOWDOWN),
-    d being the base distance to the nearest target.  ``hook(ids, x)`` (for
+    points x (m, base_dim), divided by its norm; where the tangent vanishes
+    (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` (for
     ``_adaptive_steps``) drops the rows within ``fiber_tol`` of a target and
-    caps each step at max(d, _SLOWDOWN): uncapped, a step can cross a target
-    unseen, as a sign flip that only stage 2 samples has weight 0 in the
-    error estimate.  ``rows`` counts the field rows evaluated; ``dist`` holds
-    the rows' target distances at the last hook call.  Only a T-invariant
-    field has base dynamics: ValueError when the base tangent at the chart
-    point ``p`` moves by more than 1e-9 |X(p)| under two torus elements.
+    caps each row's step at d / 2, d being the base distance to the nearest
+    target.  An accepted Dormand-Prince step of size h moves its point by at
+    most sum |b5_i| h ~ 1.645 h (every stage has unit speed), so a capped
+    step ends within 0.82 d and can neither reach a target nor, on a 1-D
+    base, pass one.  This bound does not rest on the error estimate, which
+    cannot see a sign flip that only stage 2 samples (its weight is 0
+    there).  On a 1-D base the velocity is constant between zeros, so every
+    step is exact and d halves per step.  ``rows`` counts the field rows
+    evaluated; ``dist`` holds the rows' target distances at the last hook
+    call.  Only a T-invariant field has base dynamics: ValueError when the
+    base tangent at the chart point ``p`` moves by more than 1e-9 |X(p)|
+    under two torus elements.
     """
 
     def __init__(self, field, sign, p, fiber_tol):
@@ -407,13 +411,12 @@ class _BaseFlow:
         v = self.sign * chart.base_tangent(ys, self.field.func(ys))
         nv = np.linalg.norm(v, axis=1, keepdims=True)
         nv[nv < 1e-300] = 1.0
-        d = self.distances(x).min(axis=1, keepdims=True, initial=np.inf)
-        return v / nv * np.minimum(1.0, d / _SLOWDOWN)
+        return v / nv
 
     def hook(self, ids, x):
         self.dist = self.distances(x)
         d = self.dist.min(axis=1, initial=np.inf)
-        return x, d < self.fiber_tol, np.maximum(d, _SLOWDOWN)
+        return x, d < self.fiber_tol, d / 2
 
 
 @dataclass
@@ -422,7 +425,9 @@ class LimitSetReport:
     target: Optional[str]
     final_distance: float
     horizon: float
-    stop_reason: str  # converged | horizon | step_budget | underflow
+    # converged | singular_set | horizon | step_budget | underflow
+    stop_reason: str
+    rhs_rows: int  # points at which the classification evaluated the field
     recurrent: bool = False
 
 
@@ -431,17 +436,22 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
                    escape_radius=25.0):
     """Classify the alpha- (backward) or omega- (forward) limit of a trajectory.
 
-    The base point of p0 runs on the census's base direction field and step
-    cap (``_BaseFlow``) for base arc length ``horizon``.  ``singular_fiber``
-    requires final base distance below ``fiber_tol``, decreasing over the
-    last decade of the run, which must hold at least two steps; ``escape``
-    a base point beyond ``escape_radius`` on R^k.  Where the base tangent at
-    p0 vanishes, the orbit stays in its fiber: it runs on X / |X(p0)| for
-    arc length ``horizon``, and a base that moved at most ``base_tol``
-    gives ``torus_closure`` (``recurrent`` if the orbit came back within
-    ``recurrence_delta`` of p0).  ``stop_reason`` is "converged" for a
-    conclusive early return, "horizon" when the budget is spent, or the
-    FlowError's "step_budget" or "underflow".  Raises ValueError when X is
+    The base point of p0 runs on the census's unit-speed base direction
+    field and d / 2 step cap (``_BaseFlow``), so ``horizon`` is base arc
+    length.  ``singular_fiber`` requires final base distance below
+    ``fiber_tol``, decreasing over the last decade of the run, which must
+    hold at least two steps; ``escape`` a base point beyond
+    ``escape_radius`` on R^k.  A run whose base tangent vanishes at an
+    accepted point at least ``fiber_tol`` from every target (the edge of the
+    S^5 triangle) has reached the singular set, where it would stay: it
+    ends ``inconclusive`` with ``stop_reason`` "singular_set".  Where the
+    base tangent at p0 vanishes, the orbit stays in its fiber: it runs on
+    X / |X(p0)| for arc length ``horizon``, and a base that moved at most
+    ``base_tol`` gives ``torus_closure`` (``recurrent`` if the orbit came
+    back within ``recurrence_delta`` of p0).  ``stop_reason`` is otherwise
+    "converged" for a conclusive early return, "horizon" when the budget is
+    spent, or the FlowError's "step_budget" or "underflow".  ``rhs_rows``
+    counts the field rows the run evaluated.  Raises ValueError when X is
     not T-invariant at p0.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
@@ -450,7 +460,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     sign = 1.0 if direction == "forward" else -1.0
     v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
-        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged")
+        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0)
     flow = _BaseFlow(field, sign, p0, 0.0)  # its hook drops no row
     in_fiber = np.linalg.norm(chart.base_tangent(p0, v0)) < 1e-300
     escapes = chart.kind == "product"  # the base is R^k
@@ -458,12 +468,17 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     s_end, stop_reason = 0.0, "horizon"
     base_moved, left_ball, returned = 0.0, False, False
     history = []  # (base arc length, nearest distance)
+    scale, fiber_rows = sign / np.linalg.norm(v0), 0
+
+    def fiber_velocity(p):  # one point (d,) per call
+        nonlocal fiber_rows
+        fiber_rows += 1
+        return scale * field.func(p)
 
     try:
         if in_fiber:
-            scale = sign / np.linalg.norm(v0)
             for s_end, p, _, _, _ in _adaptive_steps(
-                    lambda p: scale * field.func(p), 0.0, p0, horizon, cfg,
+                    fiber_velocity, 0.0, p0, horizon, cfg,
                     _renormalizer(chart)):
                 base_moved = max(base_moved, float(
                     chart.base_distance(chart.base(p), x[0])))
@@ -475,7 +490,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
             steps = _adaptive_steps(flow.velocity, 0.0, x, horizon, cfg,
                                    flow.hook)
             next(steps)  # the start, which no hook has seen
-            for s, x, _, _, _ in steps:
+            for s, x, v, _, _ in steps:
                 s_end = float(s[0, 0])
                 d, label = flow.nearest(flow.dist[0])
                 history.append((s_end, d))
@@ -486,17 +501,23 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
                     if len(tail) > 1 and all(
                             b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
                         return LimitSetReport("singular_fiber", label, d,
-                                              s_end, "converged")
+                                              s_end, "converged", flow.rows)
+                elif np.linalg.norm(v) < 1e-300:
+                    # v, the velocity at x, fails its own |v| test off
+                    # every target: the base point will not move again
+                    return LimitSetReport("inconclusive", label, d, s_end,
+                                          "singular_set", flow.rows)
                 if escapes and np.linalg.norm(x) > escape_radius:
                     return LimitSetReport("escape", None, d, s_end,
-                                          "converged")
+                                          "converged", flow.rows)
     except FlowError as exc:
         stop_reason = exc.reason
     d, label = flow.nearest(flow.distances(x[0]))
     if in_fiber and base_moved <= base_tol:
         return LimitSetReport("torus_closure", None, d, s_end, stop_reason,
-                              recurrent=returned)
-    return LimitSetReport("inconclusive", label, d, s_end, stop_reason)
+                              fiber_rows, recurrent=returned)
+    return LimitSetReport("inconclusive", label, d, s_end, stop_reason,
+                          flow.rows + fiber_rows)
 
 
 @dataclass
@@ -537,10 +558,14 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
                  horizon=500.0, max_steps=100_000, rtol=1e-6, atol=1e-9):
     """Backward-classify a sample of base points to their source fibers.
 
-    The samples run as one batch on the backward base direction field
-    (``_BaseFlow``): after each accepted step a sample within ``fiber_tol``
-    of a target is assigned and leaves the batch.  ``stop_reason`` says why
+    The samples run as one batch on the backward unit-speed base direction
+    field (``_BaseFlow``), so ``horizon`` is base arc length, and each
+    sample's step is capped at half its distance to the nearest target:
+    after each accepted step a sample within ``fiber_tol`` of a target is
+    assigned and leaves the batch.  On a 1-D base a sample needs about
+    log2(d0 / fiber_tol) steps from distance d0.  ``stop_reason`` says why
     the integration ended; samples still unassigned count as unclassified.
+    ``rhs_rows`` counts the base points at which the field was evaluated.
     Raises ValueError when X is not T-invariant at the first sample.
     """
     chart = field.chart

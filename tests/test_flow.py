@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from torusflow import flow as flow_module
+from torusflow.construction import build_planar_demo, build_s5
 from torusflow.fields import (
     FieldHandle,
     describing_field_s5,
@@ -254,8 +256,31 @@ def test_classify_s5_forward_stays_on_the_triangle():
     X = describing_field_s5()
     p0 = embed_s5(np.array([0.3, 0.3]), (0.1, 0.2, 0.3))
     rep = classify_limit(X, p0, "forward", horizon=5.0)
-    assert rep.kind == "inconclusive" and rep.stop_reason == "horizon"
+    assert rep.kind == "inconclusive" and rep.stop_reason == "singular_set"
     assert rep.final_distance == pytest.approx(np.sqrt(2.0) / 4.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("x", [(0.3, 0.3), (0.2, 0.1), (0.1, 0.1)])
+def test_classify_s5_forward_stops_at_the_singular_set(x):
+    # the run ends where the base tangent vanishes off every target, instead
+    # of spending the whole horizon on the triangle's edge
+    X = describing_field_s5()
+    p0 = embed_s5(np.array(x), (0.1, 0.2, 0.3))
+    rep = classify_limit(X, p0, "forward", horizon=200.0)
+    assert (rep.kind, rep.stop_reason) == ("inconclusive", "singular_set")
+    assert rep.final_distance >= 1e-5
+    assert rep.horizon < 1.0
+    assert 0 < rep.rhs_rows < 2_000
+
+
+def test_classify_counts_its_field_rows():
+    m = line_model_fields("line", n=1, a=(1.0,))
+    assert classify_limit(m.Xprime, np.array([1.0, 0.0]),
+                          "forward").rhs_rows == 0  # a fixed point
+    closure = classify_limit(xi_plus_affine(1, (1.0, SQRT2)),
+                             np.array([0.0, 0.1, 0.2]), "forward",
+                             horizon=30.0)
+    assert closure.kind == "torus_closure" and closure.rhs_rows > 0
 
 
 def test_base_dynamics_need_an_invariant_field():
@@ -302,6 +327,26 @@ def test_census_reports_why_it_stopped():
     assert short.stop_reason == "step_budget"
     assert short.unclassified_fraction > 0
     assert basin_census(m.Xprime, 4).stop_reason == "all_assigned"
+
+
+def test_census_work_per_sample_is_bounded():
+    # unit speed with the d / 2 cap: d halves per exact step on the line,
+    # about 17 steps from d ~ 1 down to fiber_tol
+    m = line_model_fields("line", n=1, a=(1.0,))
+    rep = basin_census(m.Xprime, 200, seed=1)
+    assert rep.stop_reason == "all_assigned"
+    assert rep.rhs_rows / rep.n_samples <= 150
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("build", [build_planar_demo, build_s5],
+                         ids=["planar", "s5"])
+def test_census_counts_on_planar_and_s5_are_pinned(build, seed):
+    # every sample of the planar demo's disc and of the S^5 triangle
+    # flows back to the one source
+    rep = basin_census(build().field, 200, seed=seed)
+    assert rep.counts == {"source_0": 200}
+    assert rep.stop_reason == "all_assigned"
 
 
 def test_census_work_per_sample_does_not_grow_with_n():
@@ -358,6 +403,18 @@ def test_classify_matches_sign_of_y(base, x, direction):
     assert rep.stop_reason == "converged"
 
 
+def test_classify_work_on_sign_of_y_starts():
+    # about log2(d0 / fiber_tol) exact steps; 571 rows (line) and 583
+    # (circle) with the former throttled base field
+    worst = {}
+    for case in _classify_starts():
+        base, x, direction = case.values
+        m = line_model_fields(base, n=2, a=(1.0, SQRT2))
+        rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), direction)
+        worst[base] = max(worst.get(base, 0), rep.rhs_rows)
+    assert 0 < worst["line"] <= 250 and 0 < worst["circle"] <= 250
+
+
 # Starts within fiber_tol of a source: the distance grows from the first
 # step on, so the source must not be taken for the limit.
 @pytest.mark.parametrize("base, x", [
@@ -389,6 +446,31 @@ def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks,
     want = np.bincount(_expected_source(base, xs), minlength=3)
     assert rep.counts == {f"source_{i}": int(c) for i, c in enumerate(want)}
     assert rep.stop_reason == "all_assigned"
+
+
+def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
+    # an accepted step of size h <= d / 2 moves at most 1.645 h < d, so it
+    # can neither reach nor pass the target nearest its start (the first
+    # step, before the hook's first call, is the small initial step)
+    m = line_model_fields("line", n=1, a=(1.0,))
+    xs = np.linspace(-0.95, 4.95, 61)
+    xs = xs[np.min(np.abs(xs[:, None] - _ZEROS["line"]), axis=1) > 0.02]
+    paths = [[x] for x in xs]
+    hook = flow_module._BaseFlow.hook
+
+    def recording(self, ids, x):
+        for i, xi in zip(ids, x[:, 0]):
+            paths[i].append(xi)
+        return hook(self, ids, x)
+
+    monkeypatch.setattr(flow_module._BaseFlow, "hook", recording)
+    rep = basin_census(m.Xprime, len(xs),
+                       sampler=lambda rng, n: xs[:, None].copy())
+    assert rep.stop_reason == "all_assigned"
+    for path in map(np.array, paths):
+        assert len(path) > 2
+        d = np.min(np.abs(path[:-1, None] - _ZEROS["line"]), axis=1)
+        assert np.all(np.abs(np.diff(path)) < d)
 
 
 # ---------------------------------------------------------------------------
