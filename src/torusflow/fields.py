@@ -1,11 +1,16 @@
 """Vector field library and numerical field calculus.
 
 Field evaluation rules are plain callables operating on the last axis, so
-every library field accepts batched points.  Brackets and pushforwards are
-computed with central finite differences, all through one batched kernel
-(``batched_jacobian``); the callables they are given must act on the last
-axis as well, mapping each row of a batch to one output row.  Nothing here
-is symbolic.
+every library field accepts batched points.  The S^5 describing field is
+evaluated in closed form on the (..., 3, 2) coordinate-pair view of a
+point, in one pass; the generator fields it is built from (the lifted base
+field, the connection fields and the rotation generators) stay public as
+its reference.  Its rule and ``tau_s5`` keep a complex input complex, so a
+complex step through them gives a directional derivative to rounding.
+Brackets and pushforwards are computed with central finite differences,
+all through one batched kernel (``batched_jacobian``); the callables they
+are given must act on the last axis as well, mapping each row of a batch
+to one output row.  Nothing here is symbolic.
 """
 
 from __future__ import annotations
@@ -260,20 +265,24 @@ S5_ZERO_FIBERS = (
 )
 
 
+_TAU_ZEROS = np.array([fib.base_point for fib in S5_ZERO_FIBERS])
+
+
 def tau_s5(x):
     """Damping factor on the base triangle.
 
     Nonnegative, zero exactly on the triangle boundary (order >= 10 through
     the envelope x1^10 x2^10 (1-x1-x2)^10) and at (1/8,1/8), (1/8,1/4),
-    (1/4,1/8) with orders 2, 4 and 6.
+    (1/4,1/8) with orders 2, 4 and 6.  Keeps a complex input complex.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     x1, x2 = x[..., 0], x[..., 1]
-    rho = (x1 * x2 * (1.0 - x1 - x2)) ** 10
-    d1 = (x1 - 0.125) ** 2 + (x2 - 0.125) ** 2
-    d2 = (x1 - 0.125) ** 2 + (x2 - 0.25) ** 2
-    d3 = (x1 - 0.25) ** 2 + (x2 - 0.125) ** 2
-    return rho * d1 * d2**2 * d3**3
+    rho2 = (x1 * x2 * (1.0 - x1 - x2)) ** 2
+    rho8 = (rho2 * rho2) ** 2
+    sq = (x[..., None, :] - _TAU_ZEROS) ** 2
+    d = sq[..., 0] + sq[..., 1]  # squared distances to the three zeros
+    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    return rho8 * rho2 * d1 * d2 * d2 * d3 * d3 * d3
 
 
 def lifted_field_s5():
@@ -300,22 +309,31 @@ def describing_field_s5(freqs=(1.0, E, E * E)):
 
     Vanishes exactly on the singular set S of the action and on the three
     fibers over the interior zeros of tau; invariant under the action.
+    Evaluated in closed form, one pass over the coordinate pairs; the
+    generator fields ``lifted_field_s5`` and ``fundamental_fields_s5`` are
+    its reference.  The rule keeps a complex input complex.
     """
     freqs = tuple(float(f) for f in freqs)
-    u1, u2, u3 = fundamental_fields_s5()
-    yp = lifted_field_s5()
-    f1, f2, f3 = freqs
+    f = np.array(freqs)
 
     def func(y):
-        y = np.asarray(y, dtype=float)
-        t = tau_s5(base_projection_pi(y))
-        drift = (
-            yp.func(y)
-            + f1 * u1.func(y)
-            + f2 * u2.func(y)
-            + f3 * u3.func(y)
-        )
-        return t[..., None] * drift
+        # per pair j: tau (c_j (a_j, b_j) + f_j (-b_j, a_j)), with c_j the
+        # coefficient of (a_j, b_j) in Y' = x1 x2 sum_r (x_r - 1/4) V_r
+        y = np.asarray(y)
+        pairs = y.reshape(y.shape[:-1] + (3, 2))
+        a, b = pairs[..., 0], pairs[..., 1]
+        r = a * a + b * b
+        t = tau_s5(r[..., :2])[..., None]
+        w = (r[..., 0] * r[..., 1])[..., None] * (r[..., :2] - 0.25)
+        c = np.empty(r.shape, np.result_type(y, 1.0))
+        c[..., :2] = w * r[..., 2:]
+        c[..., 2] = -(w[..., 0] * r[..., 0] + w[..., 1] * r[..., 1])
+        c *= t
+        ft = t * f
+        out = np.empty(pairs.shape, c.dtype)
+        out[..., 0] = c * a - ft * b
+        out[..., 1] = c * b + ft * a
+        return out.reshape(y.shape)
 
     return FieldHandle(
         "Xprime_s5", _SPHERE, func,

@@ -10,7 +10,9 @@ Three concrete charts are supported:
   angles).
 
 All functions are pure and operate on the last axis, so they broadcast
-over batches of points.
+over batches of points.  The S^5 kernels (action, projection, embedding
+and the differential of the projection) work on the (..., 3, 2)
+coordinate-pair view of a point, one pass for all three pairs.
 """
 
 from __future__ import annotations
@@ -63,45 +65,41 @@ def torus_act_s5(lam, y):
     """
     lam = np.asarray(lam, dtype=float)
     y = np.asarray(y, dtype=float)
+    pairs = y.reshape(y.shape[:-1] + (3, 2))
+    a, b = pairs[..., 0], pairs[..., 1]
     c, s = np.cos(lam), np.sin(lam)
-    shape = np.broadcast_shapes(lam.shape[:-1], y.shape[:-1]) + (6,)
-    out = np.empty(shape)
-    for j in range(3):
-        cj, sj = c[..., j], s[..., j]
-        a, b = y[..., 2 * j], y[..., 2 * j + 1]
-        out[..., 2 * j] = cj * a - sj * b
-        out[..., 2 * j + 1] = sj * a + cj * b
-    return out
+    out = np.empty(np.broadcast(c, a).shape + (2,))
+    out[..., 0] = c * a - s * b
+    out[..., 1] = s * a + c * b
+    return out.reshape(out.shape[:-2] + (6,))
 
 
 def base_projection_pi(y):
-    """Orbit-space projection pi(y) = (y1^2 + y2^2, y3^2 + y4^2)."""
-    y = np.asarray(y, dtype=float)
-    return np.stack(
-        [
-            y[..., 0] ** 2 + y[..., 1] ** 2,
-            y[..., 2] ** 2 + y[..., 3] ** 2,
-        ],
-        axis=-1,
-    )
+    """Orbit-space projection pi(y) = (y1^2 + y2^2, y3^2 + y4^2).
+
+    Keeps a complex input complex (for complex-step derivatives).
+    """
+    y = np.asarray(y)
+    sq = np.square(y[..., :4], dtype=np.result_type(y, 1.0))
+    return sq[..., ::2] + sq[..., 1::2]
 
 
 def embed_s5(x, phis=(0.0, 0.0, 0.0)):
     """Point of S^5 over base point x = (x1, x2) with given pair phases.
 
     Requires x in the closed triangle x1, x2 >= 0, x1 + x2 <= 1.
+    Broadcasts x (..., 2) against phis (..., 3).
     """
     x = np.asarray(x, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    rest = 1.0 - x[..., 0] - x[..., 1]
-    if np.any(x < -1e-15) or np.any(rest < -1e-15):
+    sq = np.concatenate([x, 1.0 - x[..., :1] - x[..., 1:2]], axis=-1)
+    if (sq < -1e-15).any():
         raise ValueError("base point outside the closed triangle")
-    radii = np.sqrt(np.clip(np.stack([x[..., 0], x[..., 1], rest], axis=-1), 0.0, None))
-    out = np.empty(x.shape[:-1] + (6,))
-    for j in range(3):
-        out[..., 2 * j] = radii[..., j] * np.cos(phis[..., j])
-        out[..., 2 * j + 1] = radii[..., j] * np.sin(phis[..., j])
-    return out
+    radii = np.sqrt(np.maximum(sq, 0.0))
+    out = np.empty(np.broadcast(radii, phis).shape + (2,))
+    out[..., 0] = radii * np.cos(phis)
+    out[..., 1] = radii * np.sin(phis)
+    return out.reshape(out.shape[:-2] + (6,))
 
 
 def sphere_phases(y):
@@ -265,11 +263,6 @@ class Chart:
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         if self.kind == "sphere5":
-            return np.stack(
-                [
-                    2 * (p[..., 0] * v[..., 0] + p[..., 1] * v[..., 1]),
-                    2 * (p[..., 2] * v[..., 2] + p[..., 3] * v[..., 3]),
-                ],
-                axis=-1,
-            )
+            pv = p[..., :4] * v[..., :4]
+            return 2 * (pv[..., ::2] + pv[..., 1::2])
         return v[..., : self.base_dim]

@@ -21,7 +21,14 @@ from torusflow.fields import (
     tau_s5,
     xi_plus_affine,
 )
-from torusflow.geometry import Chart, base_projection_pi, embed_s5, sphere_normalize
+from torusflow.geometry import (
+    TWO_PI,
+    Chart,
+    base_projection_pi,
+    embed_s5,
+    sphere_normalize,
+    torus_act_s5,
+)
 
 rng = np.random.default_rng(7)
 
@@ -160,6 +167,84 @@ def test_describing_field_vanishes_exactly_on_declared_fibers():
     for fib in x5.singular_fibers:
         y = embed_s5(fib.point(), (0.7, 1.3, 2.9))
         assert np.linalg.norm(x5.func(y)) < 1e-12
+    # pairs with exactly representable radii: tau is exactly 0 over the
+    # fibers (1/8,1/8), (1/8,1/4), (1/4,1/8) and on the singular set
+    s = np.sqrt(0.75)
+    exact = np.array([
+        [0.25, 0.25, -0.25, 0.25, s, 0.0],
+        [0.25, -0.25, 0.0, 0.5, 0.0, 0.8],
+        [0.0, -0.5, 0.25, 0.25, -0.3, 0.7],
+        [0.0, 0.0, 0.6, 0.0, 0.0, 0.8],
+        [0.6, 0.0, 0.0, 0.0, 0.0, -0.8],
+        [0.5, 0.5, 0.5, -0.5, 0.0, 0.0],
+    ])
+    assert np.all(x5.func(exact) == 0.0)
+
+
+def generator_reference_s5(fld, y):
+    """X'(y) composed from the public generator fields (the reference)."""
+    u = fundamental_fields_s5()
+    drift = lifted_field_s5().func(y) + sum(
+        f * uj.func(y) for f, uj in zip(fld.meta["frequencies"], u))
+    return tau_s5(base_projection_pi(y))[:, None] * drift
+
+
+def test_describing_field_closed_form_matches_generator_fields():
+    x5 = describing_field_s5()
+    ys = random_sphere_points(1000)
+    # the singular set: one coordinate pair at 0
+    sing = ys[:30].copy().reshape(30, 3, 2)
+    sing[np.arange(30), np.arange(30) % 3] = 0.0
+    ys = np.concatenate([ys, sphere_normalize(sing.reshape(30, 6))])
+    got, ref = x5.func(ys), generator_reference_s5(x5, ys)
+    assert got.shape == ref.shape == (1030, 6)
+    scale = np.abs(ref).max(axis=1)
+    assert np.all(np.abs(got - ref).max(axis=1) <= 1e-13 * scale)
+    assert np.all(scale[:1000] > 0.0)
+    # a single point gives a single vector
+    assert np.array_equal(x5.func(ys[7]), got[7])
+
+
+def equivariance_gaps(func, lam, ys):
+    """|X(lam.y) - lam.X(y)| / |X(y)| per row: exact, no derivative."""
+    want = torus_act_s5(lam, func(ys))
+    gap = np.linalg.norm(func(torus_act_s5(lam, ys)) - want, axis=1)
+    return gap / np.linalg.norm(func(ys), axis=1)
+
+
+def test_describing_field_is_exactly_equivariant_and_the_check_can_fail():
+    x5 = describing_field_s5()
+    ys = random_sphere_points(1000)
+    lam = np.random.default_rng(5).uniform(0.0, TWO_PI, (1000, 3))
+    # relative, since tau peaks near 1.4e-21.  Rounding in lam.y moves
+    # 1 - x1 - x2 by a few ulps, which tau's factor (1 - x1 - x2)^10 turns
+    # into a relative change of about 10 ulps / x3 near the edge x3 -> 0
+    x3 = ys[:, 4] ** 2 + ys[:, 5] ** 2
+    bound = 1e-13 + 400 * np.finfo(float).eps / x3
+    assert np.all(equivariance_gaps(x5.func, lam, ys) <= bound)
+
+    def sabotaged(y):
+        out = x5.func(y)
+        out[..., 0] += 1e-8 * np.linalg.norm(out, axis=-1)
+        return out
+
+    assert np.any(equivariance_gaps(sabotaged, lam, ys) > bound)
+
+
+def test_describing_field_complex_step_matches_central_difference():
+    # X'(y + i h v).imag / h is DX'(y) v to rounding; the real part is X'(y)
+    x5 = describing_field_s5()
+    ys = random_sphere_points(100)
+    v = np.random.default_rng(4).normal(size=ys.shape)
+    h = 1e-30
+    out = x5.func(ys + 1j * h * v)
+    assert np.iscomplexobj(out)
+    assert np.array_equal(out.real, x5.func(ys))
+    jac, _ = batched_jacobian(x5.func, ys, 1e-6)
+    fd = np.einsum("ico,ic->io", jac, v)
+    # the reference's O(h^2) truncation grows near the triangle's edges
+    err = np.linalg.norm(out.imag / h - fd, axis=1)
+    assert np.all(err <= 1e-5 * np.linalg.norm(fd, axis=1))
 
 
 def test_line_model_zero_structure():

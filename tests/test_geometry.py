@@ -57,6 +57,35 @@ def test_embed_project_roundtrip():
     assert np.isclose(np.linalg.norm(y), 1.0)
     assert np.allclose(base_projection_pi(y), x)
     assert np.allclose(sphere_phases(y), (0.4, 1.1, 2.2))
+    # batches, and pi against its per-pair formula
+    rng = np.random.default_rng(4)
+    xs = rng.dirichlet([1.0, 1.0, 1.0], (4, 5))[..., :2]
+    phis = rng.uniform(-np.pi, np.pi, (4, 5, 3))
+    ys = embed_s5(xs, phis)
+    assert ys.shape == (4, 5, 6)
+    assert np.allclose(base_projection_pi(ys), xs, atol=1e-15)
+    assert np.allclose(sphere_phases(ys), phis)
+    z = rng.normal(size=(7, 6))
+    assert np.array_equal(base_projection_pi(z), np.stack(
+        [z[:, 0] ** 2 + z[:, 1] ** 2, z[:, 2] ** 2 + z[:, 3] ** 2], axis=-1))
+    assert np.array_equal(base_projection_pi(z[2]), base_projection_pi(z)[2])
+
+
+def test_embed_s5_broadcasts_base_points_against_phases():
+    rng = np.random.default_rng(6)
+    phis = rng.uniform(0, TWO_PI, (4, 3))
+    x = np.array([0.2, 0.3])
+    ys = embed_s5(x, phis)
+    assert ys.shape == (4, 6)
+    for i in range(4):
+        assert np.array_equal(ys[i], embed_s5(x, phis[i]))
+    xs = np.array([[0.1, 0.2], [0.5, 0.5], [0.0, 1.0]])
+    grid = embed_s5(xs[:, None, :], phis)
+    assert grid.shape == (3, 4, 6)
+    for i in range(3):
+        assert np.array_equal(grid[i], embed_s5(xs[i], phis))
+    with pytest.raises(ValueError):
+        embed_s5(np.array([0.7, 0.4]), phis)
 
 
 def test_torus_action_preserves_sphere_and_base():
@@ -149,3 +178,12 @@ def test_base_tangent_is_projection_differential():
     h = 1e-6
     fd = (base_projection_pi(y + h * v) - base_projection_pi(y - h * v)) / (2 * h)
     assert np.allclose(s.base_tangent(y, v), fd, atol=1e-8)
+    # batches, broadcast, against the per-pair formula 2 (a_j a'_j + b_j b'_j)
+    ys = sphere_normalize(rng.normal(size=(3, 1, 6)))
+    vs = rng.normal(size=(5, 6))
+    got = s.base_tangent(ys, vs)
+    assert got.shape == (3, 5, 2)
+    for j in range(2):
+        want = 2 * (ys[..., 2 * j] * vs[..., 2 * j]
+                    + ys[..., 2 * j + 1] * vs[..., 2 * j + 1])
+        assert np.array_equal(got[..., j], want)
