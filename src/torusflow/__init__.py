@@ -19,11 +19,9 @@ __version__ = "0.1.0"
 
 from .construction import (
     ConstructionManifest,
-    apply_effective_damping,
     build_line_describing,
     build_planar_demo,
     build_s5,
-    damping_h,
     haar_average_field,
     haar_average_function,
 )

@@ -20,7 +20,6 @@ from .fields import (
     FieldHandle,
     SingularFiber,
     describing_field_s5,
-    field_scale,
     line_model_fields,
     rational_relation,
 )
@@ -160,41 +159,6 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
 
 
 # ---------------------------------------------------------------------------
-# effective damping
-
-
-def damping_h(t):
-    """The flat cutoff h(t) = exp(-1/t) for t > 0, zero for t <= 0.
-
-    Smooth on all of R; all derivatives vanish at t = 0, so multiplying by
-    h of a smooth nonnegative gauge never lowers smoothness.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out if out.ndim else float(out)
-
-
-def apply_effective_damping(fld, gauge, name=None):
-    """Scale a field by h(gauge(p)) where h is the flat cutoff.
-
-    ``gauge`` must be nonnegative; the damped field vanishes to infinite
-    order wherever the gauge hits zero.  Negative gauge values raise at
-    evaluation time.
-    """
-
-    def scalar(p):
-        g = np.asarray(gauge(p), dtype=float)
-        if np.any(g < 0):
-            raise ValueError("damping gauge must be nonnegative")
-        return damping_h(g)
-
-    out = field_scale(name or f"damped({fld.name})", scalar, fld)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Haar averaging over the torus
 
 
@@ -208,28 +172,40 @@ def _haar_mean(fn, chart, n_nodes, transport):
 
     Evaluates ``fn`` once per block of rows on all their orbit points;
     with ``transport`` each value is a sphere vector, moved back by the
-    inverse rotation before averaging.  A point (d,) gives one value, a
-    batch (m, d) gives m values.
+    inverse rotation before averaging.  On S^5 the action is linear, so the
+    rotations of the grid are built once per averaged function, and the
+    orbit and the transported mean are each one matrix product.  A point
+    (d,) gives one value, a batch (m, d) gives m values.
     """
-    n = chart.n
+    n, d = chart.n, chart.dim
     nodes = np.indices((n_nodes,) * n).reshape(n, -1).T * (TWO_PI / n_nodes)
     per_call = max(1, _HAAR_BLOCK // len(nodes))
+    if chart.is_sphere:
+        # rot[v, j] = R(nodes[v]) e_j
+        rot = torus_act_s5(nodes[:, None, :], np.eye(6))
+        to_orbit = rot.transpose(1, 0, 2).reshape(6, -1)
+        back = rot.transpose(0, 2, 1).reshape(-1, 6) / len(nodes)
 
     def averaged(p):
         p = np.asarray(p, dtype=float)
-        rows = p.reshape(-1, p.shape[-1])
+        rows = p.reshape(-1, d)
         means = []
         for start in range(0, len(rows), per_call):
             block = rows[start:start + per_call]
-            orbit = chart.act(nodes, block[:, None, :]).reshape(-1, p.shape[-1])
+            if chart.is_sphere:
+                orbit = (block @ to_orbit).reshape(-1, d)
+            else:
+                orbit = chart.act(nodes, block[:, None, :]).reshape(-1, d)
             vals = np.asarray(fn(orbit), dtype=float)
-            del orbit  # free the orbit before the transport allocates
-            # (rows, nodes, ...): each row's orbit is contiguous, so its
-            # sum does not depend on the block size
-            vals = vals.reshape((len(block), len(nodes)) + vals.shape[1:])
+            del orbit  # free the orbit before the mean allocates
             if transport:
-                vals = torus_act_s5(-nodes, vals)
-            means.append(vals.mean(axis=1))
+                # a BLAS product: its rounding may depend on the block size
+                means.append(vals.reshape(len(block), -1) @ back)
+            else:
+                # (rows, nodes, ...): each row's orbit is contiguous, so its
+                # sum does not depend on the block size
+                means.append(vals.reshape((len(block), len(nodes))
+                                          + vals.shape[1:]).mean(axis=1))
         out = np.concatenate(means)
         return out[0] if p.ndim == 1 else out.reshape(p.shape[:-1]
                                                       + out.shape[1:])

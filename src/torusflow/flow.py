@@ -657,10 +657,8 @@ def estimate_order(field, p0, radii=None, n_directions=4, declared_order=None):
     slopes, r2s = [], []
     for u in _probe_directions(chart, x0, float(radii.max()),
                                n_directions, dict(field.meta)):
-        vals = np.array([
-            np.linalg.norm(field.func(chart.displace_base(p0, r * u)))
-            for r in radii
-        ])
+        vals = np.linalg.norm(
+            field.func(chart.displace_base(p0, radii[:, None] * u)), axis=-1)
         if np.any(vals <= 0.0):
             continue
         lr, lv = np.log(radii), np.log(vals)

@@ -248,15 +248,15 @@ class Chart:
         """Move a chart point by a base displacement, keeping the fiber phase.
 
         On the sphere this re-embeds pi(p) + delta with the phases of p.
+        Broadcasts over leading axes of both arguments.
         """
         p = np.asarray(p, dtype=float)
         delta = np.asarray(delta, dtype=float)
         if self.kind == "sphere5":
             return embed_s5(base_projection_pi(p) + delta, sphere_phases(p))
-        out = p.copy()
-        nb = self.base_dim
-        out[..., :nb] = out[..., :nb] + delta
-        return out
+        shift = np.zeros(delta.shape[:-1] + p.shape[-1:])
+        shift[..., :self.base_dim] = delta
+        return p + shift
 
     def base_tangent(self, p, v):
         """Push a chart tangent vector down to the base (d(pi) on the sphere)."""

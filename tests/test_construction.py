@@ -7,11 +7,9 @@ import pytest
 from torusflow import construction
 from torusflow.construction import (
     ConstructionManifest,
-    apply_effective_damping,
     build_line_describing,
     build_planar_demo,
     build_s5,
-    damping_h,
     haar_average_field,
     haar_average_function,
 )
@@ -20,7 +18,6 @@ from torusflow.fields import (
     SingularFiber,
     field_scale,
     fundamental_fields_s5,
-    xi_plus_affine,
 )
 from torusflow.flow import estimate_order
 from torusflow.geometry import (
@@ -98,31 +95,6 @@ def test_planar_demo_rejects_bad_orders():
         build_planar_demo(orders=(2, 3, 6))
     with pytest.raises(ValueError):
         build_planar_demo(orders=(2, 2, 4))
-
-
-def test_damping_h_flat_at_zero():
-    assert damping_h(-1.0) == 0.0
-    assert damping_h(0.0) == 0.0
-    assert damping_h(1.0) == pytest.approx(np.exp(-1.0))
-    # flatness: h(t)/t^20 -> 0 as t -> 0+
-    t = 1e-2
-    assert damping_h(t) / t**20 < 1e-3
-
-
-def test_apply_effective_damping():
-    X = xi_plus_affine(1, (1.0,))
-    gauge = lambda p: np.asarray(p, dtype=float)[..., 0] ** 2
-    D = apply_effective_damping(X, gauge)
-    assert np.allclose(D.func(np.array([0.0, 0.3])), 0.0)
-    val = D.func(np.array([1.0, 0.3]))
-    assert np.allclose(val, np.exp(-1.0) * np.array([1.0, 1.0]))
-
-
-def test_apply_effective_damping_rejects_negative_gauge():
-    X = xi_plus_affine(1, (1.0,))
-    D = apply_effective_damping(X, lambda p: np.asarray(p, float)[..., 0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        D.func(np.array([-1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +227,53 @@ def test_dropped_haar_average_is_freed_without_gc(chart):
     finally:
         if enabled:
             gc.enable()
+
+
+def per_node_mean(func, ys, n_nodes, transport):
+    # the defining sum, one torus element at a time, through the public action
+    total = 0.0
+    for lam in np.ndindex((n_nodes,) * 3):
+        lam = np.array(lam) * (2 * np.pi / n_nodes)
+        val = func(torus_act_s5(lam, ys))
+        total = total + (torus_act_s5(-lam, val) if transport else val)
+    return total / n_nodes ** 3
+
+
+@pytest.mark.parametrize("n_nodes", [4, 8, 16])
+def test_s5_haar_equals_per_node_reference(n_nodes):
+    rng = np.random.default_rng(8)
+    M, S = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
+    ys = sphere_points(6, seed=n_nodes)
+
+    def cubic(y):
+        y = np.asarray(y, dtype=float)
+        return np.sum(y * (y @ S.T), axis=-1)[..., None] * (y @ M.T) + y @ M.T
+
+    def quartic(y):
+        q = np.sum(y * (y @ S.T), axis=-1)
+        return q + q ** 2
+
+    chart = Chart("sphere5")
+    cases = [
+        (haar_average_field(FieldHandle("c", chart, cubic), n_nodes).func,
+         per_node_mean(cubic, ys, n_nodes, transport=True)),
+        (haar_average_function(quartic, chart, n_nodes),
+         per_node_mean(quartic, ys, n_nodes, transport=False)),
+    ]
+    for averaged, want in cases:
+        assert np.max(np.abs(averaged(ys) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_s5_haar_builds_the_rotation_table_once(monkeypatch):
+    calls = []
+
+    def counted(lam, y):
+        calls.append(np.shape(lam))
+        return torus_act_s5(lam, y)
+
+    monkeypatch.setattr(construction, "torus_act_s5", counted)
+    bar = haar_average_field(FieldHandle("f", Chart("sphere5"), cubic_field),
+                             n_nodes=16)
+    assert len(calls) == 1
+    bar.func(sphere_points(20))
+    assert len(calls) == 1

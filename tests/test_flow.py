@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -484,6 +486,26 @@ def test_estimate_order_line_sinks():
         assert abs(rep.estimated_order - order) < 0.2
         assert rep.r_squared >= 0.99
         assert rep.declared_order == order
+
+
+@pytest.mark.parametrize("build", [
+    lambda: line_model_fields("circle", n=2, a=(1.0, SQRT2)).Xprime,
+    lambda: build_planar_demo().field,
+    lambda: build_s5().field,
+])
+def test_estimate_order_evaluates_all_radii_in_one_call(build):
+    fld = build()
+    rows = []
+
+    def counted(p):
+        rows.append(len(p))
+        return fld.func(p)
+
+    fib = fld.singular_fibers[0]
+    rep = estimate_order(dataclasses.replace(fld, func=counted),
+                         fld.chart.lift(fib.point()))
+    assert rows == [8] * len(rep.slopes) and len(rep.slopes) > 0
+    assert abs(rep.estimated_order - fib.order) < 0.2
 
 
 def test_estimate_order_flags_degenerate_fit():

@@ -187,3 +187,20 @@ def test_base_tangent_is_projection_differential():
         want = 2 * (ys[..., 2 * j] * vs[..., 2 * j]
                     + ys[..., 2 * j + 1] * vs[..., 2 * j + 1])
         assert np.array_equal(got[..., j], want)
+
+
+@pytest.mark.parametrize("chart", [
+    Chart("product", k=2, n=2), Chart("circle_product", n=2), Chart("sphere5"),
+])
+def test_displace_base_broadcasts_point_against_deltas(chart):
+    p = chart.lift(np.full(chart.base_dim, 0.25))
+    if not chart.is_sphere:
+        p[chart.base_dim:] = 0.5
+    deltas = np.linspace(-0.05, 0.05, 4 * chart.base_dim).reshape(
+        4, chart.base_dim)
+    moved = chart.displace_base(p, deltas)
+    assert moved.shape == (4, chart.dim)
+    rows = np.stack([chart.displace_base(p, delta) for delta in deltas])
+    assert np.array_equal(moved, rows)
+    assert np.allclose(chart.base(moved), chart.base(p) + deltas, atol=1e-15)
+    assert np.allclose(chart.fiber_angles(moved), chart.fiber_angles(p))
