@@ -28,17 +28,13 @@ from .construction import (
 from .fields import (
     FieldHandle,
     SingularFiber,
-    affine_torus_field,
-    base_gradient_field,
     connection_fields_s5,
     describing_field_s5,
     field_scale,
-    field_sum,
     fundamental_fields_s5,
     lie_bracket,
     line_model_fields,
     pushforward_residual,
-    radial_field,
     rational_relation,
     tau_s5,
     xi_plus_affine,
@@ -61,7 +57,6 @@ from .geometry import (
     in_triangle,
     sphere_normalize,
     torus_act_s5,
-    torus_translate,
     wrap_angles,
 )
 from .radial import (
@@ -78,7 +73,6 @@ from .verify import (
     commutant_basis_check,
     commutant_dimension_probe,
     conjugation_residual,
-    drift_commutant_comparison,
     verify_manifest,
 )
 

@@ -64,22 +64,6 @@ class FieldHandle:
         return self.chart.dim
 
 
-def field_sum(name, *fields):
-    """Pointwise sum of fields on a common chart."""
-    chart = fields[0].chart
-    if any(f.chart != chart for f in fields):
-        raise ValueError("fields live on different charts")
-    funcs = [f.func for f in fields]
-
-    def func(p):
-        out = funcs[0](p)
-        for g in funcs[1:]:
-            out = out + g(p)
-        return out
-
-    return FieldHandle(name, chart, func)
-
-
 def field_scale(name, scalar_fn, base_field):
     """Multiply a field by a scalar function of the point."""
 
@@ -99,16 +83,6 @@ def field_scale(name, scalar_fn, base_field):
 
 # ---------------------------------------------------------------------------
 # library fields: product charts
-
-
-def radial_field(k):
-    """The Euler field x -> x on R^k (order-one zero at the origin)."""
-    if k < 1:
-        raise ValueError("radial field needs k >= 1")
-    chart = Chart("product", k=k, n=0)
-    origin = SingularFiber("origin", (0.0,) * k, 1)
-    return FieldHandle("xi", chart, lambda p: np.array(p, dtype=float),
-                       singular_fibers=(origin,))
 
 
 def rational_relation(a, max_coeff=50, tol=1e-9):
@@ -143,41 +117,15 @@ def rational_relation(a, max_coeff=50, tol=1e-9):
     return tuple(int(m) for m in best)
 
 
-def affine_torus_field(a, dense=None):
-    """Constant field sum a_r d/dtheta_r on T^n.
-
-    ``dense`` is a caller-declared flag (rational independence is not a
-    numerically decidable property); when the caller declares density but a
-    small integer relation exists, a warning is emitted.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.size
-    if n < 1:
-        raise ValueError("need at least one frequency")
-    relation = rational_relation(a)
-    if dense and relation is not None:
-        warnings.warn(
-            f"frequencies {tuple(a)} declared dense but admit the integer "
-            f"relation {relation}",
-            stacklevel=2,
-        )
-    chart = Chart("product", k=0, n=n)
-
-    def func(p):
-        p = np.asarray(p, dtype=float)
-        return np.broadcast_to(a, p.shape).copy()
-
-    return FieldHandle("T", chart, func,
-                       meta={"frequencies": tuple(a), "dense": bool(dense),
-                             "relation": relation})
-
-
 def xi_plus_affine(k, a, dense=True):
     """X = xi + T on R^k x T^n: radial in x, constant a on the angles."""
     a = np.asarray(a, dtype=float)
-    n = a.size
-    affine_torus_field(a, dense=dense)  # density heuristic / warning
-    chart = Chart("product", k=k, n=n)
+    if a.size < 1:
+        raise ValueError("need at least one frequency")
+    if dense and (relation := rational_relation(a)) is not None:
+        warnings.warn(f"frequencies {tuple(a)} declared dense but admit the "
+                      f"integer relation {relation}", stacklevel=2)
+    chart = Chart("product", k=k, n=a.size)
 
     def func(p):
         p = np.asarray(p, dtype=float)
@@ -234,28 +182,6 @@ def connection_fields_s5():
         return FieldHandle(f"V{r + 1}", _SPHERE, func)
 
     return make(0), make(1)
-
-
-def base_gradient_field():
-    """Y = 2(1-x1-x2) x1 x2 [(x1-1/4) d1 + (x2-1/4) d2] on the base triangle.
-
-    Unique interior zero at (1/4, 1/4) with Jacobian I/16 (a source);
-    vanishes on the whole triangle boundary.
-    """
-    chart = Chart("product", k=2, n=0)
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        g = 2.0 * (1.0 - x[..., 0] - x[..., 1]) * x[..., 0] * x[..., 1]
-        return np.stack(
-            [g * (x[..., 0] - 0.25), g * (x[..., 1] - 0.25)], axis=-1
-        )
-
-    return FieldHandle(
-        "Y_triangle", chart, func,
-        singular_fibers=(SingularFiber("interior_source", (0.25, 0.25), 1),),
-        meta={"domain": "triangle"},
-    )
 
 
 S5_ZERO_FIBERS = (

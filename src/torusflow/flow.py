@@ -8,12 +8,12 @@ state, and a row leaves the batch when it is finished.  ``integrate`` takes
 a batch (m, d) of start points in one call and returns their start and end
 points; dense output needs one start point.  ``flow_commutation_residual``
 runs its two sides, for one or many torus elements, as one such batch.
-The limits of a T-invariant field are those of its base dynamics, which
-``classify_limit`` and ``basin_census`` run on one unit-speed base direction
-field, each step capped at half the base distance to the nearest target
-(``_BaseFlow``), so their horizons are base arc length.  It keeps the base
-orbits, and neither the torus drift nor the slowdown near high-order zeros
-can stall the classification.
+The limits of a T-invariant field are those of its base dynamics.
+``classify_limit`` (one start) and ``basin_census`` (a batch) run them
+through one runner, ``_BaseFlow.run``, on a unit-speed base direction field
+with each step capped at half the base distance to the nearest target, so
+their horizons are base arc length.  It keeps the base orbits, and neither
+the torus drift nor the slowdown near high-order zeros can stall it.
 """
 
 from __future__ import annotations
@@ -106,22 +106,21 @@ _ONE_ROW = (lambda c, a, b: a if c else b, max, min, bool, bool)
 _ROWS = (np.where, np.maximum, np.minimum, np.all, np.any)
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, hook=None):
-    """Generator of accepted steps (t, y, f(y), err_norm, rejected_before).
+def _adaptive_steps(f, t0, y0, t_end, cfg, project=None):
+    """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids).
 
     ``y0`` is one point (d,) or a batch (m, d).  Every row has its own
     time, step size and PI state and is accepted or rejected on its own
     RMS error norm; t and err are floats for one point and (m, 1) columns
-    for a batch.  A yield follows every attempt that accepted some row.
-    After it the finished rows (at ``t_end``, or dropped by the hook) leave
-    the batch and the live rows are packed together, so ``f`` only sees
-    live rows; the generator ends when no row is left.
-
-    ``hook(ids, y)`` runs after every attempt that accepted some row, with
-    the original row numbers of the live rows (None for one point) and
-    their points, and returns ``(y, drop, cap)``: the points to go on from
-    (a new array, such as a projection, is re-evaluated by ``f``), a mask
-    of rows to drop and a per-row cap on the step size, each (m,) or None.
+    for a batch, and ``ids`` are the original numbers of the live rows
+    (None for one point).  A yield follows every attempt that accepted some
+    row, once ``project(y)`` (the sphere renormalizer, or None) has given
+    the points to go on from and ``f`` has been evaluated there again.  A
+    batch's consumer may answer it with ``send((drop, cap))``: a mask (m,)
+    of rows to drop and a cap (m,) on each row's step size, either None.
+    Then the finished rows (at ``t_end``, or dropped) leave the batch and
+    the live rows are packed together, so ``f`` only sees live rows; the
+    generator ends when no row is left.
 
     The first yield is the initial condition with err 0.  All live rows
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
@@ -132,12 +131,12 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, hook=None):
     direction = 1.0 if t_end >= t0 else -1.0
     y = np.array(y0, dtype=float)
     k1 = np.asarray(f(y), dtype=float)
-    yield float(t0), y, k1, 0.0, 0
+    one = y.ndim == 1
+    ids = None if one else np.arange(len(y))
+    yield float(t0), y, k1, 0.0, 0, ids
     if t_end == t0 or y.size == 0:
         return
-    one = y.ndim == 1
     where, lower, upper, all_, any_ = _ONE_ROW if one else _ROWS
-    ids = None if one else np.arange(len(y))
     t = float(t0) if one else np.full((len(y), 1), float(t0))
     h = _initial_step(k1, y, direction, cfg.rtol)
     err_prev = 1.0 if one else np.ones_like(t)
@@ -177,15 +176,13 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, hook=None):
             h, err_prev = h * where(ok, grow, shrink), where(ok, e, err_prev)
             if not any_(ok):
                 continue
-        drop = None
-        if hook is not None:
-            y_hook, drop, cap = hook(ids, y)
-            if y_hook is not y:
-                y, k1 = y_hook, np.asarray(f(y_hook), dtype=float)
-            if cap is not None:
-                h = direction * np.minimum(direction * h, cap[:, None])
-        yield t, y, k1, err, rejected
+        if project is not None:
+            y = project(y)
+            k1 = np.asarray(f(y), dtype=float)
+        drop, cap = (yield t, y, k1, err, rejected, ids) or (None, None)
         rejected = 0
+        if cap is not None:
+            h = direction * np.minimum(direction * h, cap[:, None])
         done = direction * (t_end - t) <= 0
         if drop is not None:
             done = done | drop[:, None]
@@ -200,10 +197,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, hook=None):
 
 
 def _renormalizer(chart):
-    """Step hook that puts sphere points back on the sphere (None elsewhere)."""
-    if chart is None or not chart.is_sphere:
-        return None
-    return lambda ids, y: (chart.wrap(y), None, None)
+    """Projection of points back onto the sphere (None for other charts)."""
+    return chart.wrap if chart is not None and chart.is_sphere else None
 
 
 def _hermite(t, t0, t1, y0, y1, f0, f1):
@@ -232,7 +227,7 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
     ts, ys, fs = [], [], []
     accepted = rejected = 0
     max_err = 0.0
-    for t, y, fy, err, rej in _adaptive_steps(f, t0, y0, t1, cfg, renorm):
+    for t, y, fy, err, rej, _ in _adaptive_steps(f, t0, y0, t1, cfg, renorm):
         ts.append(t)
         ys.append(y)
         fs.append(fy)
@@ -262,22 +257,16 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
 def _batch_ends(f, t0, y0, t1, cfg, renorm):
     """Start and end points (2, m, d) and stats of a batch of m start points.
 
-    Each row's last point is recorded by the step hook, after ``renorm``
-    (the sphere renormalizer or None) has put it back on the chart.
+    Each row's last point is recorded after ``renorm`` (the sphere
+    renormalizer or None) has put it back on the chart.
     """
     ends = y0.copy()
-
-    def record(ids, y):
-        if renorm is not None:
-            y = renorm(ids, y)[0]
-        ends[ids] = y
-        return y, None, None
-
     accepted = rejected = 0
     max_err = 0.0
-    steps = _adaptive_steps(f, t0, y0, t1, cfg, record)
+    steps = _adaptive_steps(f, t0, y0, t1, cfg, renorm)
     next(steps)  # the start, with err 0
-    for _, _, _, err, rej in steps:
+    for _, y, _, err, rej, ids in steps:
+        ends[ids] = y
         ok = err <= 1.0
         accepted += int(np.count_nonzero(ok))
         rejected += rej
@@ -346,37 +335,27 @@ def flow_commutation_residual(field, lam, p0, t, cfg=None):
 # base dynamics: limit-set classification and basin census
 
 
-def _targets(field):
-    """Labels and base points (T, base_dim) of the sources, then zero fibers."""
-    fibers = field.singular_fibers
-    labels = [f"source_{i}" for i in range(len(field.sources))]
-    pts = list(field.sources) + [fib.base_point for fib in fibers]
-    return (labels + [fib.label for fib in fibers],
-            np.array(pts, dtype=float).reshape(len(pts), field.chart.base_dim))
-
-
 class _BaseFlow:
-    """Unit-speed base direction field of a T-invariant field, and its hook.
+    """Unit-speed base direction field of a T-invariant field, and its runner.
 
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
     points x (m, base_dim), divided by its norm; where the tangent vanishes
-    (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` (for
-    ``_adaptive_steps``) drops the rows within ``fiber_tol`` of a target and
-    caps each row's step at d / 2, d being the base distance to the nearest
-    target.  An accepted Dormand-Prince step of size h moves its point by at
-    most sum |b5_i| h ~ 1.645 h (every stage has unit speed), so a capped
-    step ends within 0.82 d and can neither reach a target nor, on a 1-D
-    base, pass one.  This bound does not rest on the error estimate, which
-    cannot see a sign flip that only stage 2 samples (its weight is 0
-    there).  On a 1-D base the velocity is constant between zeros, so every
-    step is exact and d halves per step.  ``rows`` counts the field rows
-    evaluated; ``dist`` holds the rows' target distances at the last hook
-    call.  Only a T-invariant field has base dynamics: ValueError when the
-    base tangent at the chart point ``p`` moves by more than 1e-9 |X(p)|
-    under two torus elements.
+    (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
+    rows' base distances d to the nearest target and their step caps d / 2.
+    An accepted Dormand-Prince step of size h moves its point by at most
+    sum |b5_i| h ~ 1.645 h (every stage has unit speed), so a capped step
+    ends within 0.82 d and can neither reach a target nor, on a 1-D base,
+    pass one.  This bound does not rest on the error estimate, which cannot
+    see a sign flip that only stage 2 samples (its weight is 0 there).  On a
+    1-D base the velocity is constant between zeros, so every step is exact
+    and d halves per step.  ``run`` takes a batch of base points to their
+    ``outcomes``, and ``rows`` counts the field rows it evaluated.  Only a
+    T-invariant field has base dynamics: ValueError when the base tangent at
+    the chart point ``p`` moves by more than 1e-9 |X(p)| under two torus
+    elements.
     """
 
-    def __init__(self, field, sign, p, fiber_tol):
+    def __init__(self, field, sign, p):
         chart = field.chart
         q = chart.act(np.array([[0.7], [2.9]]) * np.arange(1, chart.n + 1), p)
         v = field(p)
@@ -385,9 +364,13 @@ class _BaseFlow:
         if not gap <= 1e-9 * np.linalg.norm(v):
             raise ValueError(f"field {field.name!r} is not invariant under "
                              f"the torus at {p}: base tangent moves {gap:.3g}")
-        self.field, self.sign, self.fiber_tol = field, sign, fiber_tol
-        self.labels, self.tpts = _targets(field)
-        self.rows, self.dist = 0, None
+        self.field, self.sign, self.rows = field, sign, 0
+        fibers = field.singular_fibers  # the targets: sources, then fibers
+        self.labels = ([f"source_{i}" for i in range(len(field.sources))]
+                       + [fib.label for fib in fibers])
+        pts = list(field.sources) + [fib.base_point for fib in fibers]
+        self.tpts = np.array(pts, dtype=float).reshape(-1, chart.base_dim)
+        self.outcomes = self.labels + ["escape", "singular_set"]
 
     def distances(self, x):
         """Base distances (..., T) from base points x (..., base_dim)."""
@@ -409,14 +392,62 @@ class _BaseFlow:
             x = x / np.maximum(1.0, x.sum(axis=-1, keepdims=True))
         ys = chart.lift(x)
         v = self.sign * chart.base_tangent(ys, self.field.func(ys))
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
+        nv = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
         nv[nv < 1e-300] = 1.0
         return v / nv
 
     def hook(self, ids, x):
-        self.dist = self.distances(x)
-        d = self.dist.min(axis=1, initial=np.inf)
-        return x, d < self.fiber_tol, d / 2
+        d = self.distances(x).min(axis=1, initial=np.inf)
+        return d, d / 2
+
+    def run(self, xs, horizon, cfg, fiber_tol, escape_radius=25.0):
+        """Run a batch of base points xs (m, base_dim) to arc length horizon.
+
+        After each accepted step a row stops, and leaves the batch, at the
+        first of these ``outcomes``:
+        - its nearest target, when the distance to it is below ``fiber_tol``
+          and did not grow over the step (a start exactly on a target has
+          velocity 0, stays and counts);
+        - "singular_set", when the velocity at the accepted point (the
+          step's FSAL derivative) vanishes at least ``fiber_tol`` from every
+          target: the point will not move again;
+        - "escape", when the base is R^k and the point is beyond
+          ``escape_radius``.
+        Returns per row the index of its outcome (-1 for none), its last
+        point and its arc length, then "horizon" or the FlowError's reason,
+        which ended the rows left without an outcome.
+        """
+        outcome = np.full(len(xs), -1)
+        ends, lengths = xs.copy(), np.zeros(len(xs))
+        near = self.distances(xs).min(axis=1, initial=np.inf)
+        if self.field.chart.kind != "product":
+            escape_radius = np.inf
+        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg)
+        next(steps)  # the start
+        sent, stop = None, "horizon"
+        try:
+            while True:
+                s, x, v, err, _, ids = steps.send(sent)
+                d, cap = self.hook(ids, x)
+                ends[ids], lengths[ids] = x, s[:, 0]
+                ok = err[:, 0] <= 1.0
+                hit = ok & (d < fiber_tol) & (d <= near[ids])
+                near[ids] = d
+                still = np.einsum("ij,ij->i", v, v) == 0  # |v| < 1e-300
+                stuck = ok & (d >= fiber_tol) & still
+                far = ok & (np.einsum("ij,ij->i", x, x) > escape_radius ** 2)
+                drop = hit | stuck | far
+                if drop.any():
+                    outcome[ids[far]] = len(self.labels)
+                    outcome[ids[stuck]] = len(self.labels) + 1
+                    if hit.any():
+                        outcome[ids[hit]] = self.distances(x[hit]).argmin(1)
+                sent = drop, cap
+        except StopIteration:
+            pass
+        except FlowError as exc:
+            stop = exc.reason
+        return outcome, ends, lengths, stop
 
 
 @dataclass
@@ -436,23 +467,17 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
                    escape_radius=25.0):
     """Classify the alpha- (backward) or omega- (forward) limit of a trajectory.
 
-    The base point of p0 runs on the census's unit-speed base direction
-    field and d / 2 step cap (``_BaseFlow``), so ``horizon`` is base arc
-    length.  ``singular_fiber`` requires final base distance below
-    ``fiber_tol``, decreasing over the last decade of the run, which must
-    hold at least two steps; ``escape`` a base point beyond
-    ``escape_radius`` on R^k.  A run whose base tangent vanishes at an
-    accepted point at least ``fiber_tol`` from every target (the edge of the
-    S^5 triangle) has reached the singular set, where it would stay: it
-    ends ``inconclusive`` with ``stop_reason`` "singular_set".  Where the
-    base tangent at p0 vanishes, the orbit stays in its fiber: it runs on
-    X / |X(p0)| for arc length ``horizon``, and a base that moved at most
+    The base point of p0 runs alone through ``_BaseFlow.run``, so ``horizon``
+    is base arc length: a target gives ``singular_fiber`` and an escape
+    ``escape``, both "converged", and the singular set (the edge of the S^5
+    triangle) ``inconclusive`` with ``stop_reason`` "singular_set".  Where
+    the base tangent at p0 vanishes, the orbit stays in its fiber: it runs
+    on X / |X(p0)| for arc length ``horizon``, and a base that moved at most
     ``base_tol`` gives ``torus_closure`` (``recurrent`` if the orbit came
-    back within ``recurrence_delta`` of p0).  ``stop_reason`` is otherwise
-    "converged" for a conclusive early return, "horizon" when the budget is
-    spent, or the FlowError's "step_budget" or "underflow".  ``rhs_rows``
-    counts the field rows the run evaluated.  Raises ValueError when X is
-    not T-invariant at p0.
+    back within ``recurrence_delta`` of p0).  Any other run is
+    ``inconclusive`` with ``stop_reason`` "horizon", "step_budget" or
+    "underflow".  ``rhs_rows`` counts the field rows evaluated.  Raises
+    ValueError when X is not T-invariant at p0.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -461,13 +486,24 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
         return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0)
-    flow = _BaseFlow(field, sign, p0, 0.0)  # its hook drops no row
-    in_fiber = np.linalg.norm(chart.base_tangent(p0, v0)) < 1e-300
-    escapes = chart.kind == "product"  # the base is R^k
-    x = chart.base(p0)[None]
+    flow = _BaseFlow(field, sign, p0)
+    x0 = chart.base(p0)
+    if np.linalg.norm(chart.base_tangent(p0, v0)) >= 1e-300:
+        outcome, ends, lengths, stop = flow.run(x0[None], horizon, cfg,
+                                                fiber_tol, escape_radius)
+        d, label = flow.nearest(flow.distances(ends[0]))
+        what = flow.outcomes[outcome[0]] if outcome[0] >= 0 else stop
+        if what == "escape":
+            label, kind, what = None, "escape", "converged"
+        elif what in flow.labels:
+            kind, what = "singular_fiber", "converged"
+        else:
+            kind = "inconclusive"
+        return LimitSetReport(kind, label, d, float(lengths[0]), what,
+                              flow.rows)
+
     s_end, stop_reason = 0.0, "horizon"
     base_moved, left_ball, returned = 0.0, False, False
-    history = []  # (base arc length, nearest distance)
     scale, fiber_rows = sign / np.linalg.norm(v0), 0
 
     def fiber_velocity(p):  # one point (d,) per call
@@ -476,48 +512,22 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
         return scale * field.func(p)
 
     try:
-        if in_fiber:
-            for s_end, p, _, _, _ in _adaptive_steps(
-                    fiber_velocity, 0.0, p0, horizon, cfg,
-                    _renormalizer(chart)):
-                base_moved = max(base_moved, float(
-                    chart.base_distance(chart.base(p), x[0])))
-                if chart.distance(p, p0) > recurrence_delta:
-                    left_ball = True
-                elif left_ball:
-                    returned = True
-        else:
-            steps = _adaptive_steps(flow.velocity, 0.0, x, horizon, cfg,
-                                   flow.hook)
-            next(steps)  # the start, which no hook has seen
-            for s, x, v, _, _ in steps:
-                s_end = float(s[0, 0])
-                d, label = flow.nearest(flow.dist[0])
-                history.append((s_end, d))
-                if d < fiber_tol:
-                    # one entry is no trend: a start within fiber_tol of a
-                    # source would count as converged after its first step
-                    tail = [hd for hs, hd in history if hs >= 0.9 * s_end]
-                    if len(tail) > 1 and all(
-                            b <= a + 1e-12 for a, b in zip(tail, tail[1:])):
-                        return LimitSetReport("singular_fiber", label, d,
-                                              s_end, "converged", flow.rows)
-                elif np.linalg.norm(v) < 1e-300:
-                    # v, the velocity at x, fails its own |v| test off
-                    # every target: the base point will not move again
-                    return LimitSetReport("inconclusive", label, d, s_end,
-                                          "singular_set", flow.rows)
-                if escapes and np.linalg.norm(x) > escape_radius:
-                    return LimitSetReport("escape", None, d, s_end,
-                                          "converged", flow.rows)
+        for s_end, p, _, _, _, _ in _adaptive_steps(
+                fiber_velocity, 0.0, p0, horizon, cfg, _renormalizer(chart)):
+            base_moved = max(base_moved,
+                             float(chart.base_distance(chart.base(p), x0)))
+            if chart.distance(p, p0) > recurrence_delta:
+                left_ball = True
+            elif left_ball:
+                returned = True
     except FlowError as exc:
         stop_reason = exc.reason
-    d, label = flow.nearest(flow.distances(x[0]))
-    if in_fiber and base_moved <= base_tol:
+    d, label = flow.nearest(flow.distances(x0))
+    if base_moved <= base_tol:
         return LimitSetReport("torus_closure", None, d, s_end, stop_reason,
                               fiber_rows, recurrent=returned)
     return LimitSetReport("inconclusive", label, d, s_end, stop_reason,
-                          flow.rows + fiber_rows)
+                          fiber_rows)
 
 
 @dataclass
@@ -558,45 +568,31 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
                  horizon=500.0, max_steps=100_000, rtol=1e-6, atol=1e-9):
     """Backward-classify a sample of base points to their source fibers.
 
-    The samples run as one batch on the backward unit-speed base direction
-    field (``_BaseFlow``), so ``horizon`` is base arc length, and each
-    sample's step is capped at half its distance to the nearest target:
-    after each accepted step a sample within ``fiber_tol`` of a target is
-    assigned and leaves the batch.  On a 1-D base a sample needs about
-    log2(d0 / fiber_tol) steps from distance d0.  ``stop_reason`` says why
-    the integration ended; samples still unassigned count as unclassified.
-    ``rhs_rows`` counts the base points at which the field was evaluated.
-    Raises ValueError when X is not T-invariant at the first sample.
+    The samples run as one batch through ``_BaseFlow.run`` on the backward
+    unit-speed base direction field, so ``horizon`` is base arc length.  On
+    a 1-D base a sample needs about log2(d0 / fiber_tol) steps from
+    distance d0.  ``counts`` holds every outcome some sample reached: a
+    target label, "escape" or "singular_set".  ``stop_reason`` is
+    "all_assigned" when every sample reached one, else why the integration
+    ended; the samples without one count as unclassified.  ``rhs_rows``
+    counts the base points at which the field was evaluated.  Raises
+    ValueError when X is not T-invariant at the first sample.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
     sampler = sampler or _default_base_sampler(chart, dict(field.meta))
     xs = sampler(rng, n_samples)
-    flow = _BaseFlow(field, -1.0, chart.lift(xs[0]), fiber_tol)
-    assigned = np.full(n_samples, -1, dtype=int)
-
-    def record_hits(ids, x):
-        x, hit, cap = flow.hook(ids, x)
-        assigned[ids[hit]] = flow.dist[hit].argmin(axis=1)
-        return x, hit, cap
-
+    flow = _BaseFlow(field, -1.0, chart.lift(xs[0]))
     cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=max_steps)
-    try:
-        for _ in _adaptive_steps(flow.velocity, 0.0, xs, horizon, cfg,
-                                 record_hits):
-            pass
-        stop_reason = "all_assigned" if np.all(assigned >= 0) else "horizon"
-    except FlowError as exc:
-        stop_reason = exc.reason
-
-    hits = np.bincount(assigned[assigned >= 0], minlength=len(flow.labels))
+    outcome, _, _, stop = flow.run(xs, horizon, cfg, fiber_tol)
+    hits = np.bincount(outcome[outcome >= 0], minlength=len(flow.outcomes))
     return CensusReport(
         n_samples=n_samples,
-        counts={lbl: int(c) for lbl, c in zip(flow.labels, hits) if c},
+        counts={lbl: int(c) for lbl, c in zip(flow.outcomes, hits) if c},
         source_fraction=int(hits[:len(field.sources)].sum()) / n_samples,
-        unclassified_fraction=float(np.mean(assigned < 0)),
+        unclassified_fraction=float(np.mean(outcome < 0)),
         seed=seed,
-        stop_reason=stop_reason,
+        stop_reason="all_assigned" if np.all(outcome >= 0) else stop,
         rhs_rows=flow.rows,
     )
 

@@ -41,17 +41,6 @@ def angular_difference(a, b):
     return np.mod(a - b + np.pi, TWO_PI) - np.pi
 
 
-def torus_translate(theta, lam):
-    """Group law of T^n: componentwise angle sum, wrapped."""
-    theta = np.asarray(theta, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if theta.shape[-1] != lam.shape[-1]:
-        raise ValueError(
-            f"length mismatch: {theta.shape[-1]} vs {lam.shape[-1]}"
-        )
-    return wrap_angles(theta + lam)
-
-
 def sphere_normalize(y):
     """Project onto the unit sphere (last axis)."""
     y = np.asarray(y, dtype=float)
@@ -221,7 +210,7 @@ class Chart:
             return sphere_normalize(p)
         out = p.copy()
         start = 0 if self.kind == "circle_product" else self.k
-        out[..., start:] = np.mod(out[..., start:], TWO_PI)
+        out[..., start:] = wrap_angles(out[..., start:])
         return out
 
     def distance(self, p, q):

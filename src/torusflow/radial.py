@@ -183,12 +183,6 @@ class NormalFormReport:
         push = np.einsum("ico,ic->io", jac, x_tilde)
         return np.linalg.norm(push - target, axis=1)
 
-    def max_corrector_residual(self, points, h=1e-4):
-        out = 0.0
-        for r, phi in enumerate(self.correctors):
-            out = max(out, float(np.max(phi.directional_residual(points, h=h))))
-        return out
-
 
 def normalize_lifted_field(g_list: Sequence[Callable], annulus, tol=1e-8, k=None):
     """Frequencies and correctors of X~ = xi + sum g_r(x) d/dtheta_r.

@@ -200,33 +200,6 @@ def conjugation_residual(F, fld, points, t=5.0, cfg=None):
     return float(np.max(fld.chart.distance(ends[:len(points)], via_flow)))
 
 
-def drift_commutant_comparison(k=1, a=(1.0, np.e), degree=2, max_freq=2,
-                               n_points=500, seed=0):
-    """Show that the radial part is what pins the commutant down.
-
-    Probes the commutant dimension of the full field xi + T and of the
-    bare drift T on the same chart R^k x T^n.  For the bare drift every
-    field with x-dependent, theta-free coefficients commutes, so its
-    commutant within the ansatz blows up with the polynomial degree while
-    the full field stays at k^2 + n.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.size
-    full = commutant_dimension_probe(k, a, degree, max_freq, n_points, seed)
-
-    # bare drift: the slot condition is T.f = 0 on every slot
-    _, _, Tf = _ansatz(k, a, degree, max_freq,
-                       *_probe_points(k, n, n_points, seed))
-    nullity, _ = _nullity(Tf, 1e-8)
-    dim_drift = (k + n) * nullity
-    return {
-        "dimension_full": full.dimension,
-        "dimension_drift_only": dim_drift,
-        "expected_full": k * k + n,
-        "ansatz_x_monomials": math.comb(k + degree, k),
-    }
-
-
 # ---------------------------------------------------------------------------
 # manifest verification
 

@@ -4,19 +4,15 @@ import pytest
 from torusflow.fields import (
     E,
     FieldHandle,
-    affine_torus_field,
-    base_gradient_field,
     batched_jacobian,
     connection_fields_s5,
     describing_field_s5,
     field_scale,
-    field_sum,
     fundamental_fields_s5,
     lie_bracket,
     lifted_field_s5,
     line_model_fields,
     pushforward_residual,
-    radial_field,
     rational_relation,
     tau_s5,
     xi_plus_affine,
@@ -35,12 +31,6 @@ rng = np.random.default_rng(7)
 
 def random_sphere_points(m):
     return sphere_normalize(np.random.default_rng(11).normal(size=(m, 6)))
-
-
-def test_radial_field_values():
-    xi = radial_field(2)
-    assert np.allclose(xi(np.array([1.5, -2.0])), [1.5, -2.0])
-    assert xi.singular_fibers[0].order == 1
 
 
 def test_xi_plus_affine_values():
@@ -93,7 +83,7 @@ def test_rational_relation_found_and_absent():
 
 def test_affine_field_warns_on_false_density_claim():
     with pytest.warns(UserWarning):
-        affine_torus_field((1.0, 2.0), dense=True)
+        xi_plus_affine(1, (1.0, 2.0), dense=True)
 
 
 def test_fundamental_fields_tangent_and_commuting():
@@ -123,15 +113,6 @@ def test_connection_fields_tangent_and_projection():
         expect = np.zeros_like(proj)
         expect[:, r] = 2.0 * x[:, r] * (1.0 - x[:, 0] - x[:, 1])
         assert np.allclose(proj, expect, atol=1e-12)
-
-
-def test_base_gradient_field_zero_and_jacobian():
-    Y = base_gradient_field()
-    p = np.array([0.25, 0.25])
-    assert np.allclose(Y(p), 0.0)
-    jac, _ = batched_jacobian(Y.func, p[None])
-    # g(1/4,1/4) = 2 * (1/2) * (1/16) = 1/16, so DY = I/16 (a source)
-    assert np.allclose(jac[0], np.eye(2) / 16.0, atol=1e-9)
 
 
 def test_tau_s5_zero_inventory():
@@ -276,13 +257,10 @@ def test_line_model_rejects_bad_args():
 
 
 def test_field_algebra():
-    xi = radial_field(1)
-    two_xi = field_sum("2xi", xi, xi)
-    assert np.allclose(two_xi(np.array([3.0])), [6.0])
+    xi = FieldHandle("xi", Chart("product", k=1, n=0),
+                     lambda p: np.array(p, dtype=float))
     sq = field_scale("x2*xi", lambda p: p[..., 0] ** 2, xi)
     assert np.allclose(sq(np.array([2.0])), [8.0])
-    with pytest.raises(ValueError):
-        field_sum("bad", xi, radial_field(2))
 
 
 def test_lie_bracket_oracle():

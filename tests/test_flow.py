@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from torusflow.construction import build_planar_demo, build_s5
 from torusflow.fields import (
     FieldHandle,
     describing_field_s5,
-    field_sum,
     fundamental_fields_s5,
     lifted_field_s5,
     line_model_fields,
@@ -106,8 +106,9 @@ def test_flow_commutation_residual_product_chart():
 def _undamped_s5():
     # Y' + U1 + U2 + U3: unlike the describing field (whose damping is below
     # 1e-20 on most of the sphere) it moves every point
-    return field_sum("undamped_s5", lifted_field_s5(),
-                     *fundamental_fields_s5())
+    parts = [lifted_field_s5(), *fundamental_fields_s5()]
+    return FieldHandle("undamped_s5", Chart("sphere5"),
+                       lambda y: sum(f.func(y) for f in parts))
 
 
 def _batch_cases():
@@ -351,6 +352,21 @@ def test_census_counts_on_planar_and_s5_are_pinned(build, seed):
     assert rep.stop_reason == "all_assigned"
 
 
+def test_census_stops_samples_at_the_singular_set():
+    # the reversed S^5 field carries every backward sample to the edge of
+    # the triangle, where the base tangent vanishes away from every target
+    X = describing_field_s5()
+    reversed_field = dataclasses.replace(X, func=lambda y: -X.func(y))
+    start = time.perf_counter()
+    rep = basin_census(reversed_field, 50, seed=1)
+    elapsed = time.perf_counter() - start
+    assert rep.counts == {"singular_set": 50}
+    assert rep.stop_reason == "all_assigned"
+    assert rep.unclassified_fraction == 0.0
+    assert rep.rhs_rows <= 400 * rep.n_samples
+    assert elapsed < 0.5
+
+
 def test_census_work_per_sample_does_not_grow_with_n():
     # finished samples leave the batch and each keeps its own step size,
     # so the field rows grow about linearly with the sample count
@@ -405,6 +421,28 @@ def test_classify_matches_sign_of_y(base, x, direction):
     assert rep.stop_reason == "converged"
 
 
+@pytest.mark.parametrize("base, direction", [
+    ("line", "forward"), ("line", "backward"),
+    ("circle", "forward"), ("circle", "backward"),
+])
+def test_runner_batch_equals_rows_one_at_a_time(base, direction):
+    # every row keeps its own step control and stop, so a row's outcome
+    # and end point do not depend on the rows run beside it
+    xs = np.array([[case.values[1]] for case in _classify_starts()
+                   if case.values[::2] == (base, direction)])
+    m = line_model_fields(base, n=2, a=(1.0, SQRT2))
+    flow = flow_module._BaseFlow(m.Xprime, 1.0 if direction == "forward"
+                                 else -1.0, np.array([xs[0, 0], 0.3, 1.1]))
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
+    outcome, ends, _, _ = flow.run(xs, 200.0, cfg, 1e-5)
+    assert np.all(outcome >= 0)
+    for x, got, end in zip(xs, outcome, ends):
+        one, one_end, _, _ = flow.run(x[None], 200.0, cfg, 1e-5)
+        assert one[0] == got
+        # the stage sums are matrix products, rounded per batch size
+        assert abs(one_end[0, 0] - end[0]) <= 1e-12 * max(1.0, abs(end[0]))
+
+
 def test_classify_work_on_sign_of_y_starts():
     # about log2(d0 / fiber_tol) exact steps; 571 rows (line) and 583
     # (circle) with the former throttled base field
@@ -426,6 +464,21 @@ def test_classify_work_on_sign_of_y_starts():
 def test_classify_forward_leaves_a_nearby_source(base, x):
     m = line_model_fields(base, n=2, a=(1.0, SQRT2))
     rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), "forward")
+    assert (rep.kind, rep.target) == _expected_limit(base, x, "forward")
+    assert rep.stop_reason == "converged"
+
+
+# With fiber_tol = 1e-3 the first step (about 1e-4 long) still ends within
+# fiber_tol of the source it started next to, but further from it: only the
+# "did not grow" half of the target rule keeps it from being the limit.
+@pytest.mark.parametrize("base, x", [
+    ("line", 1e-4), ("line", 2.0 - 1e-4), ("line", 2.0 + 1e-4),
+    ("line", 4.0 - 1e-4), ("circle", TWO_PI / 3.0 + 1e-4),
+])
+def test_classify_forward_leaves_a_source_within_fiber_tol(base, x):
+    m = line_model_fields(base, n=2, a=(1.0, SQRT2))
+    rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), "forward",
+                         fiber_tol=1e-3)
     assert (rep.kind, rep.target) == _expected_limit(base, x, "forward")
     assert rep.stop_reason == "converged"
 

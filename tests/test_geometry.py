@@ -5,14 +5,12 @@ from hypothesis import given, strategies as st
 from torusflow.geometry import (
     TWO_PI,
     Chart,
-    angular_difference,
     base_projection_pi,
     embed_s5,
     in_triangle,
     sphere_normalize,
     sphere_phases,
     torus_act_s5,
-    torus_translate,
     wrap_angles,
 )
 
@@ -25,18 +23,6 @@ def test_wrap_angles_idempotent_and_in_range(theta):
     w = wrap_angles(np.array(theta))
     assert np.all((w >= 0.0) & (w < TWO_PI))
     assert np.allclose(wrap_angles(w), w)
-
-
-@given(st.lists(angles, min_size=2, max_size=2),
-       st.lists(angles, min_size=2, max_size=2),
-       st.lists(angles, min_size=2, max_size=2))
-def test_torus_translate_group_law(t, a, b):
-    t, a, b = map(np.array, (t, a, b))
-    lhs = torus_translate(torus_translate(t, a), b)
-    rhs = torus_translate(t, np.array(a) + np.array(b))
-    # compared as points of T^n: after rounding, the two wrapped
-    # representatives may sit on either side of 0 = 2*pi
-    assert np.allclose(angular_difference(lhs, rhs), 0.0, atol=1e-9)
 
 
 def test_wrap_angles_rejects_nonfinite():

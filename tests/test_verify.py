@@ -12,7 +12,6 @@ from torusflow.verify import (
     commutant_basis_check,
     commutant_dimension_probe,
     conjugation_residual,
-    drift_commutant_comparison,
     verify_manifest,
 )
 
@@ -164,13 +163,6 @@ def test_infinitesimal_mode_agrees_on_pass_fail():
     pts = np.array([[0.4, 0.9]])
     assert np.max(pushforward_residual(good, X.func, pts)) < 1e-8
     assert np.max(pushforward_residual(bad, X.func, pts)) > 1e-2
-
-
-def test_drift_alone_has_oversized_commutant():
-    rep = drift_commutant_comparison(k=1, a=(1.0, np.e), n_points=500)
-    assert rep["dimension_full"] == rep["expected_full"] == 3
-    # without the radial part every x-profile commutes slotwise
-    assert rep["dimension_drift_only"] > rep["expected_full"]
 
 
 def test_verify_manifest_passes_for_line_model():
