@@ -9,6 +9,7 @@ fibers pairwise inequivalent, which kills any extra symmetry.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -167,24 +168,43 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
 _HAAR_BLOCK = 1 << 12
 
 
+def _grid(n, n_nodes):
+    """The uniform grid of n_nodes ** n torus elements, (n_nodes ** n, n)."""
+    return np.indices((n_nodes,) * n).reshape(n, -1).T * (TWO_PI / n_nodes)
+
+
+@functools.lru_cache(maxsize=4)
+def _s5_rotations(n_nodes, act):
+    """Read-only rotations (6, 6 N) of the S^5 grid with n_nodes per angle.
+
+    ``act`` is the action the table is built through (``torus_act_s5``);
+    it is part of the cache key, so a replaced action builds its own table.
+    ``y @ table`` lists the orbit of each row y, and ``vals @ table.T``
+    rotates an orbit's values back and sums them.
+    """
+    # rot[v, j] = R(node v) e_j, for the T^3 acting on S^5
+    rot = act(_grid(3, n_nodes)[:, None, :], np.eye(6))
+    table = rot.transpose(1, 0, 2).reshape(6, -1)
+    table.flags.writeable = False
+    return table
+
+
 def _haar_mean(fn, chart, n_nodes, transport):
     """Mean of ``fn`` over the torus orbit of each row, on a uniform grid.
 
     Evaluates ``fn`` once per block of rows on all their orbit points;
     with ``transport`` each value is a sphere vector, moved back by the
     inverse rotation before averaging.  On S^5 the action is linear, so the
-    rotations of the grid are built once per averaged function, and the
-    orbit and the transported mean are each one matrix product.  A point
-    (d,) gives one value, a batch (m, d) gives m values.
+    rotations of the grid are built once per node count
+    (``_s5_rotations``), and the orbit and the transported mean are each
+    one matrix product.  A point (d,) gives one value, a batch (m, d) gives
+    m values.
     """
     n, d = chart.n, chart.dim
-    nodes = np.indices((n_nodes,) * n).reshape(n, -1).T * (TWO_PI / n_nodes)
+    nodes = _grid(n, n_nodes)
     per_call = max(1, _HAAR_BLOCK // len(nodes))
     if chart.is_sphere:
-        # rot[v, j] = R(nodes[v]) e_j
-        rot = torus_act_s5(nodes[:, None, :], np.eye(6))
-        to_orbit = rot.transpose(1, 0, 2).reshape(6, -1)
-        back = rot.transpose(0, 2, 1).reshape(-1, 6) / len(nodes)
+        rotations = _s5_rotations(n_nodes, torus_act_s5)
 
     def averaged(p):
         p = np.asarray(p, dtype=float)
@@ -193,14 +213,15 @@ def _haar_mean(fn, chart, n_nodes, transport):
         for start in range(0, len(rows), per_call):
             block = rows[start:start + per_call]
             if chart.is_sphere:
-                orbit = (block @ to_orbit).reshape(-1, d)
+                orbit = (block @ rotations).reshape(-1, d)
             else:
                 orbit = chart.act(nodes, block[:, None, :]).reshape(-1, d)
             vals = np.asarray(fn(orbit), dtype=float)
             del orbit  # free the orbit before the mean allocates
             if transport:
                 # a BLAS product: its rounding may depend on the block size
-                means.append(vals.reshape(len(block), -1) @ back)
+                means.append(vals.reshape(len(block), -1) @ rotations.T
+                             / len(nodes))
             else:
                 # (rows, nodes, ...): each row's orbit is contiguous, so its
                 # sum does not depend on the block size

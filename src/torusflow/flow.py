@@ -11,9 +11,10 @@ runs its two sides, for one or many torus elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
 through one runner, ``_BaseFlow.run``, on a unit-speed base direction field
-with each step capped at half the base distance to the nearest target, so
-their horizons are base arc length.  It keeps the base orbits, and neither
-the torus drift nor the slowdown near high-order zeros can stall it.
+with each step, the first one included, capped at the base distance to the
+nearest target over 1.65, so their horizons are base arc length.  It keeps
+the base orbits, and neither the torus drift nor the slowdown near
+high-order zeros can stall it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
+_REACH = 1.65  # above sum |b5_i| = 1.64475: the base step cap, see _BaseFlow
 
 
 class FlowError(RuntimeError):
@@ -106,7 +108,7 @@ _ONE_ROW = (lambda c, a, b: a if c else b, max, min, bool, bool)
 _ROWS = (np.where, np.maximum, np.minimum, np.all, np.any)
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, project=None):
+def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
     """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids).
 
     ``y0`` is one point (d,) or a batch (m, d).  Every row has its own
@@ -120,7 +122,9 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None):
     of rows to drop and a cap (m,) on each row's step size, either None.
     Then the finished rows (at ``t_end``, or dropped) leave the batch and
     the live rows are packed together, so ``f`` only sees live rows; the
-    generator ends when no row is left.
+    generator ends when no row is left.  A batch's ``h0`` (m,) sets the
+    size of each row's first step; rows where it is 0 or not finite start
+    from ``_initial_step``'s guess, as all rows do without it.
 
     The first yield is the initial condition with err 0.  All live rows
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
@@ -139,6 +143,9 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None):
     where, lower, upper, all_, any_ = _ONE_ROW if one else _ROWS
     t = float(t0) if one else np.full((len(y), 1), float(t0))
     h = _initial_step(k1, y, direction, cfg.rtol)
+    if h0 is not None:
+        h0 = h0[:, None]
+        h = np.where(np.isfinite(h0) & (h0 > 0), direction * h0, h)
     err_prev = 1.0 if one else np.ones_like(t)
     K = np.empty((7, y.size))  # stage derivatives, one flattened row each
     stage = K.reshape((7,) + y.shape)
@@ -341,18 +348,19 @@ class _BaseFlow:
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
     points x (m, base_dim), divided by its norm; where the tangent vanishes
     (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
-    rows' base distances d to the nearest target and their step caps d / 2.
+    rows' base distances d to the nearest target and their step caps
+    d / 1.65, and ``run`` starts each row with the cap at its start point.
     An accepted Dormand-Prince step of size h moves its point by at most
-    sum |b5_i| h ~ 1.645 h (every stage has unit speed), so a capped step
-    ends within 0.82 d and can neither reach a target nor, on a 1-D base,
+    sum |b5_i| h = 1.64475 h (every stage has unit speed), so a capped step
+    ends within 0.9968 d and can neither reach a target nor, on a 1-D base,
     pass one.  This bound does not rest on the error estimate, which cannot
     see a sign flip that only stage 2 samples (its weight is 0 there).  On a
     1-D base the velocity is constant between zeros, so every step is exact
-    and d halves per step.  ``run`` takes a batch of base points to their
-    ``outcomes``, and ``rows`` counts the field rows it evaluated.  Only a
-    T-invariant field has base dynamics: ValueError when the base tangent at
-    the chart point ``p`` moves by more than 1e-9 |X(p)| under two torus
-    elements.
+    and at the cap: d shrinks by a factor 1.65 / 0.65 = 2.54 per step.
+    ``run`` takes a batch of base points to their ``outcomes``, and ``rows``
+    counts the field rows it evaluated.  Only a T-invariant field has base
+    dynamics: ValueError when the base tangent at the chart point ``p``
+    moves by more than 1e-9 |X(p)| under two torus elements.
     """
 
     def __init__(self, field, sign, p):
@@ -398,7 +406,7 @@ class _BaseFlow:
 
     def hook(self, ids, x):
         d = self.distances(x).min(axis=1, initial=np.inf)
-        return d, d / 2
+        return d, d / _REACH
 
     def run(self, xs, horizon, cfg, fiber_tol, escape_radius=25.0):
         """Run a batch of base points xs (m, base_dim) to arc length horizon.
@@ -409,8 +417,10 @@ class _BaseFlow:
           and did not grow over the step (a start exactly on a target has
           velocity 0, stays and counts);
         - "singular_set", when the velocity at the accepted point (the
-          step's FSAL derivative) vanishes at least ``fiber_tol`` from every
-          target: the point will not move again;
+          step's FSAL derivative) vanishes, or points against the velocity
+          before the step, at least ``fiber_tol`` from every target: the
+          point will not move again, or the step crossed a zero that is not
+          a target (on a 1-D base rows would chatter across it);
         - "escape", when the base is R^k and the point is beyond
           ``escape_radius``.
         Returns per row the index of its outcome (-1 for none), its last
@@ -422,8 +432,9 @@ class _BaseFlow:
         near = self.distances(xs).min(axis=1, initial=np.inf)
         if self.field.chart.kind != "product":
             escape_radius = np.inf
-        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg)
-        next(steps)  # the start
+        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
+                                h0=near / _REACH)
+        vel = next(steps)[2].copy()  # the start
         sent, stop = None, "horizon"
         try:
             while True:
@@ -433,8 +444,10 @@ class _BaseFlow:
                 ok = err[:, 0] <= 1.0
                 hit = ok & (d < fiber_tol) & (d <= near[ids])
                 near[ids] = d
+                turn = np.einsum("ij,ij->i", v, vel[ids])
+                vel[ids] = v  # a rejected row keeps its velocity
                 still = np.einsum("ij,ij->i", v, v) == 0  # |v| < 1e-300
-                stuck = ok & (d >= fiber_tol) & still
+                stuck = ok & (d >= fiber_tol) & (still | (turn < 0))
                 far = ok & (np.einsum("ij,ij->i", x, x) > escape_radius ** 2)
                 drop = hit | stuck | far
                 if drop.any():
@@ -570,7 +583,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
 
     The samples run as one batch through ``_BaseFlow.run`` on the backward
     unit-speed base direction field, so ``horizon`` is base arc length.  On
-    a 1-D base a sample needs about log2(d0 / fiber_tol) steps from
+    a 1-D base a sample needs about log_2.54(d0 / fiber_tol) steps from
     distance d0.  ``counts`` holds every outcome some sample reached: a
     target label, "escape" or "singular_set".  ``stop_reason`` is
     "all_assigned" when every sample reached one, else why the integration

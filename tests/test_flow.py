@@ -326,19 +326,20 @@ def test_census_reproducible():
 
 def test_census_reports_why_it_stopped():
     m = line_model_fields("line", n=1, a=(1.0,))
-    short = basin_census(m.Xprime, 4, max_steps=20)
+    short = basin_census(m.Xprime, 4, max_steps=8)
     assert short.stop_reason == "step_budget"
     assert short.unclassified_fraction > 0
     assert basin_census(m.Xprime, 4).stop_reason == "all_assigned"
 
 
 def test_census_work_per_sample_is_bounded():
-    # unit speed with the d / 2 cap: d halves per exact step on the line,
-    # about 17 steps from d ~ 1 down to fiber_tol
+    # unit speed with every step, the first included, at the d / 1.65 cap:
+    # d shrinks by 2.54 per exact step on the line, about 12 steps from
+    # d ~ 1 down to fiber_tol (74 rows per sample; 111 with the d / 2 cap)
     m = line_model_fields("line", n=1, a=(1.0,))
     rep = basin_census(m.Xprime, 200, seed=1)
     assert rep.stop_reason == "all_assigned"
-    assert rep.rhs_rows / rep.n_samples <= 150
+    assert rep.rhs_rows / rep.n_samples <= 90
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -365,6 +366,55 @@ def test_census_stops_samples_at_the_singular_set():
     assert rep.unclassified_fraction == 0.0
     assert rep.rhs_rows <= 400 * rep.n_samples
     assert elapsed < 0.5
+
+
+def test_census_stops_samples_at_undeclared_zeros():
+    # without its sources the line's backward samples run into zeros that
+    # are no target: a row whose velocity reverses over a step crossed one
+    m = line_model_fields("line", n=1, a=(1.0,))
+    bare = dataclasses.replace(m.Xprime, sources=())
+    start = time.perf_counter()
+    rep = basin_census(bare, 9, seed=1)
+    elapsed = time.perf_counter() - start
+    assert rep.counts == {"singular_set": 9}
+    assert rep.stop_reason == "all_assigned"
+    assert elapsed < 0.5
+
+
+def test_census_counts_a_start_exactly_on_a_target():
+    # the distance at the start is 0, so the first step is _initial_step's
+    # guess; the velocity there is 0 too, so the row stays and counts
+    m = line_model_fields("line", n=1, a=(1.0,))
+    xs = np.array([[0.0], [1.0], [2.0], [2.5], [4.0]])
+    rep = basin_census(m.Xprime, len(xs), sampler=lambda rng, n: xs.copy())
+    assert rep.counts == {"source_0": 1, "source_1": 2, "source_2": 1,
+                          "sink_1": 1}
+    assert rep.stop_reason == "all_assigned"
+
+
+def test_first_step_without_a_finite_target_distance(monkeypatch):
+    # xi + T declares no target, so every start is at distance inf: the
+    # first step falls back to _initial_step's guess, with no inf step and
+    # no floating-point warning on the way to the escape
+    X = xi_plus_affine(1, (1.0,))
+    assert not X.sources and not X.singular_fibers
+    firsts = []
+    hook = flow_module._BaseFlow.hook
+
+    def recording(self, ids, x):
+        if not firsts:
+            firsts.append(x[0, 0])
+        return hook(self, ids, x)
+
+    monkeypatch.setattr(flow_module._BaseFlow, "hook", recording)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
+    with np.errstate(all="raise"):
+        rep = classify_limit(X, np.array([1.0, 0.0]), "forward",
+                             horizon=50.0, cfg=cfg)
+    assert (rep.kind, rep.stop_reason) == ("escape", "converged")
+    guess = flow_module._initial_step(np.ones((1, 1)), np.ones((1, 1)), 1.0,
+                                      cfg.rtol)
+    assert firsts[0] - 1.0 == pytest.approx(guess[0, 0], rel=1e-9)
 
 
 def test_census_work_per_sample_does_not_grow_with_n():
@@ -444,15 +494,16 @@ def test_runner_batch_equals_rows_one_at_a_time(base, direction):
 
 
 def test_classify_work_on_sign_of_y_starts():
-    # about log2(d0 / fiber_tol) exact steps; 571 rows (line) and 583
-    # (circle) with the former throttled base field
+    # about log_2.54(d0 / fiber_tol) exact steps at the d / 1.65 cap: 103
+    # rows on both bases, against 145 (line) and 151 (circle) with a d / 2
+    # cap and the integrator's small first step
     worst = {}
     for case in _classify_starts():
         base, x, direction = case.values
         m = line_model_fields(base, n=2, a=(1.0, SQRT2))
         rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), direction)
         worst[base] = max(worst.get(base, 0), rep.rhs_rows)
-    assert 0 < worst["line"] <= 250 and 0 < worst["circle"] <= 250
+    assert 0 < worst["line"] <= 125 and 0 < worst["circle"] <= 125
 
 
 # Starts within fiber_tol of a source: the distance grows from the first
@@ -503,10 +554,21 @@ def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks,
     assert rep.stop_reason == "all_assigned"
 
 
-def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
-    # an accepted step of size h <= d / 2 moves at most 1.645 h < d, so it
-    # can neither reach nor pass the target nearest its start (the first
-    # step, before the hook's first call, is the small initial step)
+def test_step_cap_is_inside_the_reach_bound():
+    # every stage has unit speed, so an accepted step of size h moves at
+    # most sum |b5_i| h: the cap must keep that below the distance d
+    reach = np.abs(flow_module._B5).sum()
+    assert 1.65 > reach
+    m = line_model_fields("line", n=1, a=(1.0,))
+    flow = flow_module._BaseFlow(m.Xprime, -1.0, np.array([0.5, 0.0]))
+    xs = np.array([[-0.3], [0.5], [1.7], [3.9]])
+    d, cap = flow.hook(np.arange(len(xs)), xs)
+    assert np.all(d > 0) and np.all(reach * cap < d)
+
+
+def _line_census_paths(monkeypatch):
+    """Start and accepted points of every sample of a backward line census,
+    with the base distance to the nearest zero before each step."""
     m = line_model_fields("line", n=1, a=(1.0,))
     xs = np.linspace(-0.95, 4.95, 61)
     xs = xs[np.min(np.abs(xs[:, None] - _ZEROS["line"]), axis=1) > 0.02]
@@ -524,8 +586,23 @@ def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
     assert rep.stop_reason == "all_assigned"
     for path in map(np.array, paths):
         assert len(path) > 2
-        d = np.min(np.abs(path[:-1, None] - _ZEROS["line"]), axis=1)
+        yield path, np.min(np.abs(path[:-1, None] - _ZEROS["line"]), axis=1)
+
+
+def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
+    # an accepted step of size h <= d / 1.65 moves at most 1.64475 h < d, so
+    # it can neither reach nor pass the target nearest its start
+    for path, d in _line_census_paths(monkeypatch):
         assert np.all(np.abs(np.diff(path)) < d)
+
+
+def test_line_steps_are_at_the_cap_from_the_first_on(monkeypatch):
+    # the unit field is constant between zeros, so every step is exact and
+    # its size is the cap d / 1.65, also the first one: it is seeded from
+    # the distance at the start, not from the integrator's small guess
+    for path, d in _line_census_paths(monkeypatch):
+        assert np.allclose(np.abs(np.diff(path)), d / 1.65, rtol=1e-8,
+                           atol=0.0)
 
 
 # ---------------------------------------------------------------------------
