@@ -13,6 +13,7 @@ config, 3 numerical failure (integrator or solver breakdown).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -225,7 +226,9 @@ def cmd_basin(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _parser():
+    """The argument parser, built once per process; parsing leaves it as is."""
     p = argparse.ArgumentParser(
         prog="torusflow",
         description="construct and certify describing fields for torus actions",
@@ -243,34 +246,23 @@ def _parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--quiet", action="store_true")
 
-    sp = sub.add_parser("build", help="emit a construction manifest")
-    common(sp)
-    sp.set_defaults(func=cmd_build)
-
-    sp = sub.add_parser("trace", help="integrate a trajectory to CSV")
-    common(sp)
-    sp.set_defaults(func=cmd_trace)
-
+    common(sub.add_parser("build", help="emit a construction manifest"))
+    common(sub.add_parser("trace", help="integrate a trajectory to CSV"))
     sp = sub.add_parser("verify", help="run certification checks")
     common(sp)
     sp.add_argument("--sabotage", action="store_true",
                     help="corrupt the manifest so verification must fail")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("probe", help="commutant dimension probe")
-    common(sp, scenario=False)
-    sp.set_defaults(func=cmd_probe)
-
-    sp = sub.add_parser("basin", help="backward census of base samples")
-    common(sp)
-    sp.set_defaults(func=cmd_basin)
+    common(sub.add_parser("probe", help="commutant dimension probe"),
+           scenario=False)
+    common(sub.add_parser("basin", help="backward census of base samples"))
     return p
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* function is the one run
+        return globals()["cmd_" + args.command](args)
     # first: RadialSolverError is also a ValueError
     except (FlowError, RadialSolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

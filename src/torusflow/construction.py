@@ -129,10 +129,10 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
 
     def tau(x):
         x = np.asarray(x, dtype=float)
-        d2 = np.sum((x[..., None, :2] - pts) ** 2, axis=-1)
+        d2 = ((x[..., None, :2] - pts) ** 2).sum(axis=-1)
         # |x - p|^(2 m_p) written on squared distances to stay smooth
-        num = np.prod(d2 ** half, axis=-1)
-        return num / (1.0 + np.sum(x[..., :2] ** 2, axis=-1)) ** total
+        num = (d2 ** half).prod(axis=-1)
+        return num / (1.0 + (x[..., :2] ** 2).sum(axis=-1)) ** total
 
     def func(p):
         p = np.asarray(p, dtype=float)

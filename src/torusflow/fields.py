@@ -432,14 +432,17 @@ def lie_bracket(A, B, p, h=DEFAULT_FD_STEP):
     return v.reshape(p.shape)
 
 
-def pushforward_residual(F, A, p, h=DEFAULT_FD_STEP):
-    """Residual || DF(p) A(p) - A(F(p)) || of the invariance of A under F.
+def pushforward_residual(F, A, p, h=DEFAULT_FD_STEP, target=None):
+    """Residual || DF(p) A(p) - B(F(p)) || of F pushing A forward to B.
 
-    ``p`` is a point (d,), giving a float, or a batch (m, d), giving (m,).
+    B is ``target``, by default A itself: the residual of the invariance of
+    A under F.  ``p`` is a point (d,), giving a float, or a batch (m, d),
+    giving (m,).
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
     jac, f_at = batched_jacobian(F, pts, h)
     push = np.einsum("ico,ic->io", jac, np.asarray(A(pts), dtype=float))
-    res = np.linalg.norm(push - np.asarray(A(f_at), dtype=float), axis=1)
+    B = A if target is None else target
+    res = np.linalg.norm(push - np.asarray(B(f_at), dtype=float), axis=1)
     return float(res[0]) if p.ndim == 1 else res

@@ -19,7 +19,9 @@ high-order zeros can stall it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from operator import ge, gt, le, lt
 from typing import Optional
 
 import numpy as np
@@ -83,16 +85,8 @@ class Trajectory:
         return self.points[-1]
 
 
-def _error_norm(err, y0, y1, rtol, atol):
-    """RMS error norm of each row: a float for one point, (m, 1) for a batch."""
-    q = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
-    norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=q.ndim > 1)
-                   / q.shape[-1])
-    return float(norm) if q.ndim == 1 else norm
-
-
 def _initial_step(f0, y0, direction, rtol):
-    """Starting step of each row, shaped like ``_error_norm``'s result."""
+    """Starting step of each row: a float for one point, (m, 1) for a batch."""
     scale = 1.0 + np.linalg.norm(y0, axis=-1, keepdims=True)
     rate = np.linalg.norm(f0, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", over="ignore"):
@@ -101,11 +95,14 @@ def _initial_step(f0, y0, direction, rtol):
     return float(h[0]) if y0.ndim == 1 else h
 
 
-# Per-row operations (where, max, min, all, any): builtins on the floats of
-# one point, whose steps would otherwise pay more for numpy calls than for
-# the row's arithmetic; numpy on the (m, 1) columns of a batch.
-_ONE_ROW = (lambda c, a, b: a if c else b, max, min, bool, bool)
-_ROWS = (np.where, np.maximum, np.minimum, np.all, np.any)
+# Per-row operations (where, max, min, all, any, sqrt): builtins on the
+# floats of one point, whose steps would otherwise pay more for numpy calls
+# than for the row's arithmetic; numpy on the (m, 1) columns of a batch,
+# with count_nonzero for masks (a fraction of the cost of any and all).
+_ONE_ROW = (lambda c, a, b: a if c else b, max, min, bool, bool, math.sqrt)
+_ROWS = (np.where, np.maximum, np.minimum,
+         lambda mask: np.count_nonzero(mask) == mask.size, np.count_nonzero,
+         np.sqrt)
 
 
 def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
@@ -133,6 +130,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
     or "step_budget".
     """
     direction = 1.0 if t_end >= t0 else -1.0
+    # a step past t_end, a row at or past it: direction * (a - b) > 0, >= 0
+    past, reached = (gt, ge) if direction > 0 else (lt, le)
     y = np.array(y0, dtype=float)
     k1 = np.asarray(f(y), dtype=float)
     one = y.ndim == 1
@@ -140,45 +139,48 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
     yield float(t0), y, k1, 0.0, 0, ids
     if t_end == t0 or y.size == 0:
         return
-    where, lower, upper, all_, any_ = _ONE_ROW if one else _ROWS
+    where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
+    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
+    safety, min_factor, max_factor = cfg.safety, cfg.min_factor, cfg.max_factor
     t = float(t0) if one else np.full((len(y), 1), float(t0))
-    h = _initial_step(k1, y, direction, cfg.rtol)
+    h = _initial_step(k1, y, direction, rtol)
     if h0 is not None:
         h0 = h0[:, None]
         h = np.where(np.isfinite(h0) & (h0 > 0), direction * h0, h)
     err_prev = 1.0 if one else np.ones_like(t)
-    K = np.empty((7, y.size))  # stage derivatives, one flattened row each
-    stage = K.reshape((7,) + y.shape)
+    d, K = y.shape[-1], None
     n_steps = rejected = 0
     while True:
         n_steps += 1
-        if n_steps > cfg.max_steps:
-            raise FlowError(
-                f"step budget {cfg.max_steps} exhausted at t={t}",
-                "step_budget",
-            )
-        h = where(direction * (t + h - t_end) > 0, t_end - t, h)
+        if n_steps > max_steps:
+            raise FlowError(f"step budget {max_steps} exhausted at t={t}",
+                            "step_budget")
+        h = where(past(t + h, t_end), t_end - t, h)
         if any_(abs(h) < 1e-14 * lower(1.0, abs(t))):
             raise FlowError(f"step underflow at t={t}, point {y}",
                             "underflow")
+        if K is None:  # stage derivatives, one flattened row each
+            K = np.empty((7, y.size))
+            stage, shape = K.reshape((7,) + y.shape), y.shape
+        hb = h if one else h.repeat(d, axis=1)  # h spread over the row
         stage[0] = k1
         for i in range(1, 7):
-            k = f(y + h * (_A[i] @ K[:i]).reshape(y.shape))
-            stage[i] = k
-        y_new = y + h * (_B5 @ K).reshape(y.shape)
-        err = _error_norm(h * (_E @ K).reshape(y.shape), y, y_new,
-                          cfg.rtol, cfg.atol)
+            stage[i] = k = f(y + hb * _A[i].dot(K[:i]).reshape(shape))
+        y_new = y + hb * _B5.dot(K).reshape(shape)
+        # RMS error norm of each row
+        q = hb * _E.dot(K).reshape(shape) / (
+            atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = sqrt(np.add.reduce(q * q, axis=-1, keepdims=not one) / d)
         ok = err <= 1.0
         e = lower(err, 1e-10)
         # PI controller (Hairer's choices) for accepted rows
-        grow = upper(cfg.max_factor, lower(cfg.min_factor, where(
-            err < 1e-10, cfg.max_factor,
-            cfg.safety * e ** -0.14 * err_prev ** 0.08)))
+        grow = upper(max_factor, lower(min_factor, where(
+            err < 1e-10, max_factor, safety * e ** -0.14 * err_prev ** 0.08)))
         if all_(ok):
             t, y, k1, h, err_prev = t + h, y_new, k, h * grow, e  # FSAL
         else:
             rejected += np.size(ok) - int(np.count_nonzero(ok))
-            shrink = lower(cfg.min_factor, cfg.safety * e ** -0.2)
+            shrink = lower(min_factor, safety * e ** -0.2)
             t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
             h, err_prev = h * where(ok, grow, shrink), where(ok, e, err_prev)
             if not any_(ok):
@@ -190,7 +192,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
         rejected = 0
         if cap is not None:
             h = direction * np.minimum(direction * h, cap[:, None])
-        done = direction * (t_end - t) <= 0
+        done = reached(t, t_end)
         if drop is not None:
             done = done | drop[:, None]
         if any_(done):
@@ -198,9 +200,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
                 return
             keep = ~done[:, 0]
             ids, y, k1 = ids[keep], y[keep], k1[keep]
-            t, h, err_prev = t[keep], h[keep], err_prev[keep]
-            K = np.empty((7, y.size))
-            stage = K.reshape((7,) + y.shape)
+            t, h, err_prev, K = t[keep], h[keep], err_prev[keep], None
 
 
 def _renormalizer(chart):
@@ -247,13 +247,11 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
 
     if t_eval is not None:
         t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-        order = np.argsort(times) if t1 >= t0 else np.argsort(-times)
-        tt, yy, ff = times[order], points[order], derivs[order]
-        key = tt if t1 >= t0 else -tt
-        idx = np.clip(np.searchsorted(key, t_eval if t1 >= t0 else -t_eval,
-                                      side="right") - 1, 0, len(tt) - 2)
-        points = _hermite(t_eval, tt[idx], tt[idx + 1], yy[idx], yy[idx + 1],
-                          ff[idx], ff[idx + 1])
+        sign = 1.0 if t1 >= t0 else -1.0  # the steps run in this direction
+        idx = np.clip(np.searchsorted(sign * times, sign * t_eval,
+                                      side="right") - 1, 0, len(times) - 2)
+        points = _hermite(t_eval, times[idx], times[idx + 1], points[idx],
+                          points[idx + 1], derivs[idx], derivs[idx + 1])
         times = t_eval
 
     stats = {"accepted": accepted - 1, "rejected": rejected,
@@ -277,7 +275,7 @@ def _batch_ends(f, t0, y0, t1, cfg, renorm):
         ok = err <= 1.0
         accepted += int(np.count_nonzero(ok))
         rejected += rej
-        max_err = float(np.max(err, where=ok, initial=max_err))
+        max_err = float(err.max(where=ok, initial=max_err))
     stats = {"accepted": accepted, "rejected": rejected,
              "max_local_error": max_err}
     return np.array([t0, t1]), np.stack([y0, ends]), stats
@@ -450,7 +448,7 @@ class _BaseFlow:
                 stuck = ok & (d >= fiber_tol) & (still | (turn < 0))
                 far = ok & (np.einsum("ij,ij->i", x, x) > escape_radius ** 2)
                 drop = hit | stuck | far
-                if drop.any():
+                if np.count_nonzero(drop):
                     outcome[ids[far]] = len(self.labels)
                     outcome[ids[stuck]] = len(self.labels) + 1
                     if hit.any():

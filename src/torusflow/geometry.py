@@ -175,9 +175,9 @@ class Chart:
         x = np.asarray(base_point, dtype=float)
         if self.kind == "sphere5":
             return embed_s5(x)
-        return np.concatenate(
-            [x, np.zeros(x.shape[:-1] + (self.dim - self.base_dim,))], axis=-1
-        )
+        out = np.zeros(x.shape[:-1] + (self.dim,))
+        out[..., :self.base_dim] = x
+        return out
 
     def fiber_angles(self, p):
         p = np.asarray(p, dtype=float)

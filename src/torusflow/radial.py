@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import batched_jacobian
+from .fields import pushforward_residual
 
 _NODES = 24  # nodes per panel of the rule checked against 2 * _NODES nodes
 _MAX_PANELS = 64
@@ -165,23 +165,30 @@ class NormalFormReport:
     def conjugation_residual(self, g_list, points, h=1e-4):
         """Residuals ||DF(p) X~(p) - (xi + b)(F(p))|| over full-chart points.
 
-        X~ = xi + sum g_r(x) d/dtheta_r is rebuilt from ``g_list``; the
-        Jacobian of F is taken by batched central differences so the
-        corrector quadratures run on one stacked batch.
+        X~ = xi + sum g_r(x) d/dtheta_r is rebuilt from ``g_list``; this is
+        ``fields.pushforward_residual`` of F from X~ to xi + b, whose batched
+        central differences run the corrector quadratures on one stacked
+        batch.
         """
         pts = np.asarray(points, dtype=float)
         k, n = self.k, len(self.correctors)
         b = np.asarray(self.frequencies, dtype=float)
         if pts.shape[1] != k + n:
             raise RadialSolverError(f"points must have {k + n} coordinates")
-        jac, f_at = batched_jacobian(self.coordinate_change(), pts, h)
-        x_tilde = pts.copy()
-        for r, g in enumerate(g_list):
-            x_tilde[:, k + r] = np.asarray(g(pts[:, :k]), dtype=float)
-        target = f_at.copy()
-        target[:, k:] = b
-        push = np.einsum("ico,ic->io", jac, x_tilde)
-        return np.linalg.norm(push - target, axis=1)
+
+        def x_tilde(p):
+            out = p.copy()
+            for r, g in enumerate(g_list):
+                out[:, k + r] = np.asarray(g(p[:, :k]), dtype=float)
+            return out
+
+        def normal_form(q):  # xi + b
+            out = q.copy()
+            out[:, k:] = b
+            return out
+
+        return pushforward_residual(self.coordinate_change(), x_tilde, pts, h,
+                                    target=normal_form)
 
 
 def normalize_lifted_field(g_list: Sequence[Callable], annulus, tol=1e-8, k=None):

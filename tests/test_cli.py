@@ -67,6 +67,28 @@ def test_verify_exit_codes(tmp_path):
     assert payload["passed"] is False
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # one parser serves every call in a process: a --sabotage run must not
+    # carry over into the plain run after it
+    assert cli._parser() is cli._parser()
+    bad = run(["verify", "--scenario", "circle", "--quiet", "--sabotage",
+               "--out", str(tmp_path / "vs.json")])
+    ok = run(["verify", "--scenario", "circle", "--quiet",
+              "--out", str(tmp_path / "v.json")])
+    assert (bad, ok) == (1, 0)
+    assert json.loads((tmp_path / "v.json").read_text())["passed"] is True
+
+
+def test_trace_after_verify_writes_the_same_bytes(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["trace", "--scenario", "line", "--quiet", "--out"]
+    assert run(argv + [str(a)]) == 0
+    assert run(["verify", "--scenario", "line", "--quiet", "--sabotage",
+                "--out", str(tmp_path / "v.json")]) == 1
+    assert run(argv + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_probe_reports_expected_dimension(tmp_path):
     out = tmp_path / "p.json"
     assert run(["probe", "--out", str(out), "--quiet"]) == 0

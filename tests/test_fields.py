@@ -287,6 +287,28 @@ def test_pushforward_residual_detects_symmetry():
     assert pushforward_residual(bad, X.func, p) > 0.5
 
 
+def test_pushforward_residual_to_a_target_field():
+    # F(x, theta) = (x, theta + x) pushes xi + a forward to
+    # xi + (a + x) d/dtheta, not to xi + a itself (residual |x| there)
+    X = xi_plus_affine(1, (0.7,))
+
+    def F(p):
+        out = p.copy()
+        out[..., 1] += p[..., 0]
+        return out
+
+    def B(q):
+        out = q.copy()
+        out[..., 1] = 0.7 + q[..., 0]
+        return out
+
+    pts = np.column_stack([rng.uniform(0.5, 1.5, 5), rng.uniform(0, 6, 5)])
+    assert np.max(pushforward_residual(F, X.func, pts, target=B)) < 1e-8
+    np.testing.assert_allclose(pushforward_residual(F, X.func, pts),
+                               pts[:, 0], rtol=1e-8)
+    assert pushforward_residual(F, X.func, pts[0], target=B) < 1e-8
+
+
 def test_batched_pushforward_matches_pointwise():
     X = xi_plus_affine(1, (1.0,))
 

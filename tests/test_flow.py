@@ -85,6 +85,45 @@ def test_one_point_step_sequence_is_pinned():
         0.16782328986357553, rel=1e-12)
 
 
+def _van_der_pol(y):
+    # mu = 5: stiff enough that the PI controller rejects some row steps
+    return np.stack([y[..., 1],
+                     5.0 * (1.0 - y[..., 0] ** 2) * y[..., 1] - y[..., 0]],
+                    axis=-1)
+
+
+_VDP_STARTS = np.array([[-1.78, -0.47], [-0.37, -1.82], [1.22, 1.23],
+                        [0.06, -0.86], [-1.80, 2.00], [0.61, -1.06]])
+_VDP_PINS = {  # rows: (accepted, rejected, max_local_error, end points)
+    2: (653, 2, 0.658465084803833,
+        [[0.5821822224443577, 6.929528889457868],
+         [1.9932199825101964, 0.6661964398763408]]),
+    6: (2174, 3, 0.6973144027232764,
+        [[0.5821822224443577, 6.929528889457868],
+         [1.9932199825101937, 0.6661964398763779],
+         [-1.8634017508140364, 0.14906945529767462],
+         [-0.8268600760289784, 0.9767246157862166],
+         [1.9073916680766998, -0.14321765215834506],
+         [-1.4498386457539754, 0.24586144356404727]]),
+}
+
+
+@pytest.mark.parametrize("rows", [2, 6])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_batch_step_sequence_is_pinned(rows, sign):
+    # the batch path's accepted and rejected steps, mixed attempts included;
+    # a backward run of -X mirrors the forward run of X step for step, so
+    # both directions share one pin
+    accepted, rejected, max_err, end = _VDP_PINS[rows]
+    traj = integrate(lambda y: sign * _van_der_pol(y), _VDP_STARTS[:rows],
+                     (0.0, sign * 4.0))
+    assert traj.stats["accepted"] == accepted
+    assert traj.stats["rejected"] == rejected
+    at_t = traj.end if sign > 0 else traj.start
+    np.testing.assert_allclose(at_t, end, rtol=1e-12, atol=0.0)
+    assert traj.stats["max_local_error"] == pytest.approx(max_err, rel=1e-12)
+
+
 def test_step_budget_raises():
     X = xi_plus_affine(1, (1.0,))
     cfg = IntegratorConfig(max_steps=3)
