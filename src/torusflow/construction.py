@@ -141,6 +141,9 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
         out[..., 2:] = a
         return t[..., None] * out
 
+    def base_rule(x):
+        return tau(x)[..., None] * x
+
     fibers = tuple(
         SingularFiber(f"planted_{i}", tuple(pt), orders[i])
         for i, pt in enumerate(pts)
@@ -150,6 +153,7 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
         singular_fibers=fibers,
         sources=((0.0, 0.0),),
         meta={"frequencies": freqs, "dense": True},
+        base_rule=base_rule,
     )
     return ConstructionManifest(
         name=f"planar_R2_x_T{n}",

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .geometry import Chart, base_projection_pi
+from .geometry import Chart, base_projection_pi, pair_radii
 
 E = float(np.e)
 
@@ -47,6 +47,11 @@ class FieldHandle:
     ``singular_fibers`` lists declared zeros with their nullity orders;
     ``sources`` lists base points of invariant tori that act as sources of
     the base dynamics (the field itself does not vanish there).
+    ``base_rule``, if given, maps base points x (m, base_dim) to the base
+    tangent of the field over them, bit for bit what
+    ``chart.base_tangent(lift(x), func(lift(x)))`` gives: the base runner
+    evaluates it instead of the field, once it has checked the two agree.
+    ``dataclasses.replace`` with a new ``func`` keeps the old rule.
     """
 
     name: str
@@ -55,6 +60,7 @@ class FieldHandle:
     singular_fibers: tuple = ()
     sources: tuple = ()
     meta: Mapping = dc_field(default_factory=dict)
+    base_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, p):
         return np.asarray(self.func(np.asarray(p, dtype=float)), dtype=float)
@@ -270,7 +276,26 @@ def describing_field_s5(freqs=(1.0, E, E * E)):
             "dense": True,
             "singular_set_order": 10,
         },
+        base_rule=_s5_base_rule,
     )
+
+
+def _s5_base_rule(x):
+    """pi_* X' over embed_s5(x): 2 a_j (c_j a_j) for the pairs j = 1, 2.
+
+    The lift has b_j = 0, so the rotation terms drop out.  The radii and
+    c_j are those the field rule computes there, the edge factor of tau
+    included (taken from the clamped radii, not from x), so the rule gives
+    the lifted path's bits: the + 0.0 is the b_j term of ``base_tangent``,
+    which turns a -0 into +0 as it does there.
+    """
+    a = pair_radii(x)
+    r = a * a
+    t = tau_s5(r[..., :2])[..., None]
+    w = (r[..., 0] * r[..., 1])[..., None] * (r[..., :2] - 0.25)
+    c = w * r[..., 2:] * t
+    a = a[..., :2]
+    return 2 * (a * (c * a) + 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +408,7 @@ def line_model_fields(base, n=1, a=(1.0,)):
             singular_fibers=fibers,
             sources=tuple((s,) for s in sources),
             meta=meta,
+            base_rule=z_func,
         ),
     )
 

@@ -12,7 +12,9 @@ The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
 through one runner, ``_BaseFlow.run``, on a unit-speed base direction field
 with each step, the first one included, capped at the base distance to the
-nearest target over 1.65, so their horizons are base arc length.  It keeps
+nearest target over 1.65, so their horizons are base arc length.  The
+runner evaluates a field's declared ``base_rule``, checked against the
+field, instead of the whole field at lifted points.  It keeps
 the base orbits, and neither the torus drift nor the slowdown near
 high-order zeros can stall it.
 """
@@ -340,6 +342,16 @@ def flow_commutation_residual(field, lam, p0, t, cfg=None):
 # base dynamics: limit-set classification and basin census
 
 
+def _onto_triangle(x):
+    """Base points x (m, 2) moved onto the closed S^5 triangle.
+
+    A base step can leave the triangle; the runner evaluates the base
+    tangent at the nearby edge point instead.
+    """
+    x = np.maximum(x, 0.0)
+    return x / np.maximum(1.0, x.sum(axis=-1, keepdims=True))
+
+
 class _BaseFlow:
     """Unit-speed base direction field of a T-invariant field, and its runner.
 
@@ -356,20 +368,32 @@ class _BaseFlow:
     1-D base the velocity is constant between zeros, so every step is exact
     and at the cap: d shrinks by a factor 1.65 / 0.65 = 2.54 per step.
     ``run`` takes a batch of base points to their ``outcomes``, and ``rows``
-    counts the field rows it evaluated.  Only a T-invariant field has base
-    dynamics: ValueError when the base tangent at the chart point ``p``
-    moves by more than 1e-9 |X(p)| under two torus elements.
+    counts the base points at which it evaluated the base tangent: rows of
+    the field's ``base_rule`` where it declares one, else field rows at
+    the lifted points.  Only a T-invariant field has base dynamics:
+    ValueError when the base tangent at the chart point ``p`` moves by more
+    than 1e-9 |X(p)| under two torus elements, or when a declared rule
+    differs there by more than that from the field's base tangent.
     """
 
     def __init__(self, field, sign, p):
         chart = field.chart
         q = chart.act(np.array([[0.7], [2.9]]) * np.arange(1, chart.n + 1), p)
         v = field(p)
-        gap = np.linalg.norm(chart.base_tangent(q, field(q))
-                             - chart.base_tangent(p, v), axis=-1).max()
-        if not gap <= 1e-9 * np.linalg.norm(v):
+        tangent = chart.base_tangent(p, v)
+        bound = 1e-9 * np.linalg.norm(v)
+        gap = np.linalg.norm(chart.base_tangent(q, field(q)) - tangent,
+                             axis=-1).max()
+        if not gap <= bound:
             raise ValueError(f"field {field.name!r} is not invariant under "
                              f"the torus at {p}: base tangent moves {gap:.3g}")
+        self.rule = field.base_rule
+        if self.rule is not None:
+            gap = np.linalg.norm(self.rule(chart.base(p)) - tangent)
+            if not gap <= bound:
+                raise ValueError(f"the base rule of field {field.name!r} "
+                                 f"misses its base tangent at {p} by "
+                                 f"{gap:.3g}")
         self.field, self.sign, self.rows = field, sign, 0
         fibers = field.singular_fibers  # the targets: sources, then fibers
         self.labels = ([f"source_{i}" for i in range(len(field.sources))]
@@ -393,11 +417,12 @@ class _BaseFlow:
         self.rows += len(x)
         chart = self.field.chart
         if chart.is_sphere:
-            # a step can leave the triangle: lift from the nearby edge
-            x = np.clip(x, 0.0, None)
-            x = x / np.maximum(1.0, x.sum(axis=-1, keepdims=True))
-        ys = chart.lift(x)
-        v = self.sign * chart.base_tangent(ys, self.field.func(ys))
+            x = _onto_triangle(x)
+        if self.rule is not None:
+            v = self.sign * self.rule(x)
+        else:
+            ys = chart.lift(x)
+            v = self.sign * chart.base_tangent(ys, self.field.func(ys))
         nv = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
         nv[nv < 1e-300] = 1.0
         return v / nv
@@ -469,7 +494,9 @@ class LimitSetReport:
     horizon: float
     # converged | singular_set | horizon | step_budget | underflow
     stop_reason: str
-    rhs_rows: int  # points at which the classification evaluated the field
+    # points at which the classification evaluated the base rule, or the
+    # field where it declares none or the orbit stays in its fiber
+    rhs_rows: int
     recurrent: bool = False
 
 
@@ -487,8 +514,9 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     ``base_tol`` gives ``torus_closure`` (``recurrent`` if the orbit came
     back within ``recurrence_delta`` of p0).  Any other run is
     ``inconclusive`` with ``stop_reason`` "horizon", "step_budget" or
-    "underflow".  ``rhs_rows`` counts the field rows evaluated.  Raises
-    ValueError when X is not T-invariant at p0.
+    "underflow".  ``rhs_rows`` counts the rows evaluated, of the base rule
+    or of the field.  Raises ValueError when X is not T-invariant at p0, or
+    when a declared base rule misses the field's base tangent there.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -549,7 +577,9 @@ class CensusReport:
     unclassified_fraction: float
     seed: int
     stop_reason: str  # all_assigned | horizon | step_budget | underflow
-    rhs_rows: int  # base points at which the census evaluated the field
+    # base points at which the census evaluated the base rule, or the
+    # lifted field where it declares none
+    rhs_rows: int
 
 
 def _default_base_sampler(chart, meta):
@@ -586,8 +616,11 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     target label, "escape" or "singular_set".  ``stop_reason`` is
     "all_assigned" when every sample reached one, else why the integration
     ended; the samples without one count as unclassified.  ``rhs_rows``
-    counts the base points at which the field was evaluated.  Raises
-    ValueError when X is not T-invariant at the first sample.
+    counts the base points at which the base tangent was evaluated: by the
+    field's ``base_rule``, or by the field at the lifted points where it
+    declares none.  Raises ValueError when X is not T-invariant at the
+    first sample, or when a declared rule misses the field's base tangent
+    there.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)

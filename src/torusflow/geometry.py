@@ -73,18 +73,28 @@ def base_projection_pi(y):
     return sq[..., ::2] + sq[..., 1::2]
 
 
-def embed_s5(x, phis=(0.0, 0.0, 0.0)):
-    """Point of S^5 over base point x = (x1, x2) with given pair phases.
+def pair_radii(x):
+    """Radii (..., 3) of the coordinate pairs of S^5 over base points x (..., 2).
 
-    Requires x in the closed triangle x1, x2 >= 0, x1 + x2 <= 1.
-    Broadcasts x (..., 2) against phis (..., 3).
+    The square roots of (x1, x2, 1 - x1 - x2), each clamped at 0, so a
+    point an ulp outside the triangle lifts onto its edge.  Requires x in
+    the closed triangle, to within 1e-15.
     """
     x = np.asarray(x, dtype=float)
-    phis = np.asarray(phis, dtype=float)
     sq = np.concatenate([x, 1.0 - x[..., :1] - x[..., 1:2]], axis=-1)
     if (sq < -1e-15).any():
         raise ValueError("base point outside the closed triangle")
-    radii = np.sqrt(np.maximum(sq, 0.0))
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def embed_s5(x, phis=(0.0, 0.0, 0.0)):
+    """Point of S^5 over base point x = (x1, x2) with given pair phases.
+
+    Requires x in the closed triangle x1, x2 >= 0, x1 + x2 <= 1; the pair
+    radii are ``pair_radii(x)``.  Broadcasts x (..., 2) against phis (..., 3).
+    """
+    radii = pair_radii(x)
+    phis = np.asarray(phis, dtype=float)
     out = np.empty(np.broadcast(radii, phis).shape + (2,))
     out[..., 0] = radii * np.cos(phis)
     out[..., 1] = radii * np.sin(phis)

@@ -227,11 +227,15 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
     """Run the certification checks recorded in a construction manifest.
 
     Always checks: declared zeros are zeros, declared orders are pairwise
-    distinct, and the flow commutes with a random torus translation.  With
+    distinct, and the flow commutes with a random torus translation.  A
+    field that declares a ``base_rule`` gets it compared with the base
+    tangent of the lifted field at 64 seeded base points, edge points of
+    the S^5 triangle among them (relative tolerance 1e-13).  With
     ``check_orders`` the nullity order of every declared fiber is estimated
     by log-log regression and compared with the declaration (slower).
     """
-    from .flow import estimate_order, flow_commutation_residual
+    from .flow import (_default_base_sampler, estimate_order,
+                       flow_commutation_residual)
 
     fld = manifest.field
     chart = fld.chart
@@ -260,6 +264,24 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
         checks["flow_commutes_with_action"] = {
             "passed": resid <= commutation_tol,
             "value": resid, "tol": commutation_tol,
+        }
+
+    if fld.base_rule is not None:
+        xs = _default_base_sampler(chart, dict(fld.meta))(rng, 64)
+        if chart.is_sphere:
+            # a third of the points on the edges, where the lift clamps
+            # its radii and the edge factor of tau cancels
+            edge = xs[:21]
+            edge[0::3, 0] = 0.0
+            edge[1::3, 1] = 0.0
+            edge[2::3] /= edge[2::3].sum(axis=1, keepdims=True)
+        ys = chart.lift(xs)
+        want = chart.base_tangent(ys, fld.func(ys))
+        miss = np.linalg.norm(fld.base_rule(xs) - want, axis=-1)
+        rel = float(np.max(miss / np.maximum(np.linalg.norm(want, axis=-1),
+                                             1e-300)))
+        checks["base_rule_matches_field"] = {
+            "passed": rel <= 1e-13, "value": rel, "tol": 1e-13,
         }
 
     if check_orders:

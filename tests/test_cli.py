@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -65,6 +66,25 @@ def test_verify_exit_codes(tmp_path):
     assert bad == 1
     payload = json.loads((tmp_path / "vs.json").read_text())
     assert payload["passed"] is False
+
+
+def test_verify_fails_for_a_base_rule_off_the_field(monkeypatch, tmp_path):
+    # a declared base rule 1e-9 off the field fails its check, and only it
+    build = cli.build_line_describing
+
+    def off(*args, **kwargs):
+        m = build(*args, **kwargs)
+        rule = m.field.base_rule
+        return dataclasses.replace(m, field=dataclasses.replace(
+            m.field, base_rule=lambda x: (1.0 + 1e-9) * rule(x)))
+
+    monkeypatch.setattr(cli, "build_line_describing", off)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--scenario", "line", "--quiet",
+                "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [k for k, c in checks.items() if not c["passed"]] == [
+        "base_rule_matches_field"]
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path):

@@ -392,11 +392,12 @@ def test_census_counts_on_planar_and_s5_are_pinned(build, seed):
     assert rep.stop_reason == "all_assigned"
 
 
-def test_census_stops_samples_at_the_singular_set():
+def _census_of_the_reversed_s5(base_rule):
     # the reversed S^5 field carries every backward sample to the edge of
     # the triangle, where the base tangent vanishes away from every target
     X = describing_field_s5()
-    reversed_field = dataclasses.replace(X, func=lambda y: -X.func(y))
+    reversed_field = dataclasses.replace(X, func=lambda y: -X.func(y),
+                                         base_rule=base_rule)
     start = time.perf_counter()
     rep = basin_census(reversed_field, 50, seed=1)
     elapsed = time.perf_counter() - start
@@ -405,6 +406,83 @@ def test_census_stops_samples_at_the_singular_set():
     assert rep.unclassified_fraction == 0.0
     assert rep.rhs_rows <= 400 * rep.n_samples
     assert elapsed < 0.5
+
+
+def test_census_stops_samples_at_the_singular_set():
+    rule = describing_field_s5().base_rule
+    _census_of_the_reversed_s5(lambda x: -rule(x))
+
+
+def test_census_stops_samples_at_the_singular_set_without_a_rule():
+    # no rule declared: the runner evaluates the reversed field itself
+    _census_of_the_reversed_s5(None)
+
+
+def test_a_stale_base_rule_is_rejected():
+    # a new func under the old rule: the runner checks the rule against the
+    # field's base tangent at its first point before it trusts it
+    X = describing_field_s5()
+    negated = dataclasses.replace(X, func=lambda y: -X.func(y))
+    with pytest.raises(ValueError, match="base rule"):
+        basin_census(negated, 8, seed=0)
+    with pytest.raises(ValueError, match="base rule"):
+        classify_limit(negated, embed_s5(np.array([0.2, 0.3])), "backward")
+
+
+def _library_fields():
+    return {
+        "line": line_model_fields("line", n=1, a=(1.0,)).Xprime,
+        "circle": line_model_fields("circle", n=2, a=(1.0, SQRT2)).Xprime,
+        "planar": build_planar_demo().field,
+        "s5": build_s5().field,
+    }
+
+
+def _base_points(name, rng, n):
+    if name == "line":
+        return rng.uniform(-1.0, 5.0, size=(n, 1))
+    if name == "circle":
+        return rng.uniform(0.0, TWO_PI, size=(n, 1))
+    if name == "planar":
+        return rng.uniform(-2.5, 2.5, size=(n, 2))
+    x = rng.uniform(0.0, 1.0, size=(n, 2))
+    x[x.sum(axis=1) > 1.0] = 1.0 - x[x.sum(axis=1) > 1.0]
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+               (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
+    # just outside the triangle, as a step can end; the runner clips these
+    outside = flow_module._onto_triangle(np.array(
+        [[0.5 + 1e-16, 0.5], [0.3, 0.7 + 3e-16], [-1e-17, 0.4],
+         [0.25, -2e-16], [1.0 + 1e-15, 0.0], [0.6, 0.4 + 1e-12],
+         [0.1 + 1e-9, 0.9]]))
+    return np.concatenate([x, corners, outside])
+
+
+@pytest.mark.parametrize("name", ["line", "circle", "planar", "s5"])
+def test_base_rule_equals_the_lifted_base_tangent(name):
+    fld = _library_fields()[name]
+    chart = fld.chart
+    xs = _base_points(name, np.random.default_rng(11), 1000)
+    ys = chart.lift(xs)
+    got, want = fld.base_rule(xs), chart.base_tangent(ys, fld.func(ys))
+    assert np.array_equal(got, want)
+    # the signs of the zeros on the triangle's edges too
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name,n,want,rows", [
+    ("line", 200, {"source_0": 57, "source_1": 64, "source_2": 79}, 15_080),
+    ("circle", 200, {"source_0": 76, "source_1": 57, "source_2": 67}, 15_392),
+    ("planar", 200, {"source_0": 200}, 18_578),
+    ("s5", 200, {"source_0": 200}, 28_970),
+    ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 1_186),
+    ("s5", 16, {"source_0": 16}, 2_470),
+])
+def test_census_rows_are_pinned(name, n, want, rows):
+    # the base rule gives the lifted field's numbers, so the census takes
+    # the same steps as when it evaluated the whole field
+    rep = basin_census(_library_fields()[name], n, seed=0)
+    assert (rep.counts, rep.stop_reason, rep.rhs_rows) == (
+        want, "all_assigned", rows)
 
 
 def test_census_stops_samples_at_undeclared_zeros():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,13 @@ def test_verify_manifest_detects_corrupted_orders():
     rep = verify_manifest(m, seed=0)
     assert not rep.passed
     assert not rep.checks["orders_pairwise_distinct"]["passed"]
+
+
+def test_base_rule_check_is_made_when_a_rule_is_declared():
+    m = build_s5()
+    rep = verify_manifest(m, seed=0)
+    assert rep.checks["base_rule_matches_field"]["value"] == 0.0
+    bare = dataclasses.replace(
+        m, field=dataclasses.replace(m.field, base_rule=None))
+    assert "base_rule_matches_field" not in verify_manifest(bare).checks
+
