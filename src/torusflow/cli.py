@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .construction import (
     build_planar_demo,
     build_s5,
 )
-from .fields import E, SingularFiber
+from .fields import E
 from .flow import FlowError, IntegratorConfig, basin_census, integrate
 from .radial import RadialSolverError
 from .verify import commutant_dimension_probe, verify_manifest
@@ -161,13 +162,13 @@ def cmd_verify(args):
     cfg = _merged_config(args.scenario, _load_config(args.config))
     manifest = _build_manifest(args.scenario, cfg)
     if args.sabotage:
-        # negative control: corrupt one declared order so a check must fail
+        # negative control: a copy with two equal orders, so a check fails
         fld = manifest.field
-        fibs = list(fld.singular_fibers)
+        fibs = fld.singular_fibers
         if len(fibs) >= 2:
-            fibs[0] = SingularFiber(fibs[0].label, fibs[0].base_point,
-                                    fibs[1].order)
-        object.__setattr__(fld, "singular_fibers", tuple(fibs))
+            fibs = (replace(fibs[0], order=fibs[1].order),) + fibs[1:]
+            manifest = replace(manifest,
+                               field=replace(fld, singular_fibers=fibs))
     report = verify_manifest(manifest, seed=args.seed,
                              check_orders=bool(cfg.get("check_orders")))
     payload = {

@@ -91,12 +91,14 @@ def field_scale(name, scalar_fn, base_field):
 # library fields: product charts
 
 
-def rational_relation(a, max_coeff=50, tol=1e-9):
-    """Search for a small integer relation sum(m_i a_i) = 0, |m_i| <= max_coeff.
+def rational_relation(a):
+    """Search for a small integer relation |sum(m_i a_i)| < 1e-9.
 
-    Returns the first relation found as an integer tuple, or None.  Only a
-    heuristic: absence of a small relation proves nothing.
+    The coefficients are bounded by |m_i| <= 50 for up to 3 frequencies and
+    by 10 beyond.  Returns the smallest relation found as an integer tuple,
+    or None.  Only a heuristic: absence of a small relation proves nothing.
     """
+    tol = 1e-9
     a = np.asarray(a, dtype=float)
     n = a.size
     if n == 1:
@@ -105,7 +107,7 @@ def rational_relation(a, max_coeff=50, tol=1e-9):
     if small.size:
         # -e_i is a relation of the least size, first in the grid order
         return tuple(-int(i == small[0]) for i in range(n))
-    bound = max_coeff if n <= 3 else 10
+    bound = 50 if n <= 3 else 10
     head = np.indices((2 * bound + 1,) * (n - 1)).reshape(n - 1, -1).T - bound
     # every last coefficient with |head . a' + m a_n| < tol <= |a_n| lies
     # within 1 of -head . a' / a_n: try its floor and the next integer

@@ -46,6 +46,8 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
 _REACH = 1.65  # above sum |b5_i| = 1.64475: the base step cap, see _BaseFlow
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # of the PI controller
+_BASE_TOL = 1e-6  # an orbit whose base moves at most this stays in its fiber
 
 
 class FlowError(RuntimeError):
@@ -61,12 +63,13 @@ class FlowError(RuntimeError):
 
 @dataclass
 class IntegratorConfig:
+    """``rtol`` and ``atol`` bound each row's RMS local error, ``max_steps``
+    its step attempts.  The PI controller's safety factor 0.9 and its step
+    size factors from 0.2 to 10 are fixed."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
     max_steps: int = 400_000
-    safety: float = 0.9
-    min_factor: float = 0.2
-    max_factor: float = 10.0
 
 
 @dataclass
@@ -143,7 +146,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
         return
     where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
-    safety, min_factor, max_factor = cfg.safety, cfg.min_factor, cfg.max_factor
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     t = float(t0) if one else np.full((len(y), 1), float(t0))
     h = _initial_step(k1, y, direction, rtol)
     if h0 is not None:
@@ -321,18 +324,18 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
     return Trajectory(chart=chart, times=times, points=points, stats=stats)
 
 
-def flow_commutation_residual(field, lam, p0, t, cfg=None):
+def flow_commutation_residual(field, lam, p0, t):
     """Chart distance between flowing lambda . p0 and acting on the flow of p0.
 
     ``lam`` (n,) or (m, n) broadcasts against ``p0`` (d,) or (m, d); both
     sides of every pair run as one batch of 2m rows, over time ``t`` of
-    either sign.  Returns a float for one lambda and one point, else the
-    (m,) residuals.
+    either sign, with the default ``IntegratorConfig``.  Returns a float
+    for one lambda and one point, else the (m,) residuals.
     """
     chart = field.chart
     moved = chart.act(lam, p0)
     starts = np.stack([moved, np.broadcast_to(p0, moved.shape)])
-    traj = integrate(field, starts.reshape(-1, chart.dim), (0.0, t), cfg)
+    traj = integrate(field, starts.reshape(-1, chart.dim), (0.0, t))
     ends = (traj.end if t >= 0 else traj.start).reshape(starts.shape)
     r = chart.distance(ends[0], chart.act(lam, ends[1]))
     return float(r) if r.ndim == 0 else r
@@ -431,7 +434,7 @@ class _BaseFlow:
         d = self.distances(x).min(axis=1, initial=np.inf)
         return d, d / _REACH
 
-    def run(self, xs, horizon, cfg, fiber_tol, escape_radius=25.0):
+    def run(self, xs, horizon, cfg, fiber_tol):
         """Run a batch of base points xs (m, base_dim) to arc length horizon.
 
         After each accepted step a row stops, and leaves the batch, at the
@@ -444,8 +447,7 @@ class _BaseFlow:
           before the step, at least ``fiber_tol`` from every target: the
           point will not move again, or the step crossed a zero that is not
           a target (on a 1-D base rows would chatter across it);
-        - "escape", when the base is R^k and the point is beyond
-          ``escape_radius``.
+        - "escape", when the base is R^k and the point is beyond radius 25.
         Returns per row the index of its outcome (-1 for none), its last
         point and its arc length, then "horizon" or the FlowError's reason,
         which ended the rows left without an outcome.
@@ -453,8 +455,7 @@ class _BaseFlow:
         outcome = np.full(len(xs), -1)
         ends, lengths = xs.copy(), np.zeros(len(xs))
         near = self.distances(xs).min(axis=1, initial=np.inf)
-        if self.field.chart.kind != "product":
-            escape_radius = np.inf
+        escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
         steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
                                 h0=near / _REACH)
         vel = next(steps)[2].copy()  # the start
@@ -501,22 +502,22 @@ class LimitSetReport:
 
 
 def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
-                   fiber_tol=1e-5, recurrence_delta=1e-3, base_tol=1e-6,
-                   escape_radius=25.0):
+                   fiber_tol=1e-5):
     """Classify the alpha- (backward) or omega- (forward) limit of a trajectory.
 
     The base point of p0 runs alone through ``_BaseFlow.run``, so ``horizon``
     is base arc length: a target gives ``singular_fiber`` and an escape
-    ``escape``, both "converged", and the singular set (the edge of the S^5
-    triangle) ``inconclusive`` with ``stop_reason`` "singular_set".  Where
-    the base tangent at p0 vanishes, the orbit stays in its fiber: it runs
-    on X / |X(p0)| for arc length ``horizon``, and a base that moved at most
-    ``base_tol`` gives ``torus_closure`` (``recurrent`` if the orbit came
-    back within ``recurrence_delta`` of p0).  Any other run is
-    ``inconclusive`` with ``stop_reason`` "horizon", "step_budget" or
-    "underflow".  ``rhs_rows`` counts the rows evaluated, of the base rule
-    or of the field.  Raises ValueError when X is not T-invariant at p0, or
-    when a declared base rule misses the field's base tangent there.
+    (beyond base radius 25 on R^k) ``escape``, both "converged", and the
+    singular set (the edge of the S^5 triangle) ``inconclusive`` with
+    ``stop_reason`` "singular_set".  Where the base tangent at p0 vanishes,
+    the orbit stays in its fiber: it runs on X / |X(p0)| for arc length
+    ``horizon``, and a base that moved at most 1e-6 gives ``torus_closure``
+    (``recurrent`` if the orbit came back within chart distance 1e-3 of
+    p0).  Any other run is ``inconclusive`` with ``stop_reason`` "horizon",
+    "step_budget" or "underflow".  ``rhs_rows`` counts the rows evaluated,
+    of the base rule or of the field.  Raises ValueError when X is not
+    T-invariant at p0, or when a declared base rule misses the field's base
+    tangent there.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -529,7 +530,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     x0 = chart.base(p0)
     if np.linalg.norm(chart.base_tangent(p0, v0)) >= 1e-300:
         outcome, ends, lengths, stop = flow.run(x0[None], horizon, cfg,
-                                                fiber_tol, escape_radius)
+                                                fiber_tol)
         d, label = flow.nearest(flow.distances(ends[0]))
         what = flow.outcomes[outcome[0]] if outcome[0] >= 0 else stop
         if what == "escape":
@@ -555,14 +556,14 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
                 fiber_velocity, 0.0, p0, horizon, cfg, _renormalizer(chart)):
             base_moved = max(base_moved,
                              float(chart.base_distance(chart.base(p), x0)))
-            if chart.distance(p, p0) > recurrence_delta:
+            if chart.distance(p, p0) > 1e-3:  # left the recurrence ball
                 left_ball = True
             elif left_ball:
                 returned = True
     except FlowError as exc:
         stop_reason = exc.reason
     d, label = flow.nearest(flow.distances(x0))
-    if base_moved <= base_tol:
+    if base_moved <= _BASE_TOL:
         return LimitSetReport("torus_closure", None, d, s_end, stop_reason,
                               fiber_rows, recurrent=returned)
     return LimitSetReport("inconclusive", label, d, s_end, stop_reason,
@@ -606,11 +607,12 @@ def _default_base_sampler(chart, meta):
 
 
 def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
-                 horizon=500.0, max_steps=100_000, rtol=1e-6, atol=1e-9):
+                 max_steps=100_000):
     """Backward-classify a sample of base points to their source fibers.
 
     The samples run as one batch through ``_BaseFlow.run`` on the backward
-    unit-speed base direction field, so ``horizon`` is base arc length.  On
+    unit-speed base direction field, to base arc length 500 at rtol 1e-6
+    and atol 1e-9, with ``max_steps`` attempts per sample.  On
     a 1-D base a sample needs about log_2.54(d0 / fiber_tol) steps from
     distance d0.  ``counts`` holds every outcome some sample reached: a
     target label, "escape" or "singular_set".  ``stop_reason`` is
@@ -627,8 +629,8 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     sampler = sampler or _default_base_sampler(chart, dict(field.meta))
     xs = sampler(rng, n_samples)
     flow = _BaseFlow(field, -1.0, chart.lift(xs[0]))
-    cfg = IntegratorConfig(rtol=rtol, atol=atol, max_steps=max_steps)
-    outcome, _, _, stop = flow.run(xs, horizon, cfg, fiber_tol)
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=max_steps)
+    outcome, _, _, stop = flow.run(xs, 500.0, cfg, fiber_tol)
     hits = np.bincount(outcome[outcome >= 0], minlength=len(flow.outcomes))
     return CensusReport(
         n_samples=n_samples,
@@ -659,7 +661,7 @@ class SingularityReport:
         return np.isfinite(self.estimated_order) and self.r_squared >= 0.99
 
 
-def _probe_directions(chart, x0, r_max, n_directions, meta):
+def _probe_directions(chart, x0, r_max, meta):
     bd = chart.base_dim
     if bd == 1:
         cands = [np.array([1.0]), np.array([-1.0])]
@@ -672,31 +674,31 @@ def _probe_directions(chart, x0, r_max, n_directions, meta):
         if needs_triangle and not in_triangle(x0 + r_max * u, margin=0.0):
             continue
         out.append(u)
-        if len(out) == n_directions:
+        if len(out) == 4:
             break
     return out
 
 
-def estimate_order(field, p0, radii=None, n_directions=4, declared_order=None):
+def estimate_order(field, p0):
     """Estimate the nullity order of a field at a singular point.
 
-    Fits log ||field|| against log(base displacement) along probe rays and
-    reports the median slope; r^2 below 0.99 flags a degenerate regression.
+    Fits log ||field|| against log(base displacement) at the radii
+    np.logspace(-6, -4, 8) along up to 4 probe rays and reports the median
+    slope; r^2 below 0.99 flags a degenerate regression.  The declared
+    order is that of a declared fiber at p0 (base distance < 1e-9), or None.
     """
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)
-    if radii is None:
-        radii = np.logspace(-6.0, -4.0, 8)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.logspace(-6.0, -4.0, 8)
     x0 = chart.base(p0)
-    fibers = field.singular_fibers
-    if declared_order is None and fibers:
+    fibers, declared_order = field.singular_fibers, None
+    if fibers:
         d = chart.base_distance(x0, [fib.base_point for fib in fibers])
         if d.min() < 1e-9:
             declared_order = fibers[int(d.argmin())].order
     slopes, r2s = [], []
     for u in _probe_directions(chart, x0, float(radii.max()),
-                               n_directions, dict(field.meta)):
+                               dict(field.meta)):
         vals = np.linalg.norm(
             field.func(chart.displace_base(p0, radii[:, None] * u)), axis=-1)
         if np.any(vals <= 0.0):
@@ -724,11 +726,12 @@ def estimate_order(field, p0, radii=None, n_directions=4, declared_order=None):
 # equidistribution
 
 
-def equidistribution_discrepancy(traj_or_angles, bins, base_tol=1e-6):
+def equidistribution_discrepancy(traj_or_angles, bins):
     """Box-count discrepancy of visited fiber angles against uniform measure.
 
     Returns half the total-variation distance between the empirical bin
-    distribution and uniform, a number in [0, 1].
+    distribution and uniform, a number in [0, 1].  A trajectory's angles
+    count only if its base drifts at most 1e-6 (ValueError otherwise).
     """
     if isinstance(traj_or_angles, Trajectory):
         traj = traj_or_angles
@@ -736,7 +739,7 @@ def equidistribution_discrepancy(traj_or_angles, bins, base_tol=1e-6):
         base_drift = np.max(
             chart.base_distance(chart.base(traj.points), chart.base(traj.points[0]))
         )
-        if base_drift > base_tol:
+        if base_drift > _BASE_TOL:
             raise ValueError(
                 f"trajectory not fiber-confined: base drift {base_drift:g}"
             )

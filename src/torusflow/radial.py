@@ -91,8 +91,9 @@ class RadialSolution:
         val[np.all(pts == 0.0, axis=-1)] = 0.0
         return float(val[0]) if single else val
 
-    def directional_residual(self, x, h=1e-4):
-        """|xi . f - g| measured by FD along the radial direction."""
+    def directional_residual(self, x):
+        """|xi . f - g| measured by central FD in log r, with step 1e-4."""
+        h = 1e-4
         x = np.asarray(x, dtype=float)
         pts = x if x.ndim > 1 else x[None, :]
         deriv = (self(np.exp(h) * pts) - self(np.exp(-h) * pts)) / (2.0 * h)

@@ -18,6 +18,8 @@ from .fields import lie_bracket
 from .flow import IntegratorConfig, integrate
 from .geometry import TWO_PI
 
+_RANK_EPS = 1e-8  # the probe's rank cutoff, relative to the largest sigma
+
 
 @dataclass
 class CommutantProbeReport:
@@ -76,7 +78,7 @@ def _ansatz(k, a, degree, max_freq, xs, thetas):
     return f, deg, Tf
 
 
-def _nullity(cols, eps_factor):
+def _nullity(cols):
     """Exact-zero columns plus SVD nullity of the normalized remainder.
 
     Returns (nullity, gap) where gap is the ratio of the smallest kept
@@ -90,7 +92,7 @@ def _nullity(cols, eps_factor):
         return nullity, np.inf
     live /= norms[~zero]
     sigma = np.linalg.svd(live, compute_uv=False)
-    eps = eps_factor * sigma[0]
+    eps = _RANK_EPS * sigma[0]
     below = sigma < eps
     nullity += int(below.sum())
     kept = sigma[~below]
@@ -100,7 +102,7 @@ def _nullity(cols, eps_factor):
 
 
 def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
-                              seed=0, eps_factor=1e-8):
+                              seed=0):
     """Estimate dim of the commutant of xi + T by least squares over an ansatz.
 
     Candidate fields have components f(x, theta) = x^alpha * trig(q . theta)
@@ -110,6 +112,8 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
     form, so the resulting linear systems are evaluated without finite
     differences.  The reported dimension counts only commuting fields
     representable in the ansatz, which covers the polynomial commutant.
+    A singular value below 1e-8 times the largest counts toward the
+    nullity (``rank_epsilon``).
     """
     a = np.asarray(a, dtype=float)
     n = a.size
@@ -123,9 +127,9 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
                            *_probe_points(k, n, n_points, seed))
     # X.f = deg*f + T.f; the angle slots need X.f = 0, the base slots X.f = f
     cols += deg * f
-    null_t, gap_t = _nullity(cols, eps_factor)
+    null_t, gap_t = _nullity(cols)
     cols -= f
-    null_x, gap_x = _nullity(cols, eps_factor)
+    null_x, gap_x = _nullity(cols)
     return CommutantProbeReport(
         dimension=k * null_x + n * null_t,
         expected_dimension=k * k + n,
@@ -134,7 +138,7 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
         nullity_theta=null_t,
         n_points=n_points,
         n_basis=n_basis,
-        rank_epsilon=eps_factor,
+        rank_epsilon=_RANK_EPS,
     )
 
 
@@ -180,21 +184,21 @@ def commutant_basis_check(k, a, n_points=1000, h=1e-4, seed=0):
                for fld in basis)
 
 
-def conjugation_residual(F, fld, points, t=5.0, cfg=None):
+def conjugation_residual(F, fld, points, t=5.0):
     """How far a map F is from commuting with the flow of a field.
 
     Max over points of the chart distance between flow_t(F(p)) and
     F(flow_t(p)), for t of either sign.  ``F`` is called on one point (d,)
-    at a time; the 2 len(points) starts F(p) and p run as one batch.  Its
-    infinitesimal form, ||DF(p) X(p) - X(F(p))||, is
-    ``fields.pushforward_residual``.
+    at a time; the 2 len(points) starts F(p) and p run as one batch, at
+    rtol 1e-10 and atol 1e-13.  Its infinitesimal form,
+    ||DF(p) X(p) - X(F(p))||, is ``fields.pushforward_residual``.
     """
-    cfg = cfg or IntegratorConfig(rtol=1e-10, atol=1e-13)
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         return 0.0
     starts = np.array([F(p) for p in points] + points, dtype=float)
-    traj = integrate(fld, starts, (0.0, t), cfg)
+    traj = integrate(fld, starts, (0.0, t),
+                     IntegratorConfig(rtol=1e-10, atol=1e-13))
     ends = traj.end if t >= 0 else traj.start  # the points at time t
     via_flow = np.array([F(q) for q in ends[len(points):]], dtype=float)
     return float(np.max(fld.chart.distance(ends[:len(points)], via_flow)))
@@ -222,18 +226,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
-                    commutation_t=1.0, commutation_tol=1e-6):
+def verify_manifest(manifest, seed=0, check_orders=False):
     """Run the certification checks recorded in a construction manifest.
 
-    Always checks: declared zeros are zeros, declared orders are pairwise
-    distinct, and the flow commutes with a random torus translation.  A
-    field that declares a ``base_rule`` gets it compared with the base
-    tangent of the lifted field at 64 seeded base points, edge points of
-    the S^5 triangle among them (relative tolerance 1e-13).  With
-    ``check_orders`` the nullity order of every declared fiber is estimated
-    by log-log regression and compared with the declaration (slower).
+    Always checks: declared zeros are zeros (|X| <= 1e-12), declared orders
+    are pairwise distinct, and the flow over t = 1 commutes with a random
+    torus translation to chart distance 1e-6.  A field that declares a
+    ``base_rule`` gets it compared with the base tangent of the lifted
+    field at 64 seeded base points, edge points of the S^5 triangle among
+    them (relative tolerance 1e-13).  With ``check_orders`` the nullity
+    order of every declared fiber is estimated by log-log regression and
+    must be within 0.2 of the declaration at r^2 >= 0.99 (slower).
     """
+    # deferred: looked up per call, so bench/tracer.py's flow patches see it
     from .flow import (_default_base_sampler, estimate_order,
                        flow_commutation_residual)
 
@@ -260,10 +265,9 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
         p0 = chart.lift((0.3, 0.3) if chart.is_sphere
                         else np.full(chart.base_dim, 0.5))
         lam = rng.uniform(0.0, TWO_PI, size=chart.n)
-        resid = flow_commutation_residual(fld, lam, p0, commutation_t)
+        resid = flow_commutation_residual(fld, lam, p0, 1.0)
         checks["flow_commutes_with_action"] = {
-            "passed": resid <= commutation_tol,
-            "value": resid, "tol": commutation_tol,
+            "passed": resid <= 1e-6, "value": resid, "tol": 1e-6,
         }
 
     if fld.base_rule is not None:
@@ -292,8 +296,8 @@ def verify_manifest(manifest, seed=0, check_orders=False, order_tol=0.2,
             worst_dev = max(worst_dev, abs(rep.estimated_order - fib.order))
             worst_r2 = min(worst_r2, rep.r_squared)
         checks["orders_match_declared"] = {
-            "passed": worst_dev <= order_tol and worst_r2 >= 0.99,
-            "value": worst_dev, "tol": order_tol,
+            "passed": worst_dev <= 0.2 and worst_r2 >= 0.99,
+            "value": worst_dev, "tol": 0.2,
         }
 
     return VerificationReport(name=manifest.name, checks=checks)

@@ -57,15 +57,28 @@ def test_trace_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_exit_codes(tmp_path):
-    ok = run(["verify", "--scenario", "line", "--quiet",
+_BUILDERS = {"line": "build_line_describing",
+             "circle": "build_line_describing",
+             "planar": "build_planar_demo", "s5": "build_s5"}
+
+
+@pytest.mark.parametrize("scenario", sorted(_BUILDERS))
+def test_verify_exit_codes(scenario, monkeypatch, tmp_path):
+    ok = run(["verify", "--scenario", scenario, "--quiet",
               "--out", str(tmp_path / "v.json")])
     assert ok == 0
-    bad = run(["verify", "--scenario", "line", "--quiet", "--sabotage",
+    # the sabotage fails only the order check, on a copy of the manifest
+    manifest = cli._build_manifest(scenario, cli._merged_config(scenario, {}))
+    fibers = manifest.field.singular_fibers
+    monkeypatch.setattr(cli, _BUILDERS[scenario], lambda *a, **k: manifest)
+    bad = run(["verify", "--scenario", scenario, "--quiet", "--sabotage",
                "--out", str(tmp_path / "vs.json")])
     assert bad == 1
     payload = json.loads((tmp_path / "vs.json").read_text())
     assert payload["passed"] is False
+    assert [k for k, c in payload["checks"].items() if not c["passed"]] == [
+        "orders_pairwise_distinct"]
+    assert manifest.field.singular_fibers is fibers
 
 
 def test_verify_fails_for_a_base_rule_off_the_field(monkeypatch, tmp_path):

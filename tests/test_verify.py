@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from torusflow.construction import build_line_describing, build_s5
-from torusflow.fields import (
-    SingularFiber,
-    pushforward_residual,
-    xi_plus_affine,
-)
+from torusflow.fields import pushforward_residual, xi_plus_affine
 from torusflow.flow import IntegratorConfig, integrate
 from torusflow.verify import (
     commutant_basis_check,
@@ -183,9 +179,10 @@ def test_verify_manifest_with_order_estimation():
 
 def test_verify_manifest_detects_corrupted_orders():
     m = build_s5()
-    fibs = list(m.field.singular_fibers)
-    fibs[0] = SingularFiber(fibs[0].label, fibs[0].base_point, fibs[1].order)
-    object.__setattr__(m.field, "singular_fibers", tuple(fibs))
+    fibs = m.field.singular_fibers
+    fibs = (dataclasses.replace(fibs[0], order=fibs[1].order),) + fibs[1:]
+    m = dataclasses.replace(
+        m, field=dataclasses.replace(m.field, singular_fibers=fibs))
     rep = verify_manifest(m, seed=0)
     assert not rep.passed
     assert not rep.checks["orders_pairwise_distinct"]["passed"]
