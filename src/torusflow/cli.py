@@ -165,10 +165,12 @@ def cmd_verify(args):
         # negative control: a copy with two equal orders, so a check fails
         fld = manifest.field
         fibs = fld.singular_fibers
-        if len(fibs) >= 2:
-            fibs = (replace(fibs[0], order=fibs[1].order),) + fibs[1:]
-            manifest = replace(manifest,
-                               field=replace(fld, singular_fibers=fibs))
+        if len(fibs) < 2:
+            raise ConfigError("--sabotage needs two declared fibers to give "
+                              f"equal orders; {fld.name!r} declares "
+                              f"{len(fibs)}")
+        fibs = (replace(fibs[0], order=fibs[1].order),) + fibs[1:]
+        manifest = replace(manifest, field=replace(fld, singular_fibers=fibs))
     report = verify_manifest(manifest, seed=args.seed,
                              check_orders=bool(cfg.get("check_orders")))
     payload = {

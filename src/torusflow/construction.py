@@ -116,21 +116,23 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
     chart = Chart("product", k=2, n=n)
 
     def tau(x):
+        # (..., 1): the kept axis gives one point a batch row's array
+        # operations and bits (a 0-d value would take numpy's scalar pow)
         x = np.asarray(x, dtype=float)
         d2 = ((x[..., None, :2] - pts) ** 2).sum(axis=-1)
         # |x - p|^(2 m_p) written on squared distances to stay smooth
-        num = (d2 ** half).prod(axis=-1)
-        return num / (1.0 + (x[..., :2] ** 2).sum(axis=-1)) ** total
+        num = (d2 ** half).prod(axis=-1, keepdims=True)
+        return num / (1.0 + (x[..., :2] ** 2).sum(axis=-1,
+                                                  keepdims=True)) ** total
 
     def func(p):
         p = np.asarray(p, dtype=float)
-        t = tau(p)
         out = p.copy()
         out[..., 2:] = a
-        return t[..., None] * out
+        return tau(p) * out
 
     def base_rule(x):
-        return tau(x)[..., None] * x
+        return tau(x) * x
 
     fibers = tuple(
         SingularFiber(f"planted_{i}", tuple(pt), orders[i])

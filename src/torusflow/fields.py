@@ -371,22 +371,25 @@ def line_model_fields(base, n=1, a=(1.0,)):
     else:
         raise ValueError(f"unknown base tag {base!r}")
 
+    # x keeps its last axis, so one point (d,) runs the array operations
+    # of a batch row and gets the same bits (a 0-d x would take numpy's
+    # scalar pow, whose last bit can differ)
     def y_func(p):
         p = np.asarray(p, dtype=float)
-        return y_fn(p[..., 0])[..., None]
+        return y_fn(p[..., :1])
 
     def z_func(p):
         p = np.asarray(p, dtype=float)
-        x = p[..., 0]
-        return (tau_fn(x) * y_fn(x))[..., None]
+        x = p[..., :1]
+        return tau_fn(x) * y_fn(x)
 
     def xprime_func(p):
         p = np.asarray(p, dtype=float)
-        x = p[..., 0]
+        x = p[..., :1]
         t = tau_fn(x)
         out = np.empty_like(p)
-        out[..., 0] = t * y_fn(x)
-        out[..., 1:] = t[..., None] * a
+        out[..., :1] = t * y_fn(x)
+        out[..., 1:] = t * a
         return out
 
     fibers = tuple(

@@ -1,13 +1,19 @@
 """Flow integration and trajectory diagnostics.
 
-One integrator, an embedded Dormand-Prince 5(4) pair with PI step control
-(``_adaptive_steps``), serves ``integrate`` (with cubic Hermite dense
-output), ``classify_limit`` and ``basin_census``.  It advances one point or
-a batch of points; every row of a batch has its own step size and PI
-state, and a row leaves the batch when it is finished.  ``integrate`` takes
-a batch (m, d) of start points in one call and returns their start and end
-points; dense output needs one start point.  ``flow_commutation_residual``
-runs its two sides, for one or many torus elements, as one such batch.
+One Runge-Kutta loop with PI step control (``_adaptive_steps``) takes an
+embedded pair as data and runs two of them.  ``integrate`` steps with
+Dormand and Prince's 8(5,3) pair, DOP853, and gives dense output from its
+7th-order continuous extension (``_dense_output``), whose three extra
+stages are evaluated only on the steps that hold a requested time.  The
+base runner of ``classify_limit`` and ``basin_census`` and
+``classify_limit``'s fiber loop step with the Dormand-Prince 5(4) pair,
+DP5, because the base step cap rests on its weights (see ``_BaseFlow``).
+The loop advances one point or a batch of points; every row of a batch
+has its own step size and PI state, and a row leaves the batch when it is
+finished.  ``integrate`` takes a batch (m, d) of start points in one call
+and returns their start and end points; dense output needs one start
+point.  ``flow_commutation_residual`` runs its two sides, for one or many
+torus elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
 through one runner, ``_BaseFlow.run``, on a unit-speed base direction field
@@ -24,28 +30,142 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from operator import ge, gt, le, lt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .fields import FieldHandle
 from .geometry import TWO_PI, Chart, in_triangle
 
-# Dormand-Prince 5(4) tableau (the fields are autonomous: no nodes needed)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+
+class _Pair(NamedTuple):
+    """An embedded explicit Runge-Kutta pair for autonomous fields.
+
+    Stage i is f(y + h a[i] . K[:i]); the last row of ``a`` is ``b``, so the
+    last stage is f(y_new), the next step's first stage (FSAL), and a step
+    costs len(a) - 1 field calls.  The fields are autonomous, so the loop
+    needs no nodes.  ``e`` holds the error weights; with ``e3`` the error
+    norm combines the two estimates as DOP853 does, else it is the RMS of
+    h e . K.  ``exponents`` are the PI controller's (alpha, beta), the
+    exponent of the shrink after a rejected step and that of rtol in the
+    first step's size.
+    """
+
+    a: tuple
+    b: np.ndarray
+    e: np.ndarray
+    e3: Optional[np.ndarray]
+    exponents: tuple
+
+
+def _rows(entries, width=None):
+    """Rows of a Runge-Kutta matrix from their nonzero entries {column:
+    value}; row i has i columns, or ``width``."""
+    return tuple(np.array([row.get(j, 0.0) for j in range(width or i)])
+                 for i, row in enumerate(entries))
+
+
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980)
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
-_REACH = 1.65  # above sum |b5_i| = 1.64475: the base step cap, see _BaseFlow
+_DP5 = _Pair(
+    a=(np.array([]),
+       np.array([1 / 5]),
+       np.array([3 / 40, 9 / 40]),
+       np.array([44 / 45, -56 / 15, 32 / 9]),
+       np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+       np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                 -5103 / 18656]),
+       _B5[:6]),
+    b=_B5, e=_B5 - _B4, e3=None, exponents=(0.14, 0.08, 0.2, 0.25))
+
+# DOP853, Dormand and Prince's 8(5,3) pair (Prince & Dormand, J. Comput.
+# Appl. Math. 7, 1981), with the coefficients of Hairer's dop853.f
+# (Hairer, Norsett & Wanner, Solving ODEs I, sections II.5-II.6).  Rows 12
+# to 15: b, then the three extra stages of the continuous extension; the
+# nodes _DOP853_C of all 16 stages are the row sums.
+_DOP853_A = _rows([
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386,
+     4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776,
+     6: 0.053541988307438566, 7: -0.05492374857139099,
+     10: -0.00010834732869724932, 11: 0.0003825710908356584,
+     12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+])
+_DOP853_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0,
+    0.1, 0.2, 0.7777777777777778])
+_DOP853_B = np.append(_DOP853_A[12], 0.0)
+_DOP853 = _Pair(
+    a=_DOP853_A[:13], b=_DOP853_B,
+    # b minus the 5th-order weights
+    e=_rows([{0: 0.01312004499419488, 5: -1.2251564463762044,
+              6: -0.4957589496572502, 7: 1.6643771824549864,
+              8: -0.35032884874997366, 9: 0.3341791187130175,
+              10: 0.08192320648511571, 11: -0.022355307863886294}], 13)[0],
+    # b minus the 3rd-order weights
+    e3=_DOP853_B - _rows([{0: 0.2440944881889764, 8: 0.7338466882816118,
+                           11: 0.022058823529411766}], 13)[0],
+    exponents=(0.125, 0.0, 0.125, 0.125))  # 1 / 8, no PI term
+# the continuous extension: the extra stages' rows and the weights of the
+# interpolant's last four coefficients, over the 16 stages
+_DENSE_A = _DOP853_A[13:]
+_DENSE_D = np.array(_rows([
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688,
+     12: -0.08899033645133331, 13: 18.148505520854727,
+     14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229,
+     12: 15.697238121770845, 13: -31.139403219565178,
+     14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443,
+     12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
+     15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544,
+     15: -149.72683625798564},
+], 16))
+
+_REACH = 1.65  # above DP5's sum |b_i| = 1.64475: the base step cap (_BaseFlow)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # of the PI controller
 _BASE_TOL = 1e-6  # an orbit whose base moves at most this stays in its fiber
 
@@ -90,12 +210,14 @@ class Trajectory:
         return self.points[-1]
 
 
-def _initial_step(f0, y0, direction, rtol):
-    """Starting step of each row: a float for one point, (m, 1) for a batch."""
+def _initial_step(f0, y0, direction, rtol, exponent):
+    """Starting step of each row: a float for one point, (m, 1) for a batch.
+
+    It scales with max(rtol, 1e-12) ** exponent."""
     scale = 1.0 + np.linalg.norm(y0, axis=-1, keepdims=True)
     rate = np.linalg.norm(f0, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", over="ignore"):
-        h = np.minimum(1e-2 * scale / rate, 1.0) * max(rtol, 1e-12) ** 0.25
+        h = np.minimum(1e-2 * scale / rate, 1.0) * max(rtol, 1e-12) ** exponent
     h = direction * np.where(rate < 1e-300, 1e-3, h)
     return float(h[0]) if y0.ndim == 1 else h
 
@@ -110,23 +232,34 @@ _ROWS = (np.where, np.maximum, np.minimum,
          np.sqrt)
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
-    """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids).
+def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
+                    rowwise=False):
+    """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids, K).
 
-    ``y0`` is one point (d,) or a batch (m, d).  Every row has its own
-    time, step size and PI state and is accepted or rejected on its own
-    RMS error norm; t and err are floats for one point and (m, 1) columns
+    ``pair`` (``_DOP853`` or ``_DP5``) is the Runge-Kutta pair it steps
+    with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has its
+    own time, step size and PI state and is accepted or rejected on its
+    own error norm; t and err are floats for one point and (m, 1) columns
     for a batch, and ``ids`` are the original numbers of the live rows
     (None for one point).  A yield follows every attempt that accepted some
     row, once ``project(y)`` (the sphere renormalizer, or None) has given
-    the points to go on from and ``f`` has been evaluated there again.  A
-    batch's consumer may answer it with ``send((drop, cap))``: a mask (m,)
-    of rows to drop and a cap (m,) on each row's step size, either None.
-    Then the finished rows (at ``t_end``, or dropped) leave the batch and
-    the live rows are packed together, so ``f`` only sees live rows; the
-    generator ends when no row is left.  A batch's ``h0`` (m,) sets the
-    size of each row's first step; rows where it is 0 or not finite start
-    from ``_initial_step``'s guess, as all rows do without it.
+    the points to go on from and ``f`` has been evaluated there again.
+    ``K`` holds the attempt's stages along its axis -2: (stages, d) for one
+    point (None at the first yield); the next attempt overwrites it.  A
+    batch's consumer may answer a yield with ``send((drop, cap))``: a mask
+    (m,) of rows to drop and a cap (m,) on each row's step size, either
+    None.  Then the finished rows (at ``t_end``, or dropped) leave the
+    batch and the live rows are packed together, so ``f`` only sees live
+    rows; the generator ends when no row is left.  A batch's ``h0`` (m,)
+    sets the size of each row's first step; rows where it is 0 or not
+    finite start from ``_initial_step``'s guess, as all rows do without it.
+
+    With ``rowwise`` every row of a batch takes the steps, bit for bit, of
+    a run of its own (for a field that evaluates a row as it does one
+    point): the stage sums are one matrix-vector product per row and the
+    controller's powers are ufunc calls also for one point.  Without it a
+    batch's stage sums are one product over all rows, which is faster for
+    many rows but rounds differently from one row to the next.
 
     The first yield is the initial condition with err 0.  All live rows
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
@@ -141,14 +274,18 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
     k1 = np.asarray(f(y), dtype=float)
     one = y.ndim == 1
     ids = None if one else np.arange(len(y))
-    yield float(t0), y, k1, 0.0, 0, ids
+    yield float(t0), y, k1, 0.0, 0, ids, None
     if t_end == t0 or y.size == 0:
         return
     where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
+    rows_apart = rowwise and not one
+    power = np.power if rowwise else pow
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    a, b, e5, e3, (alpha, beta, shrink_exp, start_exp) = pair
+    n_stages = len(a)
     t = float(t0) if one else np.full((len(y), 1), float(t0))
-    h = _initial_step(k1, y, direction, rtol)
+    h = _initial_step(k1, y, direction, rtol, start_exp)
     if h0 is not None:
         h0 = h0[:, None]
         h = np.where(np.isfinite(h0) & (h0 > 0), direction * h0, h)
@@ -164,28 +301,48 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
         if any_(abs(h) < 1e-14 * lower(1.0, abs(t))):
             raise FlowError(f"step underflow at t={t}, point {y}",
                             "underflow")
-        if K is None:  # stage derivatives, one flattened row each
-            K = np.empty((7, y.size))
-            stage, shape = K.reshape((7,) + y.shape), y.shape
-        hb = h if one else h.repeat(d, axis=1)  # h spread over the row
+        if K is None:  # stage derivatives, the stage axis at -2
+            shape = y.shape
+            if rows_apart:  # (m, stages, d): one product per row
+                K = np.empty((len(y), n_stages, d))
+                stage = K.transpose(1, 0, 2)
+                combine = np.matmul
+            else:  # (stages, m d): one product for all rows
+                K = np.empty((n_stages, y.size))
+                stage = K.reshape((n_stages,) + shape)
+                combine = np.dot if one else (
+                    lambda w, K: w.dot(K).reshape(shape))
+            before = [K[..., :i, :] for i in range(n_stages)]
+        # h spread over each row of a batch that shares one product
+        hb = h if one or rows_apart else h.repeat(d, axis=1)
         stage[0] = k1
-        for i in range(1, 7):
-            stage[i] = k = f(y + hb * _A[i].dot(K[:i]).reshape(shape))
-        y_new = y + hb * _B5.dot(K).reshape(shape)
-        # RMS error norm of each row
-        q = hb * _E.dot(K).reshape(shape) / (
-            atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-        err = sqrt(np.add.reduce(q * q, axis=-1, keepdims=not one) / d)
+        for i in range(1, n_stages):
+            stage[i] = k = f(y + hb * combine(a[i], before[i]))
+        y_new = y + hb * combine(b, K)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        if e3 is None:  # RMS error norm of each row
+            q = hb * combine(e5, K) / scale
+            err = sqrt(np.add.reduce(q * q, axis=-1, keepdims=not one) / d)
+        else:  # DOP853's blend of its two estimates, 0 where both vanish
+            # from the stages' differences to the first one, where the
+            # rounding of a large common part (a drift) does not enter
+            dK = K[..., 1:, :] - K[..., :1, :]
+            q = hb * combine(e5[1:], dK) / scale
+            q3 = hb * combine(e3[1:], dK) / scale
+            err = np.add.reduce(q * q, axis=-1, keepdims=not one)
+            err = err / sqrt(lower(1e-300, d * (err + 0.01 * np.add.reduce(
+                q3 * q3, axis=-1, keepdims=not one))))
         ok = err <= 1.0
         e = lower(err, 1e-10)
         # PI controller (Hairer's choices) for accepted rows
         grow = upper(max_factor, lower(min_factor, where(
-            err < 1e-10, max_factor, safety * e ** -0.14 * err_prev ** 0.08)))
+            err < 1e-10, max_factor,
+            safety * power(e, -alpha) * power(err_prev, beta))))
         if all_(ok):
             t, y, k1, h, err_prev = t + h, y_new, k, h * grow, e  # FSAL
         else:
             rejected += np.size(ok) - int(np.count_nonzero(ok))
-            shrink = lower(min_factor, safety * e ** -0.2)
+            shrink = lower(min_factor, safety * power(e, -shrink_exp))
             t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
             h, err_prev = h * where(ok, grow, shrink), where(ok, e, err_prev)
             if not any_(ok):
@@ -193,7 +350,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, project=None, h0=None):
         if project is not None:
             y = project(y)
             k1 = np.asarray(f(y), dtype=float)
-        drop, cap = (yield t, y, k1, err, rejected, ids) or (None, None)
+        drop, cap = (yield t, y, k1, err, rejected, ids, K) or (None, None)
         rejected = 0
         if cap is not None:
             h = direction * np.minimum(direction * h, cap[:, None])
@@ -213,54 +370,70 @@ def _renormalizer(chart):
     return chart.wrap if chart is not None and chart.is_sphere else None
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
-    """Cubic Hermite interpolants evaluated at times t.
+def _dense_output(f, t0, t1, y0, y1, f0, f1, K, t):
+    """DOP853's 7th-order continuous extension of one step, at times t (m,).
 
-    Row i interpolates on [t0[i], t1[i]] from the end values y0[i], y1[i]
-    and derivatives f0[i], f1[i].
+    The step went from (t0, y0) to (t1, y1), with derivatives f0 and f1
+    there and stages K (13, d); the extension's three extra stages cost
+    three calls of ``f``.  Returns the points (m, d); at t0 and t1 they
+    are y0 and y1 to rounding.
     """
     h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s**2 * (3 - 2 * s)
-    h11 = s**2 * (s - 1)
-    h = h[:, None]
-    return (h00[:, None] * y0 + h10[:, None] * h * f0
-            + h01[:, None] * y1 + h11[:, None] * h * f1)
+    stages = np.empty((16, y0.size))
+    stages[:13] = K
+    for i, a in enumerate(_DENSE_A, start=13):
+        stages[i] = f(y0 + h * a.dot(stages[:i]))
+    dy = y1 - y0
+    coeffs = [dy, h * f0 - dy, 2 * dy - h * (f0 + f1),
+              *(h * _DENSE_D.dot(stages))]
+    x = ((t - t0) / h)[:, None]
+    y = 0.0
+    for i, c in enumerate(reversed(coeffs)):  # nested in x and 1 - x
+        y = (y + c) * (x if i % 2 == 0 else 1 - x)
+    return y0 + y
 
 
 def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
     """Times, points and stats of the run from one start point (d,).
 
-    The points are the accepted steps, or cubic Hermite dense output at
-    ``t_eval``.
+    The points are the accepted steps, or the dense output at ``t_eval``:
+    each time is evaluated on the step that holds it, a time before t0 on
+    the first step and one after t1 on the last.
     """
-    ts, ys, fs = [], [], []
-    accepted = rejected = 0
-    max_err = 0.0
-    for t, y, fy, err, rej, _ in _adaptive_steps(f, t0, y0, t1, cfg, renorm):
-        ts.append(t)
-        ys.append(y)
-        fs.append(fy)
-        accepted += 1
-        rejected += rej
-        max_err = max(max_err, err)
-    times = np.array(ts)
-    points = np.stack(ys, axis=0)
-    derivs = np.stack(fs, axis=0)
-
+    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm,
+                           rowwise=True)
+    t, y, fy = next(steps)[:3]
+    ts, ys = [t], [y]
     if t_eval is not None:
         t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
         sign = 1.0 if t1 >= t0 else -1.0  # the steps run in this direction
-        idx = np.clip(np.searchsorted(sign * times, sign * t_eval,
-                                      side="right") - 1, 0, len(times) - 2)
-        points = _hermite(t_eval, times[idx], times[idx + 1], points[idx],
-                          points[idx + 1], derivs[idx], derivs[idx + 1])
+        order = np.argsort(sign * t_eval, kind="stable")
+        ahead = sign * t_eval[order]
+        points, j = np.empty((len(t_eval), len(y))), 0
+    accepted = rejected = 0
+    max_err = 0.0
+    for t_new, y_new, f_new, err, rej, _, K in steps:
+        accepted += 1
+        rejected += rej
+        max_err = max(max_err, err)
+        if t_eval is None:
+            ts.append(t_new)
+            ys.append(y_new)
+        else:
+            k = (len(ahead) if sign * t_new >= sign * t1
+                 else int(np.searchsorted(ahead, sign * t_new, "right")))
+            if k > j:
+                points[order[j:k]] = _dense_output(
+                    f, t, t_new, y, y_new, fy, f_new, K, t_eval[order[j:k]])
+                j = k
+        t, y, fy = t_new, y_new, f_new
+    if t_eval is None:
+        times, points = np.array(ts), np.stack(ys, axis=0)
+    else:
+        points[order[j:]] = y  # t1 == t0: no step was taken
         times = t_eval
-
-    stats = {"accepted": accepted - 1, "rejected": rejected,
-             "max_local_error": max_err}
+    stats = {"accepted": accepted, "rejected": rejected,
+             "max_local_error": float(max_err)}
     return times, points, stats
 
 
@@ -273,9 +446,10 @@ def _batch_ends(f, t0, y0, t1, cfg, renorm):
     ends = y0.copy()
     accepted = rejected = 0
     max_err = 0.0
-    steps = _adaptive_steps(f, t0, y0, t1, cfg, renorm)
+    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm,
+                           rowwise=True)
     next(steps)  # the start, with err 0
-    for _, y, _, err, rej, ids in steps:
+    for _, y, _, err, rej, ids, _ in steps:
         ends[ids] = y
         ok = err <= 1.0
         accepted += int(np.count_nonzero(ok))
@@ -290,24 +464,32 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
     """Integrate the flow of a field from p0 over t_span.
 
     ``field`` is a FieldHandle (sphere charts are renormalized after every
-    accepted step) or a plain callable.  For one start point p0 (d,) the
-    trajectory holds the accepted step points, or with ``t_eval`` dense
-    output at the requested times.  A batch p0 (m, d) runs as one call,
-    every row with its own step control; the result holds only the start
-    and end points, ``times`` [t0, t1] and ``points`` (2, m, d), and
-    ``t_eval`` raises ValueError.  Samples are in chronological order, so
-    ``end`` is the point at the later time also for a backward run.  The
-    stats are ints summed over rows ("accepted", "rejected") and the
-    largest accepted local error norm ("max_local_error").  Angles in the
-    result are wrapped.
+    accepted step) or a plain callable.  The steps are DOP853's.  For one
+    start point p0 (d,) the trajectory holds the accepted step points, or
+    with ``t_eval`` the 7th-order dense output at the requested times.  A
+    batch p0 (m, d) runs as one call, every row with its own step control;
+    the result holds only the start and end points, ``times`` [t0, t1] and
+    ``points`` (2, m, d), and ``t_eval`` raises ValueError.  Samples are in
+    chronological order, so ``end`` is the point at the later time also for
+    a backward run.  The stats are ints summed over rows ("accepted",
+    "rejected"), the largest accepted local error norm ("max_local_error")
+    and the number of field calls ("rhs_calls": the stages, the dense
+    output's extra stages and the re-evaluations after a renormalization;
+    a batch call counts once).  Angles in the result are wrapped.
     """
     cfg = cfg or IntegratorConfig()
     if isinstance(field, FieldHandle):
-        chart, f = field.chart, field.func
+        chart, func = field.chart, field.func
     else:
-        chart, f = None, field
+        chart, func = None, field
     t0, t1 = float(t_span[0]), float(t_span[1])
     p0 = np.asarray(p0, dtype=float)
+    calls = 0
+
+    def f(y):
+        nonlocal calls
+        calls += 1
+        return func(y)
 
     renorm = _renormalizer(chart)
     if p0.ndim == 1:
@@ -317,6 +499,7 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
                          f"not a batch of shape {p0.shape}")
     else:
         times, points, stats = _batch_ends(f, t0, p0, t1, cfg, renorm)
+    stats["rhs_calls"] = calls
     if chart is not None:
         points = chart.wrap(points)
     if times.size > 1 and times[-1] < times[0]:
@@ -361,10 +544,11 @@ class _BaseFlow:
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
     points x (m, base_dim), divided by its norm; where the tangent vanishes
     (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
-    rows' base distances d to the nearest target and their step caps
-    d / 1.65, and ``run`` starts each row with the cap at its start point.
-    An accepted Dormand-Prince step of size h moves its point by at most
-    sum |b5_i| h = 1.64475 h (every stage has unit speed), so a capped step
+    rows' base distances d to the nearest target, their step caps d / 1.65
+    and the index of that target, and ``run`` starts each row with the cap
+    at its start point.  The runner steps with DP5, whose accepted step of
+    size h moves its point by at most sum |b5_i| h = 1.64475 h (every stage
+    has unit speed; DOP853's sum is 12.9), so a capped step
     ends within 0.9968 d and can neither reach a target nor, on a 1-D base,
     pass one.  This bound does not rest on the error estimate, which cannot
     see a sign flip that only stage 2 samples (its weight is 0 there).  On a
@@ -431,8 +615,11 @@ class _BaseFlow:
         return v / nv
 
     def hook(self, ids, x):
-        d = self.distances(x).min(axis=1, initial=np.inf)
-        return d, d / _REACH
+        dist = self.distances(x)
+        d = dist.min(axis=1, initial=np.inf)
+        nearest = (dist.argmin(axis=1) if dist.shape[1]
+                   else np.zeros(len(x), dtype=int))
+        return d, d / _REACH, nearest
 
     def run(self, xs, horizon, cfg, fiber_tol):
         """Run a batch of base points xs (m, base_dim) to arc length horizon.
@@ -456,14 +643,14 @@ class _BaseFlow:
         ends, lengths = xs.copy(), np.zeros(len(xs))
         near = self.distances(xs).min(axis=1, initial=np.inf)
         escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
-        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
+        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg, _DP5,
                                 h0=near / _REACH)
         vel = next(steps)[2].copy()  # the start
         sent, stop = None, "horizon"
         try:
             while True:
-                s, x, v, err, _, ids = steps.send(sent)
-                d, cap = self.hook(ids, x)
+                s, x, v, err, _, ids, _ = steps.send(sent)
+                d, cap, nearest = self.hook(ids, x)
                 ends[ids], lengths[ids] = x, s[:, 0]
                 ok = err[:, 0] <= 1.0
                 hit = ok & (d < fiber_tol) & (d <= near[ids])
@@ -477,8 +664,7 @@ class _BaseFlow:
                 if np.count_nonzero(drop):
                     outcome[ids[far]] = len(self.labels)
                     outcome[ids[stuck]] = len(self.labels) + 1
-                    if hit.any():
-                        outcome[ids[hit]] = self.distances(x[hit]).argmin(1)
+                    outcome[ids[hit]] = nearest[hit]
                 sent = drop, cap
         except StopIteration:
             pass
@@ -552,8 +738,8 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
         return scale * field.func(p)
 
     try:
-        for s_end, p, _, _, _, _ in _adaptive_steps(
-                fiber_velocity, 0.0, p0, horizon, cfg, _renormalizer(chart)):
+        for s_end, p, *_ in _adaptive_steps(fiber_velocity, 0.0, p0, horizon,
+                                            cfg, _DP5, _renormalizer(chart)):
             base_moved = max(base_moved,
                              float(chart.base_distance(chart.base(p), x0)))
             if chart.distance(p, p0) > 1e-3:  # left the recurrence ball

@@ -81,6 +81,19 @@ def test_verify_exit_codes(scenario, monkeypatch, tmp_path):
     assert manifest.field.singular_fibers is fibers
 
 
+def test_sabotage_needs_two_declared_fibers(tmp_path, capsys):
+    # with one declared fiber no two orders can be made equal, so the
+    # negative control could not fail: a config error, not a pass
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"orders": [2]}))
+    argv = ["verify", "--scenario", "planar", "--config", str(cfg), "--quiet"]
+    out = tmp_path / "vs.json"
+    assert run(argv + ["--sabotage", "--out", str(out)]) == 2
+    assert "two declared fibers" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--out", str(tmp_path / "v.json")]) == 0
+
+
 def test_verify_fails_for_a_base_rule_off_the_field(monkeypatch, tmp_path):
     # a declared base rule 1e-9 off the field fails its check, and only it
     build = cli.build_line_describing

@@ -53,6 +53,113 @@ def test_dense_output_accuracy():
     assert np.allclose(traj.points[:, 0], np.exp(t_eval), rtol=1e-7)
 
 
+def test_dop853_tableau_meets_its_order_conditions():
+    # the coefficients as written, checked through the conditions they
+    # satisfy rather than against another implementation; each family of
+    # conditions also fails at the next order
+    A, c = flow_module._DOP853_A, flow_module._DOP853_C
+    pair = flow_module._DOP853
+    for row, node in zip(A, c):  # the 13 stages and the 3 dense ones
+        assert row.sum() == pytest.approx(node, abs=1e-14)
+    b, c = pair.b, c[:13]
+    assert np.array_equal(pair.a[12], b[:12])  # the last stage is f(y_new)
+    assert pair.e[12] == pair.e3[12] == 0.0
+    Ac = np.array([[row @ c[:i] ** k for i, row in enumerate(pair.a)]
+                   for k in range(8)])
+    for k in range(8):  # order 8: quadrature and b A c^k
+        assert b @ c ** k == pytest.approx(1 / (k + 1), abs=1e-14)
+        if k < 7:
+            assert b @ Ac[k] == pytest.approx(1 / ((k + 1) * (k + 2)),
+                                              abs=1e-14)
+    assert abs(b @ c ** 8 - 1 / 9) > 1e-6
+    assert abs(b @ Ac[7] - 1 / 72) > 1e-6
+    # the embedded weights b - e and b - e3: orders 5 and 3
+    for weights, order in ((b - pair.e, 5), (b - pair.e3, 3)):
+        for k in range(order):
+            assert weights @ c ** k == pytest.approx(1 / (k + 1), abs=1e-14)
+        assert abs(weights @ c ** order - 1 / (order + 1)) > 1e-4
+
+
+def _dop853_step(f, y0, h):
+    """One DOP853 step of size h from y0: the end point and the 13 stages."""
+    pair = flow_module._DOP853
+    K = np.empty((13, len(y0)))
+    K[0] = f(y0)
+    for i in range(1, 13):
+        K[i] = f(y0 + h * pair.a[i] @ K[:i])
+    return y0 + h * pair.b @ K, K
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_dense_output_is_exact_to_degree_seven(k):
+    # s' = 1, u' = s^k: the 7th-order continuous extension of a step of
+    # size 1 gives u of degree k + 1 <= 7 exactly at every fraction of the
+    # step, and reproduces both ends; degree 8 it cannot
+    def f(y):
+        return np.array([1.0, y[0] ** k])
+
+    y0 = np.array([0.5, 0.25])
+    y1, K = _dop853_step(f, y0, 1.0)
+    theta = np.linspace(0.0, 1.0, 11)
+    got = flow_module._dense_output(f, 0.0, 1.0, y0, y1, K[0], K[12], K,
+                                    theta)
+    exact = y0[1] + ((0.5 + theta) ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
+    np.testing.assert_array_equal(got[0], y0)
+    np.testing.assert_allclose(got[-1], y1, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(got[:, 0], 0.5 + theta, rtol=1e-14)
+    err = np.abs(got[:, 1] - exact).max()
+    assert err <= 1e-14 if k < 7 else err > 1e-6
+
+
+def test_dense_output_follows_the_exact_flow_of_xi_plus_affine():
+    # x e^t on the base and theta + a t on the torus, at every t_eval of a
+    # forward and a backward run
+    X = xi_plus_affine(2, (1.0, SQRT2))
+    p0 = np.array([0.3, -0.7, 1.0, 2.0])
+    for t1 in (3.0, -3.0):
+        traj = integrate(X, p0, (0.0, t1), t_eval=np.linspace(0.0, t1, 40))
+        t = traj.times
+        exact = np.hstack([p0[:2] * np.exp(t)[:, None],
+                           p0[2:] + np.outer(t, [1.0, SQRT2])])
+        err = X.chart.distance(traj.points, X.chart.wrap(exact))
+        assert np.all(err <= 1e-8 * np.linalg.norm(exact, axis=1))
+
+
+@pytest.mark.parametrize("scenario", ["line", "circle", "planar"])
+def test_dense_output_adds_at_most_the_tolerance(scenario):
+    # against a rtol 1e-13 run of the same integrator, the error at t_eval
+    # is at most the end point's error plus rtol times the largest |y|: the
+    # interpolant adds no more than the tolerance asked for
+    fld = {"line": lambda: line_model_fields("line", n=1, a=(1.0,)).Xprime,
+           "circle": lambda: line_model_fields("circle", n=2,
+                                               a=(1.0, SQRT2)).Xprime,
+           "planar": lambda: build_planar_demo().field}[scenario]()
+    p0 = fld.chart.wrap(np.full(fld.chart.dim, 0.5))
+    t_eval = np.linspace(0.0, 5.0, 50)
+    cfg = IntegratorConfig()
+    got = integrate(fld, p0, (0.0, 5.0), cfg, t_eval=t_eval)
+    ref = integrate(fld, p0, (0.0, 5.0), IntegratorConfig(1e-13, 1e-16),
+                    t_eval=t_eval)
+    err = fld.chart.distance(got.points, ref.points)
+    end = fld.chart.distance(integrate(fld, p0, (0.0, 5.0)).end,
+                             ref.points[-1])
+    size = np.linalg.norm(ref.points, axis=1).max()
+    assert err.max() <= end + cfg.rtol * size
+
+
+def test_dense_stages_only_on_steps_that_hold_a_requested_time():
+    # three extra field calls for each step that holds a time of t_eval;
+    # the steps themselves do not change
+    m = line_model_fields("circle", n=2, a=(1.0, SQRT2))
+    steps = integrate(m.Xprime, [0.5, 0.1, 0.2], (0.0, 5.0))
+    n = steps.stats["accepted"]
+    for t_eval, held in (([5.0], 1), ([0.0, 5.0], 2), (steps.times, n)):
+        dense = integrate(m.Xprime, [0.5, 0.1, 0.2], (0.0, 5.0),
+                          t_eval=t_eval).stats
+        assert dense["accepted"] == n
+        assert dense["rhs_calls"] == steps.stats["rhs_calls"] + 3 * held
+
+
 def test_time_reversal_roundtrip():
     X = xi_plus_affine(2, (1.0, SQRT2))
     p0 = np.array([0.3, -0.7, 1.0, 2.0])
@@ -76,17 +183,19 @@ def test_one_point_step_sequence_is_pinned():
     # arithmetic moves the end point by far more than the tolerance
     m = line_model_fields("circle", n=2, a=(1.0, SQRT2))
     traj = integrate(m.Xprime, [0.5, 0.1, 0.2], (0.0, 50.0))
-    assert traj.stats["accepted"] == 214
-    assert traj.stats["rejected"] == 0
+    assert traj.stats["accepted"] == 52
+    assert traj.stats["rejected"] == 2
+    # 12 per attempt (FSAL) and the first call
+    assert traj.stats["rhs_calls"] == 1 + 12 * 54
     np.testing.assert_allclose(
-        traj.end, [1.0434850562054998, 1.853810406912714, 2.680262463287036],
+        traj.end, [1.043485056207004, 1.8538104067593424, 2.680262463070137],
         rtol=1e-12, atol=0.0)
     assert traj.stats["max_local_error"] == pytest.approx(
-        0.16782328986357553, rel=1e-12)
+        0.6724386580787772, rel=1e-12)
 
 
 def _van_der_pol(y):
-    # mu = 5: stiff enough that the PI controller rejects some row steps
+    # mu = 5: stiff enough that the step controller rejects some row steps
     return np.stack([y[..., 1],
                      5.0 * (1.0 - y[..., 0] ** 2) * y[..., 1] - y[..., 0]],
                     axis=-1)
@@ -94,17 +203,20 @@ def _van_der_pol(y):
 
 _VDP_STARTS = np.array([[-1.78, -0.47], [-0.37, -1.82], [1.22, 1.23],
                         [0.06, -0.86], [-1.80, 2.00], [0.61, -1.06]])
-_VDP_PINS = {  # rows: (accepted, rejected, max_local_error, end points)
-    2: (653, 2, 0.658465084803833,
-        [[0.5821822224443577, 6.929528889457868],
-         [1.9932199825101964, 0.6661964398763408]]),
-    6: (2174, 3, 0.6973144027232764,
-        [[0.5821822224443577, 6.929528889457868],
-         [1.9932199825101937, 0.6661964398763779],
-         [-1.8634017508140364, 0.14906945529767462],
-         [-0.8268600760289784, 0.9767246157862166],
-         [1.9073916680766998, -0.14321765215834506],
-         [-1.4498386457539754, 0.24586144356404727]]),
+# rows: (accepted, rejected, rhs_calls, max_local_error, end points); the
+# field calls are one per attempt of the live rows together, so fewer than
+# 12 per row step
+_VDP_PINS = {
+    2: (114, 32, 1009, 0.9746842256443218,
+        [[0.5821822229014453, 6.9295288907300305],
+         [1.9932199824410726, 0.6661964414725717]]),
+    6: (388, 96, 1117, 0.9775597071186605,
+        [[0.5821822229014453, 6.9295288907300305],
+         [1.9932199824410726, 0.6661964414725717],
+         [-1.8634017508332779, 0.14906945528099613],
+         [-0.8268600762955143, 0.9767246153636773],
+         [1.9073916681141583, -0.14321765213802948],
+         [-1.4498386457716441, 0.24586144353888106]]),
 }
 
 
@@ -114,11 +226,12 @@ def test_batch_step_sequence_is_pinned(rows, sign):
     # the batch path's accepted and rejected steps, mixed attempts included;
     # a backward run of -X mirrors the forward run of X step for step, so
     # both directions share one pin
-    accepted, rejected, max_err, end = _VDP_PINS[rows]
+    accepted, rejected, rhs_calls, max_err, end = _VDP_PINS[rows]
     traj = integrate(lambda y: sign * _van_der_pol(y), _VDP_STARTS[:rows],
                      (0.0, sign * 4.0))
     assert traj.stats["accepted"] == accepted
     assert traj.stats["rejected"] == rejected
+    assert traj.stats["rhs_calls"] == rhs_calls
     at_t = traj.end if sign > 0 else traj.start
     np.testing.assert_allclose(at_t, end, rtol=1e-12, atol=0.0)
     assert traj.stats["max_local_error"] == pytest.approx(max_err, rel=1e-12)
@@ -163,6 +276,8 @@ def _batch_cases():
     circle = np.array([[0.4], [1.7], [3.5], [5.9]])
     yield ("circle", line_model_fields("circle", n=2, a=(1.0, SQRT2)).Xprime,
            np.hstack([circle, angles]))
+    disc = np.array([[0.5, 0.2], [-0.7, 0.4], [0.1, -1.2], [1.3, 0.9]])
+    yield "planar", build_planar_demo().field, np.hstack([disc, angles])
     sphere = embed_s5(np.array([[0.3, 0.3], [0.1, 0.6], [0.5, 0.2],
                                 [0.2, 0.15]]),
                       rng.uniform(0.0, TWO_PI, (4, 3)))
@@ -179,19 +294,18 @@ def test_batch_rows_match_one_point_runs(name, fld, pts, t_span):
     singles = [integrate(fld, p, t_span) for p in pts]
     assert batch.points.shape == (2,) + pts.shape
     np.testing.assert_array_equal(batch.times, sorted(t_span))
+    # every row takes the steps of its one-point run bit for bit: these
+    # fields evaluate one point as they do a batch row, and the loop forms
+    # each row's stage sums and step sizes the same way for both
     for i, one in enumerate(singles):
-        for got, want in ((batch.start[i], one.start),
-                          (batch.end[i], one.end)):
-            assert (fld.chart.distance(got, want)
-                    <= 1e-12 * np.linalg.norm(want))
+        np.testing.assert_array_equal(batch.start[i], one.start)
+        np.testing.assert_array_equal(batch.end[i], one.end)
     assert batch.stats["accepted"] == sum(s.stats["accepted"] for s in singles)
     assert batch.stats["rejected"] == sum(s.stats["rejected"] for s in singles)
     assert type(batch.stats["accepted"]) is int
     assert type(batch.stats["rejected"]) is int
-    # the error estimate cancels to a few digits, so rounding in the field
-    # rows (which numpy evaluates differently for a batch) shows up in it
-    assert batch.stats["max_local_error"] == pytest.approx(
-        max(s.stats["max_local_error"] for s in singles), rel=1e-3)
+    assert batch.stats["max_local_error"] == max(
+        s.stats["max_local_error"] for s in singles)
     if fld.chart.is_sphere:
         assert np.max(np.abs(np.linalg.norm(batch.points, axis=-1) - 1.0)) \
             < 1e-8
@@ -476,6 +590,8 @@ def test_base_rule_equals_the_lifted_base_tangent(name):
     ("s5", 200, {"source_0": 200}, 28_970),
     ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 1_186),
     ("s5", 16, {"source_0": 16}, 2_470),
+    ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 1_216),
+    ("planar", 16, {"source_0": 16}, 1_498),
 ])
 def test_census_rows_are_pinned(name, n, want, rows):
     # the base rule gives the lifted field's numbers, so the census takes
@@ -483,6 +599,45 @@ def test_census_rows_are_pinned(name, n, want, rows):
     rep = basin_census(_library_fields()[name], n, seed=0)
     assert (rep.counts, rep.stop_reason, rep.rhs_rows) == (
         want, "all_assigned", rows)
+
+
+@pytest.mark.parametrize("name, x, direction, report", [
+    ("line", (0.4, 0.0), "forward", ("singular_fiber", "sink_1",
+     4.994833508464858e-06, 0.5999950051664917, "converged", 79)),
+    ("line", (2.5, 0.0), "backward", ("singular_fiber", "source_1",
+     6.984301092138878e-06, 0.4999930156989077, "converged", 73)),
+    ("circle", (0.5, 0.0, 0.0), "forward", ("singular_fiber", "sink_1.0472",
+     8.657867704098265e-06, 0.5471888933288932, "converged", 73)),
+    ("circle", (2.5, 0.0, 0.0), "backward", ("singular_fiber", "source_1",
+     5.665733458837252e-06, 0.4055992318733459, "converged", 73)),
+    ("planar", (0.5, 0.2, 0.0, 0.0), "backward", ("singular_fiber",
+     "source_0", 9.096879969719009e-06, 0.5385073838334806, "converged", 73)),
+    ("planar", (1.2, -0.4, 0.1, 0.2), "forward", ("escape", None,
+     27.68854493967823, 27.23036694114273, "converged", 49)),
+    ("s5", (0.2, 0.3), "backward", ("singular_fiber", "source_0",
+     8.788358085977846e-06, 0.07117815932023587, "converged", 187)),
+])
+def test_classify_reports_are_pinned(name, x, direction, report):
+    # the base runner steps with DP5, so its reports keep their numbers
+    fld = _library_fields()[name]
+    p0 = (embed_s5(np.array(x), (0.1, 0.2, 0.3)) if name == "s5"
+          else np.array(x))
+    rep = classify_limit(fld, p0, direction)
+    kind, target, dist, length, stop, rows = report
+    assert (rep.kind, rep.target, rep.stop_reason, rep.rhs_rows) == (
+        kind, target, stop, rows)
+    assert rep.final_distance == pytest.approx(dist, rel=1e-12)
+    assert rep.horizon == pytest.approx(length, rel=1e-12)
+
+
+def test_classify_fiber_run_is_pinned():
+    # a start whose base does not move runs classify_limit's fiber loop,
+    # which also steps with DP5
+    X = xi_plus_affine(1, (1.0, SQRT2))
+    rep = classify_limit(X, np.array([0.0, 0.1, 0.2]), "forward",
+                         horizon=30.0)
+    assert (rep.kind, rep.stop_reason, rep.rhs_rows, rep.recurrent) == (
+        "torus_closure", "horizon", 55, False)
 
 
 def test_census_stops_samples_at_undeclared_zeros():
@@ -530,7 +685,7 @@ def test_first_step_without_a_finite_target_distance(monkeypatch):
                              horizon=50.0, cfg=cfg)
     assert (rep.kind, rep.stop_reason) == ("escape", "converged")
     guess = flow_module._initial_step(np.ones((1, 1)), np.ones((1, 1)), 1.0,
-                                      cfg.rtol)
+                                      cfg.rtol, flow_module._DP5.exponents[3])
     assert firsts[0] - 1.0 == pytest.approx(guess[0, 0], rel=1e-9)
 
 
@@ -674,12 +829,12 @@ def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks,
 def test_step_cap_is_inside_the_reach_bound():
     # every stage has unit speed, so an accepted step of size h moves at
     # most sum |b5_i| h: the cap must keep that below the distance d
-    reach = np.abs(flow_module._B5).sum()
+    reach = np.abs(flow_module._DP5.b).sum()
     assert 1.65 > reach
     m = line_model_fields("line", n=1, a=(1.0,))
     flow = flow_module._BaseFlow(m.Xprime, -1.0, np.array([0.5, 0.0]))
     xs = np.array([[-0.3], [0.5], [1.7], [3.9]])
-    d, cap = flow.hook(np.arange(len(xs)), xs)
+    d, cap, _ = flow.hook(np.arange(len(xs)), xs)
     assert np.all(d > 0) and np.all(reach * cap < d)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from torusflow import verify as verify_module
 from torusflow.construction import build_line_describing, build_s5
 from torusflow.fields import pushforward_residual, xi_plus_affine
 from torusflow.flow import IntegratorConfig, integrate
@@ -90,6 +91,31 @@ def test_conjugation_residual_rejects_non_symmetries():
     pts = [np.array([0.3, -0.5, 0.1, 0.2])]
     assert conjugation_residual(shear, X, pts, t=5.0) >= 1e-2
     assert conjugation_residual(translate, X, pts, t=5.0) >= 1e-2
+
+
+def test_conjugation_residual_field_calls_are_pinned(monkeypatch):
+    # its 2 x 2 rows run as one DOP853 batch at rtol 1e-10: 18 attempts of
+    # 12 field calls each, after the first call
+    X = xi_plus_affine(1, (1.0,))
+    calls = []
+    counted = dataclasses.replace(
+        X, func=lambda p: calls.append(len(p)) or X.func(p))
+    stats = []
+
+    def recording(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        stats.append(traj.stats)
+        return traj
+
+    monkeypatch.setattr(verify_module, "integrate", recording)
+
+    def F(p):
+        return np.array([2.0 * p[0], p[1] + 0.3])
+
+    pts = [np.array([0.5, 0.1]), np.array([-0.3, 2.0])]
+    assert conjugation_residual(F, counted, pts, t=5.0) < 1e-9
+    assert [s["rhs_calls"] for s in stats] == [len(calls)] == [1 + 12 * 18]
+    assert stats[0]["accepted"] == 69 and stats[0]["rejected"] == 0
 
 
 def _per_point_conjugation_residual(F, X, pts, t):
