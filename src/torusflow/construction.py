@@ -167,12 +167,15 @@ def _grid(n, n_nodes):
     return np.indices((n_nodes,) * n).reshape(n, -1).T * (TWO_PI / n_nodes)
 
 
-@functools.lru_cache(maxsize=4)
-def _s5_rotations(n_nodes, act):
+# rotation tables up to this size are cached for the life of the process;
+# a table holds 36 n_nodes^3 doubles: 9.4 MB at 32 nodes, 75 MB at 64
+_S5_CACHE_BYTES = 16 << 20
+
+
+def _s5_table(n_nodes, act):
     """Read-only rotations (6, 6 N) of the S^5 grid with n_nodes per angle.
 
-    ``act`` is the action the table is built through (``torus_act_s5``);
-    it is part of the cache key, so a replaced action builds its own table.
+    ``act`` is the action the table is built through (``torus_act_s5``).
     ``y @ table`` lists the orbit of each row y, and ``vals @ table.T``
     rotates an orbit's values back and sums them.
     """
@@ -183,16 +186,28 @@ def _s5_rotations(n_nodes, act):
     return table
 
 
+# ``act`` is part of the key, so a replaced action builds its own table
+_s5_table_cached = functools.lru_cache(maxsize=4)(_s5_table)
+
+
+def _s5_rotations(n_nodes, act):
+    """``_s5_table``, from the cache when it takes at most _S5_CACHE_BYTES;
+    a larger table lives only as long as the averaged function holding it."""
+    if 36 * 8 * n_nodes ** 3 <= _S5_CACHE_BYTES:
+        return _s5_table_cached(n_nodes, act)
+    return _s5_table(n_nodes, act)
+
+
 def _haar_mean(fn, chart, n_nodes, transport):
     """Mean of ``fn`` over the torus orbit of each row, on a uniform grid.
 
     Evaluates ``fn`` once per block of rows on all their orbit points;
     with ``transport`` each value is a sphere vector, moved back by the
     inverse rotation before averaging.  On S^5 the action is linear, so the
-    rotations of the grid are built once per node count
-    (``_s5_rotations``), and the orbit and the transported mean are each
-    one matrix product.  A point (d,) gives one value, a batch (m, d) gives
-    m values.
+    rotations of the grid are built once (``_s5_rotations``, once per
+    process for node counts up to 38), and the orbit and the transported
+    mean are each one matrix product.  A point (d,) gives one value, a
+    batch (m, d) gives m values.
     """
     n, d = chart.n, chart.dim
     nodes = _grid(n, n_nodes)

@@ -18,11 +18,21 @@ from .fields import lie_bracket
 from .flow import IntegratorConfig, integrate
 from .geometry import TWO_PI
 
-_RANK_EPS = 1e-8  # the probe's rank cutoff, relative to the largest sigma
+_RANK_EPS = 1e-8  # the probe's rank cutoff, in units of the normalized ansatz
 
 
 @dataclass
 class CommutantProbeReport:
+    """What ``commutant_dimension_probe`` measured.
+
+    ``dimension`` is k * nullity_x + n * nullity_theta, the commuting
+    fields found within an ansatz of ``n_basis`` functions sampled at
+    ``n_points`` points.  ``gap`` is the smallest singular value counted
+    as nonzero divided by ``rank_epsilon``, over every degree block and
+    both slots: how far the kept directions sit above the cutoff (inf when
+    every direction is null).
+    """
+
     dimension: int
     expected_dimension: int
     gap: float
@@ -51,54 +61,51 @@ def _probe_points(k, n, n_points, seed):
 def _ansatz(k, a, degree, max_freq, xs, thetas):
     """Ansatz functions f = x^alpha * trig(q . theta) at the sample points.
 
-    alpha runs over the multi-indices with |alpha| <= degree and q over the
-    integer vectors with |q|_inf <= max_freq, one per {q, -q} pair (the
-    first nonzero entry positive), with cos and sin columns (cos only for
-    q = 0).  Returns (f, deg, Tf): the values (n_points, n_basis), the
-    degree |alpha| of each column and the drift derivative T.f, which maps
-    cos(q . theta) to -(a . q) sin and sin(q . theta) to (a . q) cos.
+    alpha runs over the multi-indices with |alpha| <= degree, by ascending
+    degree |alpha|, and q over the integer vectors with |q|_inf <= max_freq,
+    one per {q, -q} pair (the first nonzero entry positive), with cos and
+    sin columns (cos only for q = 0).  Returns (f, deg, partner, aq): the
+    values (n_points, n_basis), the degree of each column, and the drift
+    derivative as T.f_j = aq_j * f_partner_j: T maps cos(q . theta) to
+    -(a . q) sin and sin(q . theta) to (a . q) cos, with the same x^alpha,
+    so a column's partner has its degree.  The q = 0 column is its own
+    partner, with aq = 0.
     """
     alphas = np.array(list(np.ndindex((degree + 1,) * k)))
     alphas = alphas[alphas.sum(axis=1) <= degree]
+    alphas = alphas[np.argsort(alphas.sum(axis=1), kind="stable")]
     # product order is lexicographic: zero sits in the middle, and the
     # vectors after it are exactly those with a positive first nonzero
     qs = np.array(list(np.ndindex((2 * max_freq + 1,) * a.size))) - max_freq
     qs = qs[len(qs) // 2:]
     phase = thetas @ qs.T
     aq = qs @ a
-    c, s = np.cos(phase), np.sin(phase)
     # columns cos, sin per q; drop sin(0 . theta) = 0
-    trig = np.delete(np.stack([c, s], axis=-1).reshape(len(xs), -1), 1, axis=1)
-    dtrig = np.delete(np.stack([-aq * s, aq * c], axis=-1).reshape(len(xs), -1),
-                      1, axis=1)
+    trig = np.delete(np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+                     .reshape(len(xs), -1), 1, axis=1)
+    # cos of q sits at 2i - 1 and sin at 2i; q = 0 is column 0
+    n_trig = trig.shape[1]
+    col = np.arange(n_trig)
+    partner = np.where(col == 0, 0, np.where(col % 2, col + 1, col - 1))
+    coef = np.where(col % 2, -1.0, 1.0) * aq[(col + 1) // 2]
     mono = np.prod(xs[:, None, :] ** alphas, axis=-1)[:, :, None]
     f = (mono * trig[:, None, :]).reshape(len(xs), -1)
-    Tf = (mono * dtrig[:, None, :]).reshape(len(xs), -1)
-    deg = np.repeat(alphas.sum(axis=1).astype(float), trig.shape[1])
-    return f, deg, Tf
+    offsets = n_trig * np.arange(len(alphas))[:, None]
+    deg = np.repeat(alphas.sum(axis=1), n_trig)
+    return f, deg, (offsets + partner).ravel(), np.tile(coef, len(alphas))
 
 
-def _nullity(cols):
-    """Exact-zero columns plus SVD nullity of the normalized remainder.
+def _nullity(op):
+    """Nullity of a square operator matrix at the absolute cutoff _RANK_EPS.
 
-    Returns (nullity, gap) where gap is the ratio of the smallest kept
-    singular value to the rank cutoff.
+    ``op`` is R times the operator's matrix on an ansatz block, where
+    Q R is the block's sample matrix with unit columns, so its singular
+    values are those of the sampled operator.  Returns (nullity, smallest
+    kept singular value), the latter inf when none is kept.
     """
-    norms = np.linalg.norm(cols, axis=0)
-    zero = norms < 1e-280
-    nullity = int(zero.sum())
-    live = cols[:, ~zero]
-    if live.shape[1] == 0:
-        return nullity, np.inf
-    live /= norms[~zero]
-    sigma = np.linalg.svd(live, compute_uv=False)
-    eps = _RANK_EPS * sigma[0]
-    below = sigma < eps
-    nullity += int(below.sum())
-    kept = sigma[~below]
-    floor = max(float(sigma[below].max()) if below.any() else 0.0, eps)
-    gap = float(kept.min()) / floor if kept.size else np.inf
-    return nullity, gap
+    sigma = np.linalg.svd(op, compute_uv=False)
+    kept = sigma[sigma >= _RANK_EPS]
+    return op.shape[1] - kept.size, float(kept.min()) if kept.size else np.inf
 
 
 def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
@@ -112,8 +119,19 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
     form, so the resulting linear systems are evaluated without finite
     differences.  The reported dimension counts only commuting fields
     representable in the ansatz, which covers the polynomial commutant.
-    A singular value below 1e-8 times the largest counts toward the
-    nullity (``rank_epsilon``).
+
+    The systems split by homogeneous degree d = |alpha|, exactly: xi is the
+    Euler field, so X - c maps span{x^alpha cos, x^alpha sin} into itself
+    with the matrix [[d - c, a.q], [-(a.q), d - c]].  Each degree block gets
+    its columns scaled to unit norm over the sample and one QR, Q R; the
+    operator X - c on the block is then R times its matrix, and T is a
+    signed, scaled swap of R's cos/sin columns.  The nullity of a slot is
+    the count, over all blocks, of singular values below ``rank_epsilon``
+    (1e-8, absolute, in units of the unit-norm ansatz columns), so a
+    resonance a.q = 0 that misses by rounding still counts.  The split and
+    the count both rest on the sampled ansatz having full column rank,
+    which the ``n_points >= n_basis + 10`` generic sample points are there
+    to give.
     """
     a = np.asarray(a, dtype=float)
     n = a.size
@@ -123,17 +141,28 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
             f"underdetermined probe: {n_basis} ansatz functions need at "
             f"least {n_basis + 10} sample points, got {n_points}"
         )
-    f, deg, cols = _ansatz(k, a, degree, max_freq,
-                           *_probe_points(k, n, n_points, seed))
-    # X.f = deg*f + T.f; the angle slots need X.f = 0, the base slots X.f = f
-    cols += deg * f
-    null_t, gap_t = _nullity(cols)
-    cols -= f
-    null_x, gap_x = _nullity(cols)
+    f, deg, partner, aq = _ansatz(k, a, degree, max_freq,
+                                  *_probe_points(k, n, n_points, seed))
+    # by c: the angle slots need X.f = 0, the base slots X.f = f
+    nullity = [0, 0]
+    smallest = np.inf
+    for d in range(degree + 1):
+        lo, hi = np.searchsorted(deg, (d, d + 1))
+        norms = np.linalg.norm(f[:, lo:hi], axis=0)
+        r = np.linalg.qr(f[:, lo:hi] / norms, mode="r")
+        # T on the unit columns: column j goes to its partner p, scaled by
+        # aq_j |f_p| / |f_j|, so in R-space it is a column gather of R
+        p = partner[lo:hi] - lo
+        rt = r[:, p] * (aq[lo:hi] * norms[p] / norms)
+        for c in (0, 1):
+            null, low = _nullity((d - c) * r + rt)
+            nullity[c] += null
+            smallest = min(smallest, low)
+    null_t, null_x = nullity
     return CommutantProbeReport(
         dimension=k * null_x + n * null_t,
         expected_dimension=k * k + n,
-        gap=min(gap_x, gap_t),
+        gap=smallest / _RANK_EPS,
         nullity_x=null_x,
         nullity_theta=null_t,
         n_points=n_points,

@@ -290,3 +290,29 @@ def test_s5_haar_builds_the_rotation_table_once(monkeypatch):
     assert len(calls) == 1
     bar.func(sphere_points(20))
     assert len(calls) == 1
+
+
+def test_s5_rotation_cache_keeps_small_tables_only():
+    # the 4- and 16-node tables that the normal_form benchmark averages with
+    # stay cached; a 64-node table (75 MB) lives only while it is held
+    calls = []
+
+    def counted(lam, y):
+        calls.append(len(lam))
+        return torus_act_s5(lam, y)
+
+    def blank(lam, y):
+        calls.append(len(lam))
+        return np.zeros((len(lam), 6, 6))
+
+    for n_nodes in (4, 16):
+        table = construction._s5_rotations(n_nodes, counted)
+        assert construction._s5_rotations(n_nodes, counted) is table
+    assert calls == [4 ** 3, 16 ** 3]
+    table = construction._s5_rotations(64, blank)
+    assert table.nbytes > construction._S5_CACHE_BYTES
+    ref = weakref.ref(table)
+    del table
+    assert ref() is None
+    construction._s5_rotations(64, blank)
+    assert calls[2:] == [64 ** 3, 64 ** 3]

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +56,117 @@ def test_probe_seed_invariance_of_dimension():
         for s in range(3)
     }
     assert dims == {6}
+
+
+@pytest.mark.parametrize("k,a,want", [
+    (2, (0.1 + 0.2, 0.3), 30),             # resonant, missed by one rounding
+    (1, (1.0, 1.0 + 1e-9, SQRT2), 20),     # detuned below the cutoff
+    (1, (1.0, 1.0 + 1e-6, SQRT2), 4),      # detuned above it
+], ids=["rounding", "detuned_1e-9", "detuned_1e-6"])
+def test_probe_counts_resonances_in_ansatz_units(k, a, want):
+    # the cutoff is absolute in units of the unit-norm ansatz columns, so the
+    # size of a . q decides, not the direction of T.f alone
+    rep = commutant_dimension_probe(k, a, n_points=500, seed=0)
+    assert rep.dimension == want
+    if want == 4:
+        assert rep.gap < 1e3
+
+
+def test_probe_gap_matches_the_sampled_operator_on_unit_columns():
+    # reference: evaluate (X - c).f on the sample in closed form, one column
+    # per (alpha, q, cos/sin), scale each by its |f| and take the SVD of the
+    # tall matrix of each degree block
+    k, a, n_points, seed = 1, np.array([1.0, 1.0 + 1e-6]), 200, 3
+    xs, thetas = verify_module._probe_points(k, a.size, n_points, seed)
+    qs = [q for q in itertools.product(range(-2, 3), repeat=a.size)
+          if not any(q) or [v for v in q if v][0] > 0]
+    smallest, nullity = np.inf, {0: 0, 1: 0}
+    for d in range(3):
+        f, xf = [], []
+        for q in qs:
+            phase, aq = thetas @ np.array(q), np.dot(q, a)
+            kinds = [(np.cos(phase), -aq * np.sin(phase))]
+            if any(q):
+                kinds.append((np.sin(phase), aq * np.cos(phase)))
+            for trig, dtrig in kinds:
+                f.append(xs[:, 0] ** d * trig)
+                xf.append(xs[:, 0] ** d * (d * trig + dtrig))
+        f, xf = np.array(f).T, np.array(xf).T
+        norms = np.linalg.norm(f, axis=0)
+        for c in (0, 1):
+            sigma = np.linalg.svd((xf - c * f) / norms, compute_uv=False)
+            kept = sigma[sigma >= 1e-8]
+            nullity[c] += sigma.size - kept.size
+            smallest = min(smallest, kept.min())
+    rep = commutant_dimension_probe(k, a, n_points=n_points, seed=seed)
+    assert (rep.nullity_theta, rep.nullity_x) == (nullity[0], nullity[1])
+    assert rep.gap < 1e3
+    assert rep.gap == pytest.approx(smallest / 1e-8, rel=1e-6)
+
+
+BASIS = (1, SQRT2, np.sqrt(3.0), np.sqrt(5.0), np.e)
+
+
+def _resonant_modes(rows, max_freq):
+    """Modes q with q^T M = 0 exactly, |q|_inf <= max_freq: q = 0 once and
+    each {q, -q} pair twice (cos and sin), as the ansatz counts them."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    pairs = 0
+    for q in itertools.product(range(-max_freq, max_freq + 1), repeat=len(m)):
+        nz = [v for v in q if v]
+        if nz and nz[0] > 0 and all(
+                sum(qi * row[j] for qi, row in zip(q, m)) == 0
+                for j in range(len(BASIS))):
+            pairs += 1
+    return 1 + 2 * pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k,n,resonant", [
+    (1, 1, False), (1, 2, False), (1, 2, True), (2, 2, False), (2, 2, True),
+    (1, 3, False), (1, 3, True),
+])
+def test_probe_matches_exact_resonance_count(k, n, resonant, seed):
+    # a_i = m_i * BASIS_j(i) with m_i in {1, 2}: a . q is exactly zero on
+    # the resonant modes; the resonant rows repeat the first basis element
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(BASIS), size=n, replace=False)
+    if resonant:
+        idx[-1] = idx[0]
+    rows = [[0] * len(BASIS) for _ in range(n)]
+    for row, j in zip(rows, idx):
+        row[j] = int(rng.integers(1, 3))
+    a = tuple(float(sum(c * b for c, b in zip(row, BASIS))) for row in rows)
+    r = _resonant_modes(rows, 2)
+    assert (r > 1) == resonant
+    rep = commutant_dimension_probe(k, a, n_points=500, seed=seed)
+    assert rep.dimension == k * k * r + n * r
+
+
+@pytest.mark.parametrize("k,a,qrs,svds,widest", [
+    (1, (1.0, np.e, np.e ** 2), 3, 6, 125),
+    (2, (1.0, SQRT2), 3, 6, 75),
+])
+def test_probe_factors_by_degree_block(monkeypatch, k, a, qrs, svds, widest):
+    # one QR per degree block and one small square SVD per block and slot,
+    # never a decomposition of the whole (n_points, n_basis) ansatz
+    shapes = {"qr": [], "svd": []}
+
+    def recording(name):
+        real = getattr(np.linalg, name)
+
+        def call(m, *args, **kwargs):
+            shapes[name].append(np.shape(m))
+            return real(m, *args, **kwargs)
+        return call
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    rep = commutant_dimension_probe(k, a, n_points=500, seed=0)
+    assert rep.matches_expected
+    assert len(shapes["qr"]) == qrs and len(shapes["svd"]) == svds
+    assert max(s[1] for s in shapes["qr"] + shapes["svd"]) == widest
+    assert all(s[0] == s[1] for s in shapes["svd"])
 
 
 def test_basis_bracket_residuals_at_fd_noise_floor():
