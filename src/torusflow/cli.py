@@ -223,6 +223,8 @@ def cmd_basin(args):
         "counts": rep.counts,
         "source_fraction": rep.source_fraction,
         "unclassified_fraction": rep.unclassified_fraction,
+        "stop_reason": rep.stop_reason,
+        "rhs_rows": rep.rhs_rows,
         "provenance": _provenance(cfg, args.seed),
     }
     _write_json(args.out, payload, args.quiet)

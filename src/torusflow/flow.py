@@ -6,8 +6,9 @@ Dormand and Prince's 8(5,3) pair, DOP853, and gives dense output from its
 7th-order continuous extension (``_dense_output``), whose three extra
 stages are evaluated only on the steps that hold a requested time.  The
 base runner of ``classify_limit`` and ``basin_census`` and
-``classify_limit``'s fiber loop step with the Dormand-Prince 5(4) pair,
-DP5, because the base step cap rests on its weights (see ``_BaseFlow``).
+``classify_limit``'s fiber loop step with Cash and Karp's 5(4) pair,
+whose 5th-order weights are all >= 0, because the base step cap rests on
+them (see ``_BaseFlow``).
 The loop advances one point or a batch of points; every row of a batch
 has its own step size and PI state, and a row leaves the batch when it is
 finished.  ``integrate`` takes a batch (m, d) of start points in one call
@@ -18,7 +19,7 @@ The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
 through one runner, ``_BaseFlow.run``, on a unit-speed base direction field
 with each step, the first one included, capped at the base distance to the
-nearest target over 1.65, so their horizons are base arc length.  The
+nearest target over 1.05, so their horizons are base arc length.  The
 runner evaluates a field's declared ``base_rule``, checked against the
 field, instead of the whole field at lifted points.  It keeps
 the base orbits, and neither the torus drift nor the slowdown near
@@ -65,20 +66,21 @@ def _rows(entries, width=None):
                  for i, row in enumerate(entries))
 
 
-# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-_DP5 = _Pair(
+# Cash and Karp's 5(4) pair (ACM Trans. Math. Softw. 16, 1990), with its
+# 5th-order weights b5 as a last, FSAL row; they are all >= 0 and sum to 1
+_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771, 0.0])
+_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296,
+                   277 / 14336, 1 / 4, 0.0])
+_CASH_KARP = _Pair(
     a=(np.array([]),
        np.array([1 / 5]),
        np.array([3 / 40, 9 / 40]),
-       np.array([44 / 45, -56 / 15, 32 / 9]),
-       np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-       np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                 -5103 / 18656]),
-       _B5[:6]),
-    b=_B5, e=_B5 - _B4, e3=None, exponents=(0.14, 0.08, 0.2, 0.25))
+       np.array([3 / 10, -9 / 10, 6 / 5]),
+       np.array([-11 / 54, 5 / 2, -70 / 27, 35 / 27]),
+       np.array([1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592,
+                 253 / 4096]),
+       _CK_B5[:6]),
+    b=_CK_B5, e=_CK_B5 - _CK_B4, e3=None, exponents=(0.14, 0.08, 0.2, 0.25))
 
 # DOP853, Dormand and Prince's 8(5,3) pair (Prince & Dormand, J. Comput.
 # Appl. Math. 7, 1981), with the coefficients of Hairer's dop853.f
@@ -165,7 +167,7 @@ _DENSE_D = np.array(_rows([
      15: -149.72683625798564},
 ], 16))
 
-_REACH = 1.65  # above DP5's sum |b_i| = 1.64475: the base step cap (_BaseFlow)
+_REACH = 1.05  # base step cap d / _REACH (_BaseFlow), above the sum 1 of b5
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # of the PI controller
 _BASE_TOL = 1e-6  # an orbit whose base moves at most this stays in its fiber
 
@@ -236,9 +238,9 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
                     rowwise=False):
     """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids, K).
 
-    ``pair`` (``_DOP853`` or ``_DP5``) is the Runge-Kutta pair it steps
-    with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has its
-    own time, step size and PI state and is accepted or rejected on its
+    ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
+    steps with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has
+    its own time, step size and PI state and is accepted or rejected on its
     own error norm; t and err are floats for one point and (m, 1) columns
     for a batch, and ``ids`` are the original numbers of the live rows
     (None for one point).  A yield follows every attempt that accepted some
@@ -544,16 +546,18 @@ class _BaseFlow:
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
     points x (m, base_dim), divided by its norm; where the tangent vanishes
     (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
-    rows' base distances d to the nearest target, their step caps d / 1.65
-    and the index of that target, and ``run`` starts each row with the cap
-    at its start point.  The runner steps with DP5, whose accepted step of
-    size h moves its point by at most sum |b5_i| h = 1.64475 h (every stage
-    has unit speed; DOP853's sum is 12.9), so a capped step
-    ends within 0.9968 d and can neither reach a target nor, on a 1-D base,
-    pass one.  This bound does not rest on the error estimate, which cannot
-    see a sign flip that only stage 2 samples (its weight is 0 there).  On a
-    1-D base the velocity is constant between zeros, so every step is exact
-    and at the cap: d shrinks by a factor 1.65 / 0.65 = 2.54 per step.
+    rows' base distances d to the nearest target, their step caps
+    d / ``_REACH`` = d / 1.05 and the index of that target, and ``run``
+    starts each row with the cap at its start point.  The runner steps with
+    Cash and Karp's pair, whose 5th-order weights b5 are all >= 0 and sum
+    to 1: every stage has at most unit speed, so an accepted step of size h
+    moves its point by at most h, whichever way the stages point (DOP853's
+    sum |b_i| is 12.9).  A capped step ends within d / 1.05 and can neither
+    reach a target nor, on a 1-D base, pass one.  This bound does not rest
+    on the error estimate, which cannot see a sign flip that only stage 2
+    samples (its weight is 0 there).  On a 1-D base the velocity is constant
+    between zeros, so every step is exact and at the cap: d shrinks by a
+    factor 1.05 / 0.05 = 21 per step.
     ``run`` takes a batch of base points to their ``outcomes``, and ``rows``
     counts the base points at which it evaluated the base tangent: rows of
     the field's ``base_rule`` where it declares one, else field rows at
@@ -643,8 +647,8 @@ class _BaseFlow:
         ends, lengths = xs.copy(), np.zeros(len(xs))
         near = self.distances(xs).min(axis=1, initial=np.inf)
         escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
-        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg, _DP5,
-                                h0=near / _REACH)
+        steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
+                                _CASH_KARP, h0=near / _REACH)
         vel = next(steps)[2].copy()  # the start
         sent, stop = None, "horizon"
         try:
@@ -739,7 +743,8 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
 
     try:
         for s_end, p, *_ in _adaptive_steps(fiber_velocity, 0.0, p0, horizon,
-                                            cfg, _DP5, _renormalizer(chart)):
+                                            cfg, _CASH_KARP,
+                                            _renormalizer(chart)):
             base_moved = max(base_moved,
                              float(chart.base_distance(chart.base(p), x0)))
             if chart.distance(p, p0) > 1e-3:  # left the recurrence ball
@@ -799,7 +804,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     The samples run as one batch through ``_BaseFlow.run`` on the backward
     unit-speed base direction field, to base arc length 500 at rtol 1e-6
     and atol 1e-9, with ``max_steps`` attempts per sample.  On
-    a 1-D base a sample needs about log_2.54(d0 / fiber_tol) steps from
+    a 1-D base a sample needs about log_21(d0 / fiber_tol) steps from
     distance d0.  ``counts`` holds every outcome some sample reached: a
     target label, "escape" or "singular_set".  ``stop_reason`` is
     "all_assigned" when every sample reached one, else why the integration

@@ -10,6 +10,7 @@ import pytest
 import torusflow
 from torusflow import cli
 from torusflow.cli import main
+from torusflow.flow import basin_census
 from torusflow.radial import RadialSolverError
 
 
@@ -152,6 +153,24 @@ def test_basin_counts_sum_to_samples(tmp_path):
     payload = json.loads(out.read_text())
     assert sum(payload["counts"].values()) == 50
     assert payload["source_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("scenario", ["line", "s5"])
+def test_basin_payload_is_the_census_report(scenario, tmp_path):
+    # the payload says why the census stopped and what it cost, so a census
+    # with samples left unclassified shows its reason
+    out = tmp_path / "b.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": 24}))
+    assert run(["basin", "--scenario", scenario, "--config", str(cfg),
+                "--seed", "4", "--out", str(out), "--quiet"]) == 0
+    payload = json.loads(out.read_text())
+    manifest = cli._build_manifest(
+        scenario, cli._merged_config(scenario, {"n_samples": 24}))
+    want = dataclasses.asdict(basin_census(manifest.field, 24, seed=4))
+    assert want.pop("seed") == payload["provenance"]["seed"]
+    assert {k: payload[k] for k in want} == want
+    assert payload["stop_reason"] == "all_assigned" and payload["rhs_rows"] > 0
 
 
 def test_bad_config_returns_2(tmp_path):

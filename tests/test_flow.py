@@ -80,6 +80,46 @@ def test_dop853_tableau_meets_its_order_conditions():
         assert abs(weights @ c ** order - 1 / (order + 1)) > 1e-4
 
 
+def _rk_order_conditions(b, A, c):
+    """b . Phi(t) - 1 / gamma(t) for the 17 rooted trees t with 1 to 5
+    nodes, by node count: the first 8 are the conditions through order 4."""
+    Ac, Ac2 = A @ c, A @ c ** 2
+    trees = [
+        (np.ones_like(c), 1),
+        (c, 2),
+        (c ** 2, 3), (Ac, 6),
+        (c ** 3, 4), (c * Ac, 8), (Ac2, 12), (A @ Ac, 24),
+        (c ** 4, 5), (c ** 2 * Ac, 10), (c * Ac2, 15), (c * (A @ Ac), 30),
+        (Ac ** 2, 20), (A @ c ** 3, 20), (A @ (c * Ac), 40), (A @ Ac2, 60),
+        (A @ (A @ Ac), 120),
+    ]
+    return np.array([b @ phi - 1 / gamma for phi, gamma in trees])
+
+
+def test_cash_karp_tableau_meets_its_order_conditions():
+    # the coefficients as written: the row sums are the nodes, the 5th-order
+    # weights (the FSAL row) meet the 17 conditions through order 5 and the
+    # embedded weights b5 - e the 8 through order 4
+    pair = flow_module._CASH_KARP
+    c = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
+    for row, node in zip(pair.a, c):
+        assert row.sum() == pytest.approx(node, abs=1e-15)
+    A = np.zeros((6, 6))
+    for i, row in enumerate(pair.a[:6]):
+        A[i, :i] = row
+    b5 = pair.b[:6]
+    assert np.array_equal(pair.a[6], b5)  # the last stage is f(y_new)
+    assert pair.b[6] == pair.e[6] == 0.0
+    b4 = b5 - pair.e[:6]
+    np.testing.assert_allclose(_rk_order_conditions(b5, A, c), 0.0,
+                               atol=1e-15)
+    np.testing.assert_allclose(_rk_order_conditions(b4, A, c)[:8], 0.0,
+                               atol=1e-15)
+    # neither is of a higher order
+    assert abs(b5 @ c ** 5 - 1 / 6) > 1e-4
+    assert np.abs(_rk_order_conditions(b4, A, c)[8:]).max() > 1e-4
+
+
 def _dop853_step(f, y0, h):
     """One DOP853 step of size h from y0: the end point and the 13 stages."""
     pair = flow_module._DOP853
@@ -395,7 +435,7 @@ def test_classify_torus_closure():
 def test_classify_reports_a_spent_step_budget():
     m = line_model_fields("line", n=1, a=(1.0,))
     rep = classify_limit(m.Xprime, np.array([0.4, 0.0]), "forward",
-                         cfg=IntegratorConfig(max_steps=5))
+                         cfg=IntegratorConfig(max_steps=2))
     assert rep.stop_reason == "step_budget"
     assert rep.kind == "inconclusive"
 
@@ -479,20 +519,20 @@ def test_census_reproducible():
 
 def test_census_reports_why_it_stopped():
     m = line_model_fields("line", n=1, a=(1.0,))
-    short = basin_census(m.Xprime, 4, max_steps=8)
+    short = basin_census(m.Xprime, 4, max_steps=2)
     assert short.stop_reason == "step_budget"
     assert short.unclassified_fraction > 0
     assert basin_census(m.Xprime, 4).stop_reason == "all_assigned"
 
 
 def test_census_work_per_sample_is_bounded():
-    # unit speed with every step, the first included, at the d / 1.65 cap:
-    # d shrinks by 2.54 per exact step on the line, about 12 steps from
-    # d ~ 1 down to fiber_tol (74 rows per sample; 111 with the d / 2 cap)
+    # unit speed with every step, the first included, at the d / 1.05 cap:
+    # d shrinks by 21 per exact step on the line, about 4 to 5 steps from
+    # d ~ 1 down to fiber_tol (28 rows per sample; 74 with the d / 1.65 cap)
     m = line_model_fields("line", n=1, a=(1.0,))
     rep = basin_census(m.Xprime, 200, seed=1)
     assert rep.stop_reason == "all_assigned"
-    assert rep.rhs_rows / rep.n_samples <= 90
+    assert rep.rhs_rows / rep.n_samples <= 35
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -584,15 +624,18 @@ def test_base_rule_equals_the_lifted_base_tangent(name):
 
 
 @pytest.mark.parametrize("name,n,want,rows", [
-    ("line", 200, {"source_0": 57, "source_1": 64, "source_2": 79}, 15_080),
-    ("circle", 200, {"source_0": 76, "source_1": 57, "source_2": 67}, 15_392),
-    ("planar", 200, {"source_0": 200}, 18_578),
-    ("s5", 200, {"source_0": 200}, 28_970),
-    ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 1_186),
-    ("s5", 16, {"source_0": 16}, 2_470),
-    ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 1_216),
-    ("planar", 16, {"source_0": 16}, 1_498),
-])
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in [
+        ("line", 200, {"source_0": 57, "source_1": 64, "source_2": 79},
+         5_564),
+        ("circle", 200, {"source_0": 76, "source_1": 57, "source_2": 67},
+         5_948),
+        ("planar", 200, {"source_0": 200}, 7_448),
+        ("s5", 200, {"source_0": 200}, 25_844),
+        ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 430),
+        ("s5", 16, {"source_0": 16}, 2_206),
+        ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 472),
+        ("planar", 16, {"source_0": 16}, 610),
+    ]])
 def test_census_rows_are_pinned(name, n, want, rows):
     # the base rule gives the lifted field's numbers, so the census takes
     # the same steps as when it evaluated the whole field
@@ -603,22 +646,22 @@ def test_census_rows_are_pinned(name, n, want, rows):
 
 @pytest.mark.parametrize("name, x, direction, report", [
     ("line", (0.4, 0.0), "forward", ("singular_fiber", "sink_1",
-     4.994833508464858e-06, 0.5999950051664917, "converged", 79)),
+     1.1263188642862687e-06, 0.5999988736811357, "converged", 31)),
     ("line", (2.5, 0.0), "backward", ("singular_fiber", "source_1",
-     6.984301092138878e-06, 0.4999930156989077, "converged", 73)),
+     2.570945233593136e-06, 0.49999742905476624, "converged", 25)),
     ("circle", (0.5, 0.0, 0.0), "forward", ("singular_fiber", "sink_1.0472",
-     8.657867704098265e-06, 0.5471888933288932, "converged", 73)),
+     7.667322643456487e-06, 0.5471898838739538, "converged", 25)),
     ("circle", (2.5, 0.0, 0.0), "backward", ("singular_fiber", "source_1",
-     5.665733458837252e-06, 0.4055992318733459, "converged", 73)),
+     2.0855759563787046e-06, 0.40560281203084797, "converged", 25)),
     ("planar", (0.5, 0.2, 0.0, 0.0), "backward", ("singular_fiber",
-     "source_0", 9.096879969719009e-06, 0.5385073838334806, "converged", 73)),
+     "source_0", 4.906568101878029e-07, 0.5385159900566402, "converged", 31)),
     ("planar", (1.2, -0.4, 0.1, 0.2), "forward", ("escape", None,
-     27.68854493967823, 27.23036694114273, "converged", 49)),
+     35.335764594835524, 34.87891278367177, "converged", 37)),
     ("s5", (0.2, 0.3), "backward", ("singular_fiber", "source_0",
-     8.788358085977846e-06, 0.07117815932023587, "converged", 187)),
+     3.2906508570036863e-06, 0.07118365700728994, "converged", 193)),
 ])
 def test_classify_reports_are_pinned(name, x, direction, report):
-    # the base runner steps with DP5, so its reports keep their numbers
+    # the base runner steps with Cash-Karp, so its reports keep their numbers
     fld = _library_fields()[name]
     p0 = (embed_s5(np.array(x), (0.1, 0.2, 0.3)) if name == "s5"
           else np.array(x))
@@ -632,7 +675,7 @@ def test_classify_reports_are_pinned(name, x, direction, report):
 
 def test_classify_fiber_run_is_pinned():
     # a start whose base does not move runs classify_limit's fiber loop,
-    # which also steps with DP5
+    # which also steps with Cash-Karp
     X = xi_plus_affine(1, (1.0, SQRT2))
     rep = classify_limit(X, np.array([0.0, 0.1, 0.2]), "forward",
                          horizon=30.0)
@@ -685,7 +728,8 @@ def test_first_step_without_a_finite_target_distance(monkeypatch):
                              horizon=50.0, cfg=cfg)
     assert (rep.kind, rep.stop_reason) == ("escape", "converged")
     guess = flow_module._initial_step(np.ones((1, 1)), np.ones((1, 1)), 1.0,
-                                      cfg.rtol, flow_module._DP5.exponents[3])
+                                      cfg.rtol,
+                                      flow_module._CASH_KARP.exponents[3])
     assert firsts[0] - 1.0 == pytest.approx(guess[0, 0], rel=1e-9)
 
 
@@ -766,16 +810,15 @@ def test_runner_batch_equals_rows_one_at_a_time(base, direction):
 
 
 def test_classify_work_on_sign_of_y_starts():
-    # about log_2.54(d0 / fiber_tol) exact steps at the d / 1.65 cap: 103
-    # rows on both bases, against 145 (line) and 151 (circle) with a d / 2
-    # cap and the integrator's small first step
+    # about log_21(d0 / fiber_tol) exact steps at the d / 1.05 cap: 49 rows
+    # on both bases, against 103 with the d / 1.65 cap
     worst = {}
     for case in _classify_starts():
         base, x, direction = case.values
         m = line_model_fields(base, n=2, a=(1.0, SQRT2))
         rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), direction)
         worst[base] = max(worst.get(base, 0), rep.rhs_rows)
-    assert 0 < worst["line"] <= 125 and 0 < worst["circle"] <= 125
+    assert 0 < worst["line"] <= 60 and 0 < worst["circle"] <= 60
 
 
 # Starts within fiber_tol of a source: the distance grows from the first
@@ -827,54 +870,88 @@ def test_census_counts_match_sign_of_y_exactly(base, lo, hi, sinks,
 
 
 def test_step_cap_is_inside_the_reach_bound():
-    # every stage has unit speed, so an accepted step of size h moves at
-    # most sum |b5_i| h: the cap must keep that below the distance d
-    reach = np.abs(flow_module._DP5.b).sum()
-    assert 1.65 > reach
+    # every stage has at most unit speed and the weights b5 are >= 0 with
+    # sum 1, so an accepted step of size h moves at most h: the cap must
+    # keep that below the distance d
+    b = flow_module._CASH_KARP.b
+    assert np.all(b >= 0.0) and b.sum() == pytest.approx(1.0, abs=1e-15)
+    assert flow_module._REACH > b.sum()
     m = line_model_fields("line", n=1, a=(1.0,))
     flow = flow_module._BaseFlow(m.Xprime, -1.0, np.array([0.5, 0.0]))
     xs = np.array([[-0.3], [0.5], [1.7], [3.9]])
     d, cap, _ = flow.hook(np.arange(len(xs)), xs)
-    assert np.all(d > 0) and np.all(reach * cap < d)
+    assert np.all(d > 0) and np.all(b.sum() * cap < d)
 
 
-def _line_census_paths(monkeypatch):
-    """Start and accepted points of every sample of a backward line census,
-    with the base distance to the nearest zero before each step."""
-    m = line_model_fields("line", n=1, a=(1.0,))
-    xs = np.linspace(-0.95, 4.95, 61)
-    xs = xs[np.min(np.abs(xs[:, None] - _ZEROS["line"]), axis=1) > 0.02]
+def test_a_step_of_unit_speed_stages_moves_at_most_its_size():
+    # stages that point every which way: the unit field turns with the
+    # point, up to 30 radians per unit length; with weights >= 0 summing to
+    # 1 the step is a convex combination of them (Dormand-Prince 5(4), whose
+    # weights include a negative one, moves up to 1.6 h on these fields)
+    pair = flow_module._CASH_KARP
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        w = rng.normal(size=2) * rng.uniform(0.1, 30.0)
+
+        def turning(y):
+            return np.array([np.cos(w @ y), np.sin(w @ y)])
+
+        y0, K = rng.normal(size=2), np.empty((7, 2))
+        K[0] = turning(y0)
+        for i in range(1, 7):
+            K[i] = turning(y0 + pair.a[i] @ K[:i])
+        assert np.linalg.norm(pair.b @ K) <= 1.0 + 1e-15
+
+
+def _census_paths(monkeypatch, name):
+    """Start and accepted base points of every sample of a backward census
+    of a library field, with the base distance to the nearest target
+    before each step."""
+    fld = _library_fields()[name]
+    if name == "line":
+        xs = np.linspace(-0.95, 4.95, 61)
+        xs = xs[np.min(np.abs(xs[:, None] - _ZEROS["line"]), axis=1) > 0.02]
+        xs = xs[:, None]
+    else:
+        sample = flow_module._default_base_sampler(fld.chart, dict(fld.meta))
+        xs = sample(np.random.default_rng(3), 40)
     paths = [[x] for x in xs]
+    runners = []
     hook = flow_module._BaseFlow.hook
 
     def recording(self, ids, x):
-        for i, xi in zip(ids, x[:, 0]):
+        runners[:] = [self]
+        for i, xi in zip(ids, x):
             paths[i].append(xi)
         return hook(self, ids, x)
 
     monkeypatch.setattr(flow_module._BaseFlow, "hook", recording)
-    rep = basin_census(m.Xprime, len(xs),
-                       sampler=lambda rng, n: xs[:, None].copy())
+    rep = basin_census(fld, len(xs), sampler=lambda rng, n: xs.copy())
     assert rep.stop_reason == "all_assigned"
     for path in map(np.array, paths):
         assert len(path) > 2
-        yield path, np.min(np.abs(path[:-1, None] - _ZEROS["line"]), axis=1)
+        yield path, runners[0].distances(path[:-1]).min(axis=1)
 
 
 def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
-    # an accepted step of size h <= d / 1.65 moves at most 1.64475 h < d, so
-    # it can neither reach nor pass the target nearest its start
-    for path, d in _line_census_paths(monkeypatch):
-        assert np.all(np.abs(np.diff(path)) < d)
+    # an accepted step of size h <= d / 1.05 moves at most h < d, so it can
+    # neither reach nor pass the target nearest its start; on the 2-D bases
+    # the stage velocities point different ways, and only the nonnegative
+    # weights keep the sum of the stages within h
+    for name in ("line", "planar", "s5"):
+        with monkeypatch.context() as patch:
+            for path, d in _census_paths(patch, name):
+                steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
+                assert np.all(steps < d), name
 
 
 def test_line_steps_are_at_the_cap_from_the_first_on(monkeypatch):
     # the unit field is constant between zeros, so every step is exact and
-    # its size is the cap d / 1.65, also the first one: it is seeded from
+    # its size is the cap d / _REACH, also the first one: it is seeded from
     # the distance at the start, not from the integrator's small guess
-    for path, d in _line_census_paths(monkeypatch):
-        assert np.allclose(np.abs(np.diff(path)), d / 1.65, rtol=1e-8,
-                           atol=0.0)
+    for path, d in _census_paths(monkeypatch, "line"):
+        assert np.allclose(np.abs(np.diff(path[:, 0])),
+                           d / flow_module._REACH, rtol=1e-8, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
