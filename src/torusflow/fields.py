@@ -339,12 +339,11 @@ def _tau_circle(alpha):
 
 @dataclass(frozen=True)
 class LineModel:
-    """The one-dimensional-base field family: Y, tau, Z = tau*Y, X' = tau*(Y+T)."""
+    """The one-dimensional-base field family: Y, tau and X' = tau*(Y+T)."""
 
     base: str
     Y: FieldHandle
     tau: Callable[[np.ndarray], np.ndarray]
-    Z: FieldHandle
     Xprime: FieldHandle
 
 
@@ -404,10 +403,6 @@ def line_model_fields(base, n=1, a=(1.0,)):
         base=base,
         Y=FieldHandle(f"Y_{base}", base_chart, y_func),
         tau=tau,
-        Z=FieldHandle(f"Z_{base}", base_chart,
-                      lambda p: z_func(p),
-                      singular_fibers=fibers,
-                      sources=tuple((s,) for s in sources)),
         Xprime=FieldHandle(
             f"Xprime_{base}", full_chart, xprime_func,
             singular_fibers=fibers,

@@ -5,10 +5,9 @@ embedded pair as data and runs two of them.  ``integrate`` steps with
 Dormand and Prince's 8(5,3) pair, DOP853, and gives dense output from its
 7th-order continuous extension (``_dense_output``), whose three extra
 stages are evaluated only on the steps that hold a requested time.  The
-base runner of ``classify_limit`` and ``basin_census`` and
-``classify_limit``'s fiber loop step with Cash and Karp's 5(4) pair,
-whose 5th-order weights are all >= 0, because the base step cap rests on
-them (see ``_BaseFlow``).
+base runner of ``classify_limit`` and ``basin_census`` steps with Cash and
+Karp's 5(4) pair, whose 5th-order weights are all >= 0, because the base
+step cap rests on them (see ``_BaseFlow``).
 The loop advances one point or a batch of points; every row of a batch
 has its own step size and PI state, and a row leaves the batch when it is
 finished.  ``integrate`` takes a batch (m, d) of start points in one call
@@ -23,7 +22,9 @@ nearest target over 1.05, so their horizons are base arc length.  The
 runner evaluates a field's declared ``base_rule``, checked against the
 field, instead of the whole field at lifted points.  It keeps
 the base orbits, and neither the torus drift nor the slowdown near
-high-order zeros can stall it.
+high-order zeros can stall it.  Where the base does not move, on a source
+torus, the flow is a linear drift on the torus, and ``classify_limit``
+reads its frequencies off the field without integrating.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fields import FieldHandle
+from .fields import FieldHandle, rational_relation
 from .geometry import TWO_PI, Chart, in_triangle
 
 
@@ -258,10 +259,9 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
 
     With ``rowwise`` every row of a batch takes the steps, bit for bit, of
     a run of its own (for a field that evaluates a row as it does one
-    point): the stage sums are one matrix-vector product per row and the
-    controller's powers are ufunc calls also for one point.  Without it a
-    batch's stage sums are one product over all rows, which is faster for
-    many rows but rounds differently from one row to the next.
+    point): the stage sums are one matrix-vector product per row.  Without
+    it a batch's stage sums are one product over all rows, which is faster
+    for many rows but rounds differently from one row to the next.
 
     The first yield is the initial condition with err 0.  All live rows
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
@@ -281,7 +281,6 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
         return
     where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
     rows_apart = rowwise and not one
-    power = np.power if rowwise else pow
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     a, b, e5, e3, (alpha, beta, shrink_exp, start_exp) = pair
@@ -339,12 +338,12 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
         # PI controller (Hairer's choices) for accepted rows
         grow = upper(max_factor, lower(min_factor, where(
             err < 1e-10, max_factor,
-            safety * power(e, -alpha) * power(err_prev, beta))))
+            safety * np.power(e, -alpha) * np.power(err_prev, beta))))
         if all_(ok):
             t, y, k1, h, err_prev = t + h, y_new, k, h * grow, e  # FSAL
         else:
             rejected += np.size(ok) - int(np.count_nonzero(ok))
-            shrink = lower(min_factor, safety * power(e, -shrink_exp))
+            shrink = lower(min_factor, safety * np.power(e, -shrink_exp))
             t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
             h, err_prev = h * where(ok, grow, shrink), where(ok, e, err_prev)
             if not any_(ok):
@@ -365,11 +364,6 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
             keep = ~done[:, 0]
             ids, y, k1 = ids[keep], y[keep], k1[keep]
             t, h, err_prev, K = t[keep], h[keep], err_prev[keep], None
-
-
-def _renormalizer(chart):
-    """Projection of points back onto the sphere (None for other charts)."""
-    return chart.wrap if chart is not None and chart.is_sphere else None
 
 
 def _dense_output(f, t0, t1, y0, y1, f0, f1, K, t):
@@ -493,7 +487,7 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
         calls += 1
         return func(y)
 
-    renorm = _renormalizer(chart)
+    renorm = chart.wrap if chart is not None and chart.is_sphere else None
     if p0.ndim == 1:
         times, points, stats = _one_point(f, t0, p0, t1, cfg, renorm, t_eval)
     elif t_eval is not None:
@@ -565,6 +559,8 @@ class _BaseFlow:
     ValueError when the base tangent at the chart point ``p`` moves by more
     than 1e-9 |X(p)| under two torus elements, or when a declared rule
     differs there by more than that from the field's base tangent.
+    ``still`` is True when the base tangent at ``p`` is within the same
+    bound of 0: the base does not move there.
     """
 
     def __init__(self, field, sign, p):
@@ -585,6 +581,7 @@ class _BaseFlow:
                 raise ValueError(f"the base rule of field {field.name!r} "
                                  f"misses its base tangent at {p} by "
                                  f"{gap:.3g}")
+        self.still = bool(np.linalg.norm(tangent) <= bound)
         self.field, self.sign, self.rows = field, sign, 0
         fibers = field.singular_fibers  # the targets: sources, then fibers
         self.labels = ([f"source_{i}" for i in range(len(field.sources))]
@@ -686,9 +683,12 @@ class LimitSetReport:
     # converged | singular_set | horizon | step_budget | underflow
     stop_reason: str
     # points at which the classification evaluated the base rule, or the
-    # field where it declares none or the orbit stays in its fiber
+    # field where it declares none
     rhs_rows: int
-    recurrent: bool = False
+    # of a torus_closure: the frequencies of X on the torus through the
+    # start, and a small integer relation among them or None
+    frequencies: Optional[tuple] = None
+    relation: Optional[tuple] = None
 
 
 def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
@@ -699,15 +699,19 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     is base arc length: a target gives ``singular_fiber`` and an escape
     (beyond base radius 25 on R^k) ``escape``, both "converged", and the
     singular set (the edge of the S^5 triangle) ``inconclusive`` with
-    ``stop_reason`` "singular_set".  Where the base tangent at p0 vanishes,
-    the orbit stays in its fiber: it runs on X / |X(p0)| for arc length
-    ``horizon``, and a base that moved at most 1e-6 gives ``torus_closure``
-    (``recurrent`` if the orbit came back within chart distance 1e-3 of
-    p0).  Any other run is ``inconclusive`` with ``stop_reason`` "horizon",
-    "step_budget" or "underflow".  ``rhs_rows`` counts the rows evaluated,
-    of the base rule or of the field.  Raises ValueError when X is not
-    T-invariant at p0, or when a declared base rule misses the field's base
-    tangent there.
+    ``stop_reason`` "singular_set".  Any other run is ``inconclusive`` with
+    ``stop_reason`` "horizon", "step_budget" or "underflow".  Where the base
+    tangent at p0 is within 1e-9 |X(p0)| of 0 (``_BaseFlow.still``) the base
+    does not move: p0 lies on a source torus, where the T-invariant X is the
+    fundamental field of one frequency vector, the rates of the fiber
+    angles ``chart.fiber_rates(p0, X(p0))``, and the flow is the linear
+    drift along it.  That gives ``torus_closure``, "converged", with no
+    integration: ``frequencies`` are those of X (the backward flow drifts
+    along their negatives) and ``relation`` is ``rational_relation`` of
+    them over their largest magnitude (None when it finds none).
+    ``rhs_rows`` counts the rows evaluated, of the base rule or of the
+    field, by the run.  Raises ValueError when X is not T-invariant at p0,
+    or when a declared base rule misses the field's base tangent there.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -718,7 +722,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
         return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0)
     flow = _BaseFlow(field, sign, p0)
     x0 = chart.base(p0)
-    if np.linalg.norm(chart.base_tangent(p0, v0)) >= 1e-300:
+    if not flow.still:
         outcome, ends, lengths, stop = flow.run(x0[None], horizon, cfg,
                                                 fiber_tol)
         d, label = flow.nearest(flow.distances(ends[0]))
@@ -731,34 +735,11 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
             kind = "inconclusive"
         return LimitSetReport(kind, label, d, float(lengths[0]), what,
                               flow.rows)
-
-    s_end, stop_reason = 0.0, "horizon"
-    base_moved, left_ball, returned = 0.0, False, False
-    scale, fiber_rows = sign / np.linalg.norm(v0), 0
-
-    def fiber_velocity(p):  # one point (d,) per call
-        nonlocal fiber_rows
-        fiber_rows += 1
-        return scale * field.func(p)
-
-    try:
-        for s_end, p, *_ in _adaptive_steps(fiber_velocity, 0.0, p0, horizon,
-                                            cfg, _CASH_KARP,
-                                            _renormalizer(chart)):
-            base_moved = max(base_moved,
-                             float(chart.base_distance(chart.base(p), x0)))
-            if chart.distance(p, p0) > 1e-3:  # left the recurrence ball
-                left_ball = True
-            elif left_ball:
-                returned = True
-    except FlowError as exc:
-        stop_reason = exc.reason
-    d, label = flow.nearest(flow.distances(x0))
-    if base_moved <= _BASE_TOL:
-        return LimitSetReport("torus_closure", None, d, s_end, stop_reason,
-                              fiber_rows, recurrent=returned)
-    return LimitSetReport("inconclusive", label, d, s_end, stop_reason,
-                          fiber_rows)
+    omega = chart.fiber_rates(p0, v0)
+    return LimitSetReport(
+        "torus_closure", None, flow.nearest(flow.distances(x0))[0], 0.0,
+        "converged", 0, frequencies=tuple(float(w) for w in omega),
+        relation=rational_relation(omega / np.abs(omega).max()))
 
 
 @dataclass

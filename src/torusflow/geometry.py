@@ -197,6 +197,21 @@ class Chart:
             return p[..., 1:]
         return p[..., self.k:]
 
+    def fiber_rates(self, p, v):
+        """Rates of change of ``fiber_angles`` at p along a tangent vector v.
+
+        On the sphere, (a_j v_{b_j} - b_j v_{a_j}) / (a_j^2 + b_j^2) for
+        each coordinate pair (a_j, b_j): the coefficients of v on the
+        generators U_j at p when v is tangent to the orbit.  Needs every
+        pair radius > 0 there.
+        """
+        p = np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if self.kind == "sphere5":
+            a, b = p[..., ::2], p[..., 1::2]
+            return (a * v[..., 1::2] - b * v[..., ::2]) / (a * a + b * b)
+        return v[..., self.dim - self.n:]
+
     def act(self, lam, p):
         """Torus action on the chart (rotation on S^5, fiber translation else).
 

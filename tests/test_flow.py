@@ -12,6 +12,7 @@ from torusflow.fields import (
     fundamental_fields_s5,
     lifted_field_s5,
     line_model_fields,
+    tau_s5,
     xi_plus_affine,
 )
 from torusflow.flow import (
@@ -429,7 +430,8 @@ def test_classify_torus_closure():
     rep = classify_limit(X, np.array([0.0, 0.1, 0.2]), "forward",
                          horizon=30.0)
     assert rep.kind == "torus_closure"
-    assert rep.stop_reason == "horizon"
+    assert (rep.stop_reason, rep.horizon) == ("converged", 0.0)
+    assert rep.frequencies == (1.0, SQRT2) and rep.relation is None
 
 
 def test_classify_reports_a_spent_step_budget():
@@ -476,7 +478,8 @@ def test_classify_counts_its_field_rows():
     closure = classify_limit(xi_plus_affine(1, (1.0, SQRT2)),
                              np.array([0.0, 0.1, 0.2]), "forward",
                              horizon=30.0)
-    assert closure.kind == "torus_closure" and closure.rhs_rows > 0
+    # the flow on a source torus is known exactly: nothing is integrated
+    assert closure.kind == "torus_closure" and closure.rhs_rows == 0
 
 
 def test_base_dynamics_need_an_invariant_field():
@@ -673,14 +676,74 @@ def test_classify_reports_are_pinned(name, x, direction, report):
     assert rep.horizon == pytest.approx(length, rel=1e-12)
 
 
-def test_classify_fiber_run_is_pinned():
-    # a start whose base does not move runs classify_limit's fiber loop,
-    # which also steps with Cash-Karp
-    X = xi_plus_affine(1, (1.0, SQRT2))
-    rep = classify_limit(X, np.array([0.0, 0.1, 0.2]), "forward",
-                         horizon=30.0)
-    assert (rep.kind, rep.stop_reason, rep.rhs_rows, rep.recurrent) == (
-        "torus_closure", "horizon", 55, False)
+def _source_starts(name, fld):
+    """A chart point over each declared source, with nonzero phases."""
+    if name == "s5":
+        return [embed_s5(np.array(x), (0.1, 0.2, 0.3)) for x in fld.sources]
+    return [np.append(x, (0.3, 1.1)[:fld.chart.n]) for x in fld.sources]
+
+
+def test_classify_on_a_source_torus_takes_no_step(monkeypatch):
+    # the base does not move there, so the flow is the linear drift along
+    # the field's torus frequencies: classify_limit integrates nothing
+    def no_steps(*args, **kwargs):
+        raise AssertionError("_adaptive_steps called on a source torus")
+
+    monkeypatch.setattr(flow_module, "_adaptive_steps", no_steps)
+    for name, fld in _library_fields().items():
+        for p0 in _source_starts(name, fld):
+            for direction in ("forward", "backward"):
+                rep = classify_limit(fld, p0, direction)
+                assert (rep.kind, rep.target, rep.stop_reason, rep.horizon,
+                        rep.rhs_rows) == (
+                    "torus_closure", None, "converged", 0.0, 0), name
+                assert rep.final_distance < 1e-15
+
+
+@pytest.mark.parametrize("name", ["line", "circle", "planar", "s5"])
+def test_source_torus_frequencies_are_exact(name):
+    # on a source x_s the frequencies are tau(x_s) times the declared ones,
+    # e.g. 81 (1, sqrt 2) at the line's source 0; neither (1, sqrt 2) nor
+    # (1, e, e^2) has a small integer relation
+    if name in ("line", "circle"):
+        m = line_model_fields(name, n=2, a=(1.0, SQRT2))
+        fld = m.Xprime
+        taus = [float(m.tau(np.array(x))[0]) for x in fld.sources]
+    else:
+        fld = _library_fields()[name]
+        # the planar field's planted points lie on the unit circle
+        taus = [1.0] if name == "planar" else [
+            float(tau_s5(np.array(x))) for x in fld.sources]
+    freqs = np.array(fld.meta["frequencies"])
+    for p0, tau in zip(_source_starts(name, fld), taus):
+        rep = classify_limit(fld, p0, "forward")
+        assert rep.kind == "torus_closure"
+        assert np.max(np.abs(np.array(rep.frequencies) / (tau * freqs) - 1.0)) \
+            <= 1e-14
+        assert rep.relation is None
+
+
+def test_classify_reports_a_resonant_source_torus():
+    m = line_model_fields("line", n=2, a=(1.0, 2.0))
+    rep = classify_limit(m.Xprime, np.array([0.0, 0.3, 1.1]), "forward")
+    assert rep.kind == "torus_closure"
+    assert rep.frequencies == (81.0, 162.0) and rep.relation == (-2, 1)
+
+
+def test_one_answer_per_s5_source_orbit():
+    # the phases move the base tangent by rounding alone (1.4e-42 at the
+    # phases 0.1, 0.2, 0.3, against |X| = 1.4e-25): every start on the source
+    # orbit lies on the same torus and gets the same report
+    X = build_s5().field
+    reps = [classify_limit(X, embed_s5(np.array([0.25, 0.25]), phis),
+                           "forward")
+            for phis in ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3))]
+    first = reps[0]
+    assert first.kind == "torus_closure"
+    for rep in reps[1:]:
+        assert dataclasses.replace(rep, frequencies=None) == \
+            dataclasses.replace(first, frequencies=None)
+        assert rep.frequencies == pytest.approx(first.frequencies, rel=1e-15)
 
 
 def test_census_stops_samples_at_undeclared_zeros():
