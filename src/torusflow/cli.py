@@ -67,6 +67,10 @@ def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _pretty(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _merged_config(scenario, cfg):
     merged = dict(_SCENARIO_DEFAULTS.get(scenario, {}))
     merged.update(cfg)
@@ -100,8 +104,9 @@ def _provenance(cfg, seed):
     }
 
 
-def _write_json(path, payload, quiet):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(path, text, quiet):
+    """Write text to path, or to stdout without one; name the file unless
+    quiet."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -120,7 +125,7 @@ def cmd_build(args):
     manifest = _build_manifest(args.scenario, cfg)
     payload = manifest.to_dict()
     payload["provenance"] = _provenance(cfg, args.seed)
-    _write_json(args.out, payload, args.quiet)
+    _write(args.out, _pretty(payload), args.quiet)
     return 0
 
 
@@ -147,14 +152,7 @@ def cmd_trace(args):
     lines.append("t," + ",".join(f"y{i}" for i in range(dim)))
     for t, p in zip(traj.times, traj.points):
         lines.append(",".join([_csv_float(t)] + [_csv_float(v) for v in p]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n", args.quiet)
     return 0
 
 
@@ -179,7 +177,7 @@ def cmd_verify(args):
         "checks": report.checks,
         "provenance": _provenance(cfg, args.seed),
     }
-    _write_json(args.out, payload, args.quiet)
+    _write(args.out, _pretty(payload), args.quiet)
     if not args.quiet:
         print(report.summary())
     return 0 if report.passed else 1
@@ -206,7 +204,7 @@ def cmd_probe(args):
         "n_basis": rep.n_basis,
         "provenance": _provenance(cfg, args.seed),
     }
-    _write_json(args.out, payload, args.quiet)
+    _write(args.out, _pretty(payload), args.quiet)
     return 0
 
 
@@ -227,7 +225,7 @@ def cmd_basin(args):
         "rhs_rows": rep.rhs_rows,
         "provenance": _provenance(cfg, args.seed),
     }
-    _write_json(args.out, payload, args.quiet)
+    _write(args.out, _pretty(payload), args.quiet)
     return 0
 
 

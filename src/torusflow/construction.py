@@ -4,22 +4,26 @@ The recipe shared by every builder: start from base dynamics with a source
 whose outset is dense, damp by a nonnegative factor tau that plants zeros
 of pairwise distinct even orders on selected fibers, and add a dense
 constant drift on the torus fibers.  The distinct orders make the singular
-fibers pairwise inequivalent, which kills any extra symmetry.
+fibers pairwise inequivalent, which kills any extra symmetry.  On product
+and circle charts ``fields._describing_field`` builds X' = tau (Y + T) and
+its base rule from tau, Y and the drift; the S^5 field is a closed form of
+the same recipe (``describing_field_s5``).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .fields import (
+    _S5_EDGE_ORDER,
     E,
     FieldHandle,
     SingularFiber,
+    _describing_field,
     describing_field_s5,
     line_model_fields,
     rational_relation,
@@ -63,10 +67,6 @@ class ConstructionManifest:
             "notes": dict(self.notes or {}),
         }
 
-    def to_json(self):
-        """``to_dict`` as JSON, indented by 2, keys sorted."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def build_line_describing(base="line", n=1, freqs=(1.0,)):
     """Describing field over the line or circle base with an n-torus fiber."""
@@ -81,12 +81,11 @@ def build_line_describing(base="line", n=1, freqs=(1.0,)):
 
 def build_s5(freqs=(1.0, E, E * E)):
     """Describing field for the standard T^3 action on the 5-sphere."""
-    fld = describing_field_s5(freqs)
     return ConstructionManifest(
         name="s5_t3",
-        field=fld,
+        field=describing_field_s5(freqs),
         frequencies=tuple(float(f) for f in freqs),
-        notes={"singular_set_order": fld.meta["singular_set_order"]},
+        notes={"singular_set_order": _S5_EDGE_ORDER},
     )
 
 
@@ -112,39 +111,19 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
     pts = radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     half = np.array(orders, dtype=float) / 2.0
     total = float(half.sum())
-    a = np.asarray(freqs, dtype=float)
-    chart = Chart("product", k=2, n=n)
 
     def tau(x):
-        # (..., 1): the kept axis gives one point a batch row's array
-        # operations and bits (a 0-d value would take numpy's scalar pow)
-        x = np.asarray(x, dtype=float)
-        d2 = ((x[..., None, :2] - pts) ** 2).sum(axis=-1)
+        d2 = ((x[..., None, :] - pts) ** 2).sum(axis=-1)
         # |x - p|^(2 m_p) written on squared distances to stay smooth
         num = (d2 ** half).prod(axis=-1, keepdims=True)
-        return num / (1.0 + (x[..., :2] ** 2).sum(axis=-1,
-                                                  keepdims=True)) ** total
-
-    def func(p):
-        p = np.asarray(p, dtype=float)
-        out = p.copy()
-        out[..., 2:] = a
-        return tau(p) * out
-
-    def base_rule(x):
-        return tau(x) * x
+        return num / (1.0 + (x ** 2).sum(axis=-1, keepdims=True)) ** total
 
     fibers = tuple(
         SingularFiber(f"planted_{i}", tuple(pt), orders[i])
         for i, pt in enumerate(pts)
     )
-    fld = FieldHandle(
-        "Xprime_planar", chart, func,
-        singular_fibers=fibers,
-        sources=((0.0, 0.0),),
-        meta={"frequencies": freqs, "dense": True},
-        base_rule=base_rule,
-    )
+    fld = _describing_field("Xprime_planar", Chart("product", k=2, n=n),
+                            tau, lambda x: x, freqs, fibers, ((0.0, 0.0),))
     return ConstructionManifest(
         name=f"planar_R2_x_T{n}",
         field=fld,
@@ -268,5 +247,4 @@ def haar_average_field(fld, n_nodes=64):
         _haar_mean(fld.func, chart, n_nodes, transport=chart.is_sphere),
         singular_fibers=fld.singular_fibers,
         sources=fld.sources,
-        meta=dict(fld.meta),
     )

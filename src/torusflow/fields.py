@@ -16,8 +16,8 @@ to one output row.  Nothing here is symbolic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class FieldHandle:
     func: Callable[[np.ndarray], np.ndarray]
     singular_fibers: tuple = ()
     sources: tuple = ()
-    meta: Mapping = dc_field(default_factory=dict)
     base_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, p):
@@ -83,7 +82,6 @@ def field_scale(name, scalar_fn, base_field):
         func,
         singular_fibers=base_field.singular_fibers,
         sources=base_field.sources,
-        meta=dict(base_field.meta),
     )
 
 
@@ -141,8 +139,7 @@ def xi_plus_affine(k, a, dense=True):
         out[..., k:] = a
         return out
 
-    return FieldHandle("xi+T", chart, func,
-                       meta={"frequencies": tuple(a), "dense": bool(dense)})
+    return FieldHandle("xi+T", chart, func)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +194,8 @@ S5_ZERO_FIBERS = (
     SingularFiber("fiber_1/8_1/4", (0.125, 0.25), 4),
     SingularFiber("fiber_1/4_1/8", (0.25, 0.125), 6),
 )
+# the order of tau_s5's zero on the triangle's edges, the singular set
+_S5_EDGE_ORDER = 10
 
 
 _TAU_ZEROS = np.array([fib.base_point for fib in S5_ZERO_FIBERS])
@@ -247,8 +246,7 @@ def describing_field_s5(freqs=(1.0, E, E * E)):
     generator fields ``lifted_field_s5`` and ``fundamental_fields_s5`` are
     its reference.  The rule keeps a complex input complex.
     """
-    freqs = tuple(float(f) for f in freqs)
-    f = np.array(freqs)
+    f = np.array(freqs, dtype=float)
 
     def func(y):
         # per pair j: tau (c_j (a_j, b_j) + f_j (-b_j, a_j)), with c_j the
@@ -273,11 +271,6 @@ def describing_field_s5(freqs=(1.0, E, E * E)):
         "Xprime_s5", _SPHERE, func,
         singular_fibers=S5_ZERO_FIBERS,
         sources=((0.25, 0.25),),
-        meta={
-            "frequencies": freqs,
-            "dense": True,
-            "singular_set_order": 10,
-        },
         base_rule=_s5_base_rule,
     )
 
@@ -298,6 +291,41 @@ def _s5_base_rule(x):
     c = w * r[..., 2:] * t
     a = a[..., :2]
     return 2 * (a * (c * a) + 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the recipe X' = tau (Y + T) on product and circle charts
+
+
+def _describing_field(name, chart, tau, y, a, fibers, sources):
+    """X' = tau (Y + T): base dynamics Y damped by tau, plus the drift a.
+
+    ``tau`` and ``y`` map base points x (..., base_dim) to the damping
+    (..., 1) and to Y (..., base_dim); x keeps its last axis, so one point
+    runs the array operations of a batch row and gets the same bits (a 0-d
+    x would take numpy's scalar pow, whose last bit can differ).  The
+    drift a is constant on the fiber angles.  The base rule tau(x) y(x)
+    makes the same operations as the field on its base block, so it gives
+    the lifted field's base tangent bit for bit.
+    """
+    bd = chart.base_dim
+    a = np.asarray(a, dtype=float)
+
+    def func(p):
+        p = np.asarray(p, dtype=float)
+        x = p[..., :bd]
+        t = tau(x)
+        out = np.empty_like(p)
+        out[..., :bd] = t * y(x)
+        out[..., bd:] = t * a
+        return out
+
+    def base_rule(x):
+        x = np.asarray(x, dtype=float)
+        return tau(x) * y(x)
+
+    return FieldHandle(name, chart, func, singular_fibers=fibers,
+                       sources=sources, base_rule=base_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +398,21 @@ def line_model_fields(base, n=1, a=(1.0,)):
     else:
         raise ValueError(f"unknown base tag {base!r}")
 
-    # x keeps its last axis, so one point (d,) runs the array operations
-    # of a batch row and gets the same bits (a 0-d x would take numpy's
-    # scalar pow, whose last bit can differ)
     def y_func(p):
-        p = np.asarray(p, dtype=float)
-        return y_fn(p[..., :1])
-
-    def z_func(p):
-        p = np.asarray(p, dtype=float)
-        x = p[..., :1]
-        return tau_fn(x) * y_fn(x)
-
-    def xprime_func(p):
-        p = np.asarray(p, dtype=float)
-        x = p[..., :1]
-        t = tau_fn(x)
-        out = np.empty_like(p)
-        out[..., :1] = t * y_fn(x)
-        out[..., 1:] = t * a
-        return out
-
-    fibers = tuple(
-        SingularFiber(f"sink_{loc:.6g}", (loc,), order) for loc, order in sinks
-    )
+        return y_fn(np.asarray(p, dtype=float)[..., :1])
 
     def tau(x):
         return tau_fn(np.asarray(x, dtype=float))
 
-    meta = {"frequencies": tuple(a), "dense": True, "base": base}
+    fibers = tuple(
+        SingularFiber(f"sink_{loc:.6g}", (loc,), order) for loc, order in sinks
+    )
     return LineModel(
         base=base,
         Y=FieldHandle(f"Y_{base}", base_chart, y_func),
         tau=tau,
-        Xprime=FieldHandle(
-            f"Xprime_{base}", full_chart, xprime_func,
-            singular_fibers=fibers,
-            sources=tuple((s,) for s in sources),
-            meta=meta,
-            base_rule=z_func,
-        ),
+        Xprime=_describing_field(f"Xprime_{base}", full_chart, tau_fn, y_fn,
+                                 a, fibers, tuple((s,) for s in sources)),
     )
 
 

@@ -555,18 +555,18 @@ class _BaseFlow:
     ``run`` takes a batch of base points to their ``outcomes``, and ``rows``
     counts the base points at which it evaluated the base tangent: rows of
     the field's ``base_rule`` where it declares one, else field rows at
-    the lifted points.  Only a T-invariant field has base dynamics:
-    ValueError when the base tangent at the chart point ``p`` moves by more
-    than 1e-9 |X(p)| under two torus elements, or when a declared rule
-    differs there by more than that from the field's base tangent.
+    the lifted points.  The caller passes v = X(p), the field at a chart
+    point ``p``.  Only a T-invariant field has base dynamics: ValueError
+    when the base tangent at ``p`` moves by more than 1e-9 |X(p)| under two
+    torus elements, or when a declared rule differs there by more than
+    that from the field's base tangent.
     ``still`` is True when the base tangent at ``p`` is within the same
     bound of 0: the base does not move there.
     """
 
-    def __init__(self, field, sign, p):
+    def __init__(self, field, sign, p, v):
         chart = field.chart
         q = chart.act(np.array([[0.7], [2.9]]) * np.arange(1, chart.n + 1), p)
-        v = field(p)
         tangent = chart.base_tangent(p, v)
         bound = 1e-9 * np.linalg.norm(v)
         gap = np.linalg.norm(chart.base_tangent(q, field(q)) - tangent,
@@ -682,8 +682,9 @@ class LimitSetReport:
     horizon: float
     # converged | singular_set | horizon | step_budget | underflow
     stop_reason: str
-    # points at which the classification evaluated the base rule, or the
-    # field where it declares none
+    # points at which the runner evaluated the base rule, or the field
+    # where it declares none; X(p0) and the invariance check at two
+    # torus-moved copies of p0 are not counted
     rhs_rows: int
     # of a torus_closure: the frequencies of X on the torus through the
     # start, and a small integer relation among them or None
@@ -720,7 +721,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
         return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0)
-    flow = _BaseFlow(field, sign, p0)
+    flow = _BaseFlow(field, sign, p0, v0)
     x0 = chart.base(p0)
     if not flow.still:
         outcome, ends, lengths, stop = flow.run(x0[None], horizon, cfg,
@@ -750,15 +751,16 @@ class CensusReport:
     unclassified_fraction: float
     seed: int
     stop_reason: str  # all_assigned | horizon | step_budget | underflow
-    # base points at which the census evaluated the base rule, or the
-    # lifted field where it declares none
+    # base points at which the runner evaluated the base rule, or the
+    # lifted field where it declares none; the invariance check over the
+    # first sample (three field rows) is not counted
     rhs_rows: int
 
 
-def _default_base_sampler(chart, meta):
+def _default_base_sampler(chart):
     if chart.kind == "circle_product":
         return lambda rng, n: rng.uniform(0.0, TWO_PI, size=(n, 1))
-    if chart.is_sphere or meta.get("domain") == "triangle":
+    if chart.is_sphere:
         def triangle(rng, n):
             pts = rng.uniform(0.02, 0.98, size=(n, 2))
             bad = pts.sum(axis=1) > 0.98
@@ -798,9 +800,10 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
-    sampler = sampler or _default_base_sampler(chart, dict(field.meta))
+    sampler = sampler or _default_base_sampler(chart)
     xs = sampler(rng, n_samples)
-    flow = _BaseFlow(field, -1.0, chart.lift(xs[0]))
+    p = chart.lift(xs[0])
+    flow = _BaseFlow(field, -1.0, p, field(p))
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=max_steps)
     outcome, _, _, stop = flow.run(xs, 500.0, cfg, fiber_tol)
     hits = np.bincount(outcome[outcome >= 0], minlength=len(flow.outcomes))
@@ -833,17 +836,16 @@ class SingularityReport:
         return np.isfinite(self.estimated_order) and self.r_squared >= 0.99
 
 
-def _probe_directions(chart, x0, r_max, meta):
+def _probe_directions(chart, x0, r_max):
     bd = chart.base_dim
     if bd == 1:
         cands = [np.array([1.0]), np.array([-1.0])]
     else:
         angles = 0.4 + np.arange(8) * (np.pi / 4.0)
         cands = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    needs_triangle = chart.is_sphere or meta.get("domain") == "triangle"
     out = []
     for u in cands:
-        if needs_triangle and not in_triangle(x0 + r_max * u, margin=0.0):
+        if chart.is_sphere and not in_triangle(x0 + r_max * u, margin=0.0):
             continue
         out.append(u)
         if len(out) == 4:
@@ -869,8 +871,7 @@ def estimate_order(field, p0):
         if d.min() < 1e-9:
             declared_order = fibers[int(d.argmin())].order
     slopes, r2s = [], []
-    for u in _probe_directions(chart, x0, float(radii.max()),
-                               dict(field.meta)):
+    for u in _probe_directions(chart, x0, float(radii.max())):
         vals = np.linalg.norm(
             field.func(chart.displace_base(p0, radii[:, None] * u)), axis=-1)
         if np.any(vals <= 0.0):

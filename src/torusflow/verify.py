@@ -300,7 +300,7 @@ def verify_manifest(manifest, seed=0, check_orders=False):
         }
 
     if fld.base_rule is not None:
-        xs = _default_base_sampler(chart, dict(fld.meta))(rng, 64)
+        xs = _default_base_sampler(chart)(rng, 64)
         if chart.is_sphere:
             # a third of the points on the edges, where the lift clamps
             # its radii and the edge factor of tau cancels

@@ -51,12 +51,6 @@ def test_s5_manifest_orders():
     assert m.to_dict()["rational_relation"] is None
 
 
-def test_manifest_to_json_deterministic():
-    a = build_line_describing("line").to_json()
-    b = build_line_describing("line").to_json()
-    assert a == b
-
-
 def test_manifest_rejects_duplicate_orders():
     chart = Chart("product", k=1, n=1)
     fibers = (SingularFiber("a", (1.0,), 2), SingularFiber("b", (3.0,), 2))

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from torusflow import fields as fields_module
 from torusflow import flow as flow_module
 from torusflow.construction import build_planar_demo, build_s5
 from torusflow.fields import (
@@ -482,6 +483,22 @@ def test_classify_counts_its_field_rows():
     assert closure.kind == "torus_closure" and closure.rhs_rows == 0
 
 
+def test_classify_evaluates_the_field_at_its_start_once():
+    # X(p0) serves the fixed-point test, the invariance check and the
+    # frequencies on a source torus
+    fld = _library_fields()["line"]
+    p0 = np.array([0.4, 0.0])
+    at_start = []
+
+    def func(p):
+        at_start.append(np.shape(p) == p0.shape and np.array_equal(p, p0))
+        return fld.func(p)
+
+    rep = classify_limit(dataclasses.replace(fld, func=func), p0, "forward")
+    assert (rep.kind, rep.target) == ("singular_fiber", "sink_1")
+    assert sum(at_start) == 1
+
+
 def test_base_dynamics_need_an_invariant_field():
     # the base component sin(theta) changes along the torus orbits
     def func(p):
@@ -596,7 +613,7 @@ def _library_fields():
 
 
 def _base_points(name, rng, n):
-    if name == "line":
+    if name.startswith("line"):
         return rng.uniform(-1.0, 5.0, size=(n, 1))
     if name == "circle":
         return rng.uniform(0.0, TWO_PI, size=(n, 1))
@@ -614,9 +631,27 @@ def _base_points(name, rng, n):
     return np.concatenate([x, corners, outside])
 
 
-@pytest.mark.parametrize("name", ["line", "circle", "planar", "s5"])
+def _line_with_a_zero_at_half():
+    """The line field rebuilt through the recipe with tau (x - 0.5)^6: an
+    undeclared zero of order 6, of the kind a planted zero adds."""
+    fld = _library_fields()["line"]
+    return fields_module._describing_field(
+        "Xprime_line_zero_half", fld.chart,
+        lambda x: fields_module._tau_line(x) * (x - 0.5) ** 6,
+        fields_module._y_line, (1.0,), fld.singular_fibers, fld.sources)
+
+
+@pytest.mark.parametrize("name", ["line", "circle", "planar", "s5",
+                                  "line_zero_half"])
 def test_base_rule_equals_the_lifted_base_tangent(name):
-    fld = _library_fields()[name]
+    if name == "line_zero_half":
+        fld = _line_with_a_zero_at_half()
+        # tau keeps its sign, so the unit-speed base direction, and with it
+        # the census, is the line's
+        assert basin_census(fld, 16, seed=0) == basin_census(
+            _library_fields()["line"], 16, seed=0)
+    else:
+        fld = _library_fields()[name]
     chart = fld.chart
     xs = _base_points(name, np.random.default_rng(11), 1000)
     ys = chart.lift(xs)
@@ -714,7 +749,7 @@ def test_source_torus_frequencies_are_exact(name):
         # the planar field's planted points lie on the unit circle
         taus = [1.0] if name == "planar" else [
             float(tau_s5(np.array(x))) for x in fld.sources]
-    freqs = np.array(fld.meta["frequencies"])
+    freqs = np.array(build_s5().frequencies if name == "s5" else (1.0, SQRT2))
     for p0, tau in zip(_source_starts(name, fld), taus):
         rep = classify_limit(fld, p0, "forward")
         assert rep.kind == "torus_closure"
@@ -860,8 +895,9 @@ def test_runner_batch_equals_rows_one_at_a_time(base, direction):
     xs = np.array([[case.values[1]] for case in _classify_starts()
                    if case.values[::2] == (base, direction)])
     m = line_model_fields(base, n=2, a=(1.0, SQRT2))
+    p = np.array([xs[0, 0], 0.3, 1.1])
     flow = flow_module._BaseFlow(m.Xprime, 1.0 if direction == "forward"
-                                 else -1.0, np.array([xs[0, 0], 0.3, 1.1]))
+                                 else -1.0, p, m.Xprime(p))
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     outcome, ends, _, _ = flow.run(xs, 200.0, cfg, 1e-5)
     assert np.all(outcome >= 0)
@@ -940,7 +976,8 @@ def test_step_cap_is_inside_the_reach_bound():
     assert np.all(b >= 0.0) and b.sum() == pytest.approx(1.0, abs=1e-15)
     assert flow_module._REACH > b.sum()
     m = line_model_fields("line", n=1, a=(1.0,))
-    flow = flow_module._BaseFlow(m.Xprime, -1.0, np.array([0.5, 0.0]))
+    p = np.array([0.5, 0.0])
+    flow = flow_module._BaseFlow(m.Xprime, -1.0, p, m.Xprime(p))
     xs = np.array([[-0.3], [0.5], [1.7], [3.9]])
     d, cap, _ = flow.hook(np.arange(len(xs)), xs)
     assert np.all(d > 0) and np.all(b.sum() * cap < d)
@@ -976,7 +1013,7 @@ def _census_paths(monkeypatch, name):
         xs = xs[np.min(np.abs(xs[:, None] - _ZEROS["line"]), axis=1) > 0.02]
         xs = xs[:, None]
     else:
-        sample = flow_module._default_base_sampler(fld.chart, dict(fld.meta))
+        sample = flow_module._default_base_sampler(fld.chart)
         xs = sample(np.random.default_rng(3), 40)
     paths = [[x] for x in xs]
     runners = []
