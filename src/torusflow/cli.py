@@ -116,10 +116,6 @@ def _write(path, text, quiet):
         sys.stdout.write(text)
 
 
-def _csv_float(x):
-    return format(float(x), ".17g")
-
-
 def cmd_build(args):
     cfg = _merged_config(args.scenario, _load_config(args.config))
     manifest = _build_manifest(args.scenario, cfg)
@@ -150,8 +146,9 @@ def cmd_trace(args):
     prov = _provenance(cfg, args.seed)
     lines = [f"# {key}={prov[key]}" for key in sorted(prov)]
     lines.append("t," + ",".join(f"y{i}" for i in range(dim)))
-    for t, p in zip(traj.times, traj.points):
-        lines.append(",".join([_csv_float(t)] + [_csv_float(v) for v in p]))
+    row = ",".join(["%.17g"] * (dim + 1))
+    lines += [row % tuple(r) for r in
+              np.column_stack([traj.times, traj.points]).tolist()]
     _write(args.out, "\n".join(lines) + "\n", args.quiet)
     return 0
 

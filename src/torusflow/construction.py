@@ -6,8 +6,8 @@ of pairwise distinct even orders on selected fibers, and add a dense
 constant drift on the torus fibers.  The distinct orders make the singular
 fibers pairwise inequivalent, which kills any extra symmetry.  On product
 and circle charts ``fields._describing_field`` builds X' = tau (Y + T) and
-its base rule from tau, Y and the drift; the S^5 field is a closed form of
-the same recipe (``describing_field_s5``).
+its base rule from one kernel x -> (tau, Y) and the drift; the S^5 field
+is a closed form of the same recipe (``describing_field_s5``).
 """
 
 from __future__ import annotations
@@ -112,18 +112,18 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
     half = np.array(orders, dtype=float) / 2.0
     total = float(half.sum())
 
-    def tau(x):
+    def parts(x):
         d2 = ((x[..., None, :] - pts) ** 2).sum(axis=-1)
         # |x - p|^(2 m_p) written on squared distances to stay smooth
         num = (d2 ** half).prod(axis=-1, keepdims=True)
-        return num / (1.0 + (x ** 2).sum(axis=-1, keepdims=True)) ** total
+        return num / (1.0 + (x ** 2).sum(axis=-1, keepdims=True)) ** total, x
 
     fibers = tuple(
         SingularFiber(f"planted_{i}", tuple(pt), orders[i])
         for i, pt in enumerate(pts)
     )
     fld = _describing_field("Xprime_planar", Chart("product", k=2, n=n),
-                            tau, lambda x: x, freqs, fibers, ((0.0, 0.0),))
+                            parts, freqs, fibers, ((0.0, 0.0),))
     return ConstructionManifest(
         name=f"planar_R2_x_T{n}",
         field=fld,

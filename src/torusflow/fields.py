@@ -297,32 +297,32 @@ def _s5_base_rule(x):
 # the recipe X' = tau (Y + T) on product and circle charts
 
 
-def _describing_field(name, chart, tau, y, a, fibers, sources):
+def _describing_field(name, chart, parts, a, fibers, sources):
     """X' = tau (Y + T): base dynamics Y damped by tau, plus the drift a.
 
-    ``tau`` and ``y`` map base points x (..., base_dim) to the damping
-    (..., 1) and to Y (..., base_dim); x keeps its last axis, so one point
-    runs the array operations of a batch row and gets the same bits (a 0-d
-    x would take numpy's scalar pow, whose last bit can differ).  The
-    drift a is constant on the fiber angles.  The base rule tau(x) y(x)
-    makes the same operations as the field on its base block, so it gives
-    the lifted field's base tangent bit for bit.
+    ``parts`` is the model's kernel: it maps base points x (..., base_dim)
+    to the damping tau (..., 1) and to Y (..., base_dim) in one pass.  x
+    keeps its last axis, so one point runs the array operations of a batch
+    row and gets its bits.  The drift a is constant on the fiber angles.
+    The field writes (Y, a) and scales it by tau in place; the base rule
+    tau Y takes the same kernel, so it gives the lifted field's base
+    tangent bit for bit.
     """
     bd = chart.base_dim
     a = np.asarray(a, dtype=float)
 
     def func(p):
         p = np.asarray(p, dtype=float)
-        x = p[..., :bd]
-        t = tau(x)
+        t, y = parts(p[..., :bd])
         out = np.empty_like(p)
-        out[..., :bd] = t * y(x)
-        out[..., bd:] = t * a
+        out[..., :bd] = y
+        out[..., bd:] = a
+        out *= t
         return out
 
     def base_rule(x):
-        x = np.asarray(x, dtype=float)
-        return tau(x) * y(x)
+        t, y = parts(np.asarray(x, dtype=float))
+        return t * y
 
     return FieldHandle(name, chart, func, singular_fibers=fibers,
                        sources=sources, base_rule=base_rule)
@@ -339,30 +339,25 @@ CIRCLE_SINK_ORDERS = (
     (np.pi, 4),
     (5.0 * np.pi / 3.0, 6),
 )
+_LINE_ROOTS = np.arange(5.0)
+_CIRCLE_SINKS = np.array([loc for loc, _ in CIRCLE_SINK_ORDERS])
 
 
-def _q_line(x):
-    return x * (x - 1.0) * (x - 2.0) * (x - 3.0) * (x - 4.0)
+def _line_parts(x):
+    """tau = (x-1)^2 (x-3)^4 / (1+x^2)^3, bounded on R, and Y = q/(q^2+1)
+    with q = x(x-1)(x-2)(x-3)(x-4), from one set of differences."""
+    s = x - _LINE_ROOTS
+    q = s.prod(axis=-1, keepdims=True)
+    tau = s[..., 1:2] ** 2 * s[..., 3:4] ** 4 / (1.0 + x * x) ** 3
+    return tau, q / (q * q + 1.0)
 
 
-def _y_line(x):
-    q = _q_line(x)
-    return q / (q * q + 1.0)
-
-
-def _tau_line(x):
-    # bounded on R: numerator degree 6 against (1+x^2)^3
-    return (x - 1.0) ** 2 * (x - 3.0) ** 4 / (1.0 + x * x) ** 3
-
-
-def _y_circle(alpha):
-    return np.sin(3.0 * alpha)
-
-
-def _tau_circle(alpha):
-    # 2 - 2 cos(a - a0) has an exact order-two zero at a0 and is periodic
-    d = lambda a0: 2.0 - 2.0 * np.cos(alpha - a0)
-    return d(np.pi / 3.0) * d(np.pi) ** 2 * d(5.0 * np.pi / 3.0) ** 3
+def _circle_parts(alpha):
+    """tau = prod (2 - 2 cos(alpha - a_j))^j over the sinks a_j, each factor
+    an exact order-two zero that is periodic, and Y = sin(3 alpha)."""
+    d = 2.0 - 2.0 * np.cos(alpha - _CIRCLE_SINKS)
+    tau = d[..., 0:1] * d[..., 1:2] ** 2 * d[..., 2:3] ** 3
+    return tau, np.sin(3.0 * alpha)
 
 
 @dataclass(frozen=True)
@@ -380,7 +375,8 @@ def line_model_fields(base, n=1, a=(1.0,)):
 
     Line: Y = q/(q^2+1), q = x(x-1)(x-2)(x-3)(x-4); sinks 1, 3 get damping
     orders 2, 4.  Circle: Y = sin(3a); sinks pi/3, pi, 5pi/3 get orders
-    2, 4, 6.  X' = tau*(Y + T) lives on B x T^n.
+    2, 4, 6.  X' = tau*(Y + T) lives on B x T^n.  ``Y`` and ``tau`` read
+    the kernel the field is built from.
     """
     a = np.asarray(a, dtype=float)
     if a.size != n:
@@ -388,21 +384,21 @@ def line_model_fields(base, n=1, a=(1.0,)):
     if base == "line":
         base_chart = Chart("product", k=1, n=0)
         full_chart = Chart("product", k=1, n=n)
-        y_fn, tau_fn = _y_line, _tau_line
+        parts = _line_parts
         sinks, sources = LINE_SINK_ORDERS, LINE_SOURCES
     elif base == "circle":
         base_chart = Chart("circle_product", n=0)
         full_chart = Chart("circle_product", n=n)
-        y_fn, tau_fn = _y_circle, _tau_circle
+        parts = _circle_parts
         sinks, sources = CIRCLE_SINK_ORDERS, CIRCLE_SOURCES
     else:
         raise ValueError(f"unknown base tag {base!r}")
 
     def y_func(p):
-        return y_fn(np.asarray(p, dtype=float)[..., :1])
+        return parts(np.asarray(p, dtype=float)[..., :1])[1]
 
     def tau(x):
-        return tau_fn(np.asarray(x, dtype=float))
+        return parts(np.asarray(x, dtype=float))[0]
 
     fibers = tuple(
         SingularFiber(f"sink_{loc:.6g}", (loc,), order) for loc, order in sinks
@@ -411,8 +407,8 @@ def line_model_fields(base, n=1, a=(1.0,)):
         base=base,
         Y=FieldHandle(f"Y_{base}", base_chart, y_func),
         tau=tau,
-        Xprime=_describing_field(f"Xprime_{base}", full_chart, tau_fn, y_fn,
-                                 a, fibers, tuple((s,) for s in sources)),
+        Xprime=_describing_field(f"Xprime_{base}", full_chart, parts, a,
+                                 fibers, tuple((s,) for s in sources)),
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 import torusflow
 from torusflow import cli
 from torusflow.cli import main
-from torusflow.flow import basin_census
+from torusflow.flow import IntegratorConfig, basin_census, integrate
 from torusflow.radial import RadialSolverError
 
 
@@ -56,6 +56,27 @@ def test_trace_byte_identical(tmp_path):
     run(["trace", "--scenario", "circle", "--out", str(a), "--quiet"])
     run(["trace", "--scenario", "circle", "--out", str(b), "--quiet"])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("scenario,p0", [("line", [0.5, 0.0]),
+                                         ("planar", [0.3, -0.7, 0.1, 0.2])])
+@pytest.mark.parametrize("t_span", [[0.0, 10.0], [4.0, -6.0]])
+def test_trace_rows_are_the_integrated_values(scenario, p0, t_span, tmp_path):
+    out, cfg = tmp_path / "t.csv", tmp_path / "cfg.json"
+    config = {"p0": p0, "t_span": t_span, "n_eval": 37}
+    cfg.write_text(json.dumps(config))
+    assert run(["trace", "--scenario", scenario, "--config", str(cfg),
+                "--out", str(out), "--quiet"]) == 0
+    fld = cli._build_manifest(
+        scenario, cli._merged_config(scenario, config)).field
+    traj = integrate(fld, np.array(p0), t_span,
+                     IntegratorConfig(rtol=1e-9, atol=1e-12),
+                     t_eval=np.linspace(t_span[0], t_span[1], 37))
+    want = [",".join(format(v, ".17g") for v in (t, *p))
+            for t, p in zip(traj.times, traj.points)]
+    data = [ln for ln in out.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert data == want
 
 
 _BUILDERS = {"line": "build_line_describing",

@@ -249,6 +249,69 @@ def test_circle_model_zero_structure():
         assert np.linalg.norm(m.Xprime(np.array([sink, 0.1, 0.2]))) < 1e-12
 
 
+def _recipe_reference(name):
+    """The recipe fields in their term-by-term closed forms: the field, its
+    base rule tau Y, and the base points where tau or Y vanishes."""
+    if name == "line":
+        special = [[0.0], [1.0], [2.0], [3.0], [4.0]]
+
+        def tau_y(x):
+            q = x * (x - 1.0) * (x - 2.0) * (x - 3.0) * (x - 4.0)
+            tau = (x - 1.0) ** 2 * (x - 3.0) ** 4 / (1.0 + x * x) ** 3
+            return tau, q / (q * q + 1.0)
+    elif name == "circle":
+        special = [[k * np.pi / 3.0] for k in range(6)]
+
+        def tau_y(x):
+            d = lambda a0: 2.0 - 2.0 * np.cos(x - a0)
+            tau = d(np.pi / 3.0) * d(np.pi) ** 2 * d(5.0 * np.pi / 3.0) ** 3
+            return tau, np.sin(3.0 * x)
+    else:
+        angles = 0.3 + np.arange(3) * (TWO_PI / 3)
+        pts = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        special = np.concatenate([pts, [[0.0, 0.0]]])
+
+        def tau_y(x):
+            d2 = ((x[..., None, :] - pts) ** 2).sum(axis=-1)
+            num = (d2 ** np.array([1.0, 2.0, 3.0])).prod(axis=-1, keepdims=True)
+            return num / (1.0 + (x ** 2).sum(axis=-1, keepdims=True)) ** 6.0, x
+    a = np.array([1.0, np.sqrt(2.0)])
+    bd = 2 if name == "planar" else 1
+
+    def func(p):
+        tau, y = tau_y(p[..., :bd])
+        return np.concatenate([tau * y, tau * a], axis=-1)
+
+    def base_rule(x):
+        tau, y = tau_y(x)
+        return tau * y
+
+    return func, base_rule, np.array(special)
+
+
+@pytest.mark.parametrize("name", ["line", "circle", "planar"])
+def test_recipe_kernels_give_the_closed_forms_bit_for_bit(name):
+    from torusflow.construction import build_planar_demo
+
+    if name == "planar":
+        fld = build_planar_demo().field
+    else:
+        fld = line_model_fields(name, n=2, a=(1.0, np.sqrt(2.0))).Xprime
+    func, base_rule, special = _recipe_reference(name)
+    bd = fld.chart.base_dim
+    gen = np.random.default_rng(23)
+    ps = gen.normal(scale=2.5, size=(4000, fld.chart.dim))
+    ps[:len(special), :bd] = special
+    xs = ps[:, :bd]
+    want, want_base = func(ps), base_rule(xs)
+    assert np.array_equal(fld.func(ps), want)
+    assert np.array_equal(fld.base_rule(xs), want_base)
+    for i in range(40):
+        assert np.array_equal(fld.func(ps[i]), want[i])
+        assert np.array_equal(fld.func(ps[i]), func(ps[i]))
+        assert np.array_equal(fld.base_rule(xs[i]), want_base[i])
+
+
 def test_line_model_rejects_bad_args():
     with pytest.raises(ValueError):
         line_model_fields("torus")

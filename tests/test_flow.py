@@ -635,10 +635,14 @@ def _line_with_a_zero_at_half():
     """The line field rebuilt through the recipe with tau (x - 0.5)^6: an
     undeclared zero of order 6, of the kind a planted zero adds."""
     fld = _library_fields()["line"]
+
+    def parts(x):
+        tau, y = fields_module._line_parts(x)
+        return tau * (x - 0.5) ** 6, y
+
     return fields_module._describing_field(
-        "Xprime_line_zero_half", fld.chart,
-        lambda x: fields_module._tau_line(x) * (x - 0.5) ** 6,
-        fields_module._y_line, (1.0,), fld.singular_fibers, fld.sources)
+        "Xprime_line_zero_half", fld.chart, parts, (1.0,),
+        fld.singular_fibers, fld.sources)
 
 
 @pytest.mark.parametrize("name", ["line", "circle", "planar", "s5",
@@ -1083,8 +1087,37 @@ def test_estimate_order_evaluates_all_radii_in_one_call(build):
     fib = fld.singular_fibers[0]
     rep = estimate_order(dataclasses.replace(fld, func=counted),
                          fld.chart.lift(fib.point()))
-    assert rows == [8] * len(rep.slopes) and len(rep.slopes) > 0
+    assert rows == [8 * len(rep.slopes)] and len(rep.slopes) > 0
     assert abs(rep.estimated_order - fib.order) < 0.2
+
+
+def _order_cases():
+    flds = _library_fields()
+    cases = [(name, fib.base_point) for name, fld in flds.items()
+             for fib in fld.singular_fibers]
+    return cases + [("s5", (0.5, 0.5))]
+
+
+@pytest.mark.parametrize("name,x0", _order_cases())
+def test_estimate_order_fit_matches_polyfit(name, x0):
+    fld = _library_fields()[name]
+    chart = fld.chart
+    p0 = chart.lift(np.array(x0))
+    rep = estimate_order(fld, p0)
+    rays = flow_module._probe_directions(chart, chart.base(p0),
+                                         float(rep.radii.max()))
+    assert len(rep.slopes) == len(rays) > 0
+    lr = np.log(rep.radii)
+    r2s = []
+    for u, slope in zip(rays, rep.slopes):
+        vals = np.linalg.norm(
+            fld.func(chart.displace_base(p0, rep.radii[:, None] * u)), axis=-1)
+        lv = np.log(vals)
+        want, intercept = np.polyfit(lr, lv, 1)
+        assert abs(slope - want) <= 1e-12
+        ss_res = np.sum((lv - (want * lr + intercept)) ** 2)
+        r2s.append(1.0 - ss_res / np.sum((lv - lv.mean()) ** 2))
+    assert abs(rep.r_squared - min(r2s)) <= 1e-12
 
 
 def test_estimate_order_flags_degenerate_fit():
