@@ -686,6 +686,34 @@ def test_census_rows_are_pinned(name, n, want, rows):
         want, "all_assigned", rows)
 
 
+_CENSUS_LABELS = {
+    ("line", 16): ({"source_0": 6, "source_1": 3, "source_2": 7},
+                   {"source_0": 5, "source_1": 6, "source_2": 5}),
+    ("line", 200): ({"source_0": 57, "source_1": 64, "source_2": 79},
+                    {"source_0": 65, "source_1": 68, "source_2": 67}),
+    ("line", 1000): ({"source_0": 302, "source_1": 340, "source_2": 358},
+                     {"source_0": 339, "source_1": 321, "source_2": 340}),
+    ("circle", 16): ({"source_0": 7, "source_1": 2, "source_2": 7},
+                     {"source_0": 4, "source_1": 6, "source_2": 6}),
+    ("circle", 200): ({"source_0": 76, "source_1": 57, "source_2": 67},
+                      {"source_0": 58, "source_1": 73, "source_2": 69}),
+    ("circle", 1000): ({"source_0": 316, "source_1": 327, "source_2": 357},
+                       {"source_0": 332, "source_1": 345, "source_2": 323}),
+}
+
+
+@pytest.mark.parametrize("name,n,seed", [
+    pytest.param(name, n, seed, id=f"{name}-{n}-{seed}")
+    for name in ("line", "circle", "planar", "s5")
+    for n in (16, 200, 1000) for seed in (0, 1)])
+def test_census_labels_are_pinned(name, n, seed):
+    # how the runner steps may change; where each sample ends may not
+    want = (_CENSUS_LABELS[name, n][seed] if (name, n) in _CENSUS_LABELS
+            else {"source_0": n})
+    rep = basin_census(_library_fields()[name], n, seed=seed)
+    assert (rep.counts, rep.stop_reason) == (want, "all_assigned")
+
+
 @pytest.mark.parametrize("name, x, direction, report", [
     ("line", (0.4, 0.0), "forward", ("singular_fiber", "sink_1",
      1.1263188642862687e-06, 0.5999988736811357, "converged", 31)),
