@@ -1,28 +1,29 @@
 """Flow integration and trajectory diagnostics.
 
-One Runge-Kutta loop with PI step control (``_adaptive_steps``) takes an
-embedded pair as data and runs two of them.  ``integrate`` steps with
-Dormand and Prince's 8(5,3) pair, DOP853, and gives dense output from its
-7th-order continuous extension (``_dense_output``), whose three extra
+One Runge-Kutta loop with adaptive step control (``_adaptive_steps``)
+takes an embedded pair as data and runs two of them.  ``integrate`` steps
+with Dormand and Prince's 8(5,3) pair, DOP853, and gives dense output from
+its 7th-order continuous extension (``_dense_output``), whose three extra
 stages are evaluated only on the steps that hold a requested time.  The
 base runner of ``classify_limit`` and ``basin_census`` steps with Cash and
 Karp's 5(4) pair, whose 5th-order weights are all >= 0, because the base
 step cap rests on them (see ``_BaseFlow``).
 The loop advances one point or a batch of points; every row of a batch
-has its own step size and PI state, and a row leaves the batch when it is
-finished.  ``integrate`` takes a batch (m, d) of start points in one call
-and returns their start and end points; dense output needs one start
-point.  ``flow_commutation_residual`` runs its two sides, for one or many
-torus elements, as one such batch.
+has its own step size, and a row leaves the batch when it is finished.
+``integrate`` takes a batch (m, d) of start points in one call and
+returns their start and end points; dense output needs one start point.
+``flow_commutation_residual`` runs its two sides, for one or many torus
+elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
-through one runner, ``_BaseFlow.run``, on a unit-speed base direction field
-with each step, the first one included, capped at the base distance to the
-nearest target over 1.05, so their horizons are base arc length.  The
-runner evaluates a field's declared ``base_rule``, checked against the
-field, instead of the whole field at lifted points.  It keeps
-the base orbits, and neither the torus drift nor the slowdown near
-high-order zeros can stall it.  Where the base does not move, on a source
+through one runner, ``_BaseFlow.run``, on a unit-speed base direction
+field, so their horizons are base arc length.  Each step, the first one
+included, is capped short of the nearest target (``_base_cap``), and a
+row's step shrinks with its distance to that target.  The runner
+evaluates a field's declared ``base_rule``, checked against the field,
+instead of the whole field at lifted points.  It keeps the base orbits,
+and neither the torus drift nor the slowdown near high-order zeros can
+stall it.  Where the base does not move, on a source
 torus, the flow is a linear drift on the torus, and ``classify_limit``
 reads its frequencies off the field without integrating.
 """
@@ -48,9 +49,9 @@ class _Pair(NamedTuple):
     costs len(a) - 1 field calls.  The fields are autonomous, so the loop
     needs no nodes.  ``e`` holds the error weights; with ``e3`` the error
     norm combines the two estimates as DOP853 does, else it is the RMS of
-    h e . K.  ``exponents`` are the PI controller's (alpha, beta), the
-    exponent of the shrink after a rejected step and that of rtol in the
-    first step's size.
+    h e . K.  ``exponents`` are those of the error norm in the growth after
+    an accepted step and in the shrink after a rejected one, and that of
+    rtol in the first step's size.
     """
 
     a: tuple
@@ -81,7 +82,7 @@ _CASH_KARP = _Pair(
        np.array([1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592,
                  253 / 4096]),
        _CK_B5[:6]),
-    b=_CK_B5, e=_CK_B5 - _CK_B4, e3=None, exponents=(0.14, 0.08, 0.2, 0.25))
+    b=_CK_B5, e=_CK_B5 - _CK_B4, e3=None, exponents=(0.2, 0.2, 0.25))
 
 # DOP853, Dormand and Prince's 8(5,3) pair (Prince & Dormand, J. Comput.
 # Appl. Math. 7, 1981), with the coefficients of Hairer's dop853.f
@@ -141,7 +142,7 @@ _DOP853 = _Pair(
     # b minus the 3rd-order weights
     e3=_DOP853_B - _rows([{0: 0.2440944881889764, 8: 0.7338466882816118,
                            11: 0.022058823529411766}], 13)[0],
-    exponents=(0.125, 0.0, 0.125, 0.125))  # 1 / 8, no PI term
+    exponents=(0.125, 0.125, 0.125))  # 1 / 8
 # the continuous extension: the extra stages' rows and the weights of the
 # interpolant's last four coefficients, over the 16 stages
 _DENSE_A = _DOP853_A[13:]
@@ -168,8 +169,8 @@ _DENSE_D = np.array(_rows([
      15: -149.72683625798564},
 ], 16))
 
-_REACH = 1.05  # base step cap d / _REACH (_BaseFlow), above the sum 1 of b5
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # of the PI controller
+_REACH = 1.05  # the base step cap's short arm d / _REACH (_base_cap)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # of the step controller
 _BASE_TOL = 1e-6  # an orbit whose base moves at most this stays in its fiber
 
 
@@ -187,8 +188,8 @@ class FlowError(RuntimeError):
 @dataclass
 class IntegratorConfig:
     """``rtol`` and ``atol`` bound each row's RMS local error, ``max_steps``
-    its step attempts.  The PI controller's safety factor 0.9 and its step
-    size factors from 0.2 to 10 are fixed."""
+    its step attempts.  The step controller's safety factor 0.9 and its
+    step size factors from 0.2 to 10 are fixed."""
 
     rtol: float = 1e-9
     atol: float = 1e-12
@@ -241,19 +242,20 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
 
     ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
     steps with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has
-    its own time, step size and PI state and is accepted or rejected on its
-    own error norm; t and err are floats for one point and (m, 1) columns
-    for a batch, and ``ids`` are the original numbers of the live rows
+    its own time and step size and is accepted or rejected on its own error
+    norm; t and err are floats for one point and (m, 1) columns for a
+    batch, and ``ids`` are the original numbers of the live rows
     (None for one point).  A yield follows every attempt that accepted some
     row, once ``project(y)`` (the sphere renormalizer, or None) has given
     the points to go on from and ``f`` has been evaluated there again.
     ``K`` holds the attempt's stages along its axis -2: (stages, d) for one
     point (None at the first yield); the next attempt overwrites it.  A
-    batch's consumer may answer a yield with ``send((drop, cap))``: a mask
-    (m,) of rows to drop and a cap (m,) on each row's step size, either
-    None.  Then the finished rows (at ``t_end``, or dropped) leave the
-    batch and the live rows are packed together, so ``f`` only sees live
-    rows; the generator ends when no row is left.  A batch's ``h0`` (m,)
+    batch's consumer may answer a yield with ``send((drop, cap, scale))``:
+    a mask (m,) of rows to drop, a cap (m,) on each row's step size and a
+    factor (m,) on it, applied before the cap; any of them None.  Then the
+    finished rows (at ``t_end``, or dropped) leave the batch and the live
+    rows are packed together, so ``f`` only sees live rows; the generator
+    ends when no row is left.  A batch's ``h0`` (m,)
     sets the size of each row's first step; rows where it is 0 or not
     finite start from ``_initial_step``'s guess, as all rows do without it.
 
@@ -283,14 +285,13 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
     rows_apart = rowwise and not one
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    a, b, e5, e3, (alpha, beta, shrink_exp, start_exp) = pair
+    a, b, e5, e3, (grow_exp, shrink_exp, start_exp) = pair
     n_stages = len(a)
     t = float(t0) if one else np.full((len(y), 1), float(t0))
     h = _initial_step(k1, y, direction, rtol, start_exp)
     if h0 is not None:
         h0 = h0[:, None]
         h = np.where(np.isfinite(h0) & (h0 > 0), direction * h0, h)
-    err_prev = 1.0 if one else np.ones_like(t)
     d, K = y.shape[-1], None
     n_steps = rejected = 0
     while True:
@@ -335,24 +336,25 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
                 q3 * q3, axis=-1, keepdims=not one))))
         ok = err <= 1.0
         e = lower(err, 1e-10)
-        # PI controller (Hairer's choices) for accepted rows
         grow = upper(max_factor, lower(min_factor, where(
-            err < 1e-10, max_factor,
-            safety * np.power(e, -alpha) * np.power(err_prev, beta))))
+            err < 1e-10, max_factor, safety * np.power(e, -grow_exp))))
         if all_(ok):
-            t, y, k1, h, err_prev = t + h, y_new, k, h * grow, e  # FSAL
+            t, y, k1, h = t + h, y_new, k, h * grow  # FSAL
         else:
             rejected += np.size(ok) - int(np.count_nonzero(ok))
             shrink = lower(min_factor, safety * np.power(e, -shrink_exp))
             t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
-            h, err_prev = h * where(ok, grow, shrink), where(ok, e, err_prev)
+            h = h * where(ok, grow, shrink)
             if not any_(ok):
                 continue
         if project is not None:
             y = project(y)
             k1 = np.asarray(f(y), dtype=float)
-        drop, cap = (yield t, y, k1, err, rejected, ids, K) or (None, None)
+        drop, cap, scale = ((yield t, y, k1, err, rejected, ids, K)
+                            or (None, None, None))
         rejected = 0
+        if scale is not None:
+            h = h * scale[:, None]
         if cap is not None:
             h = direction * np.minimum(direction * h, cap[:, None])
         done = reached(t, t_end)
@@ -363,7 +365,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
                 return
             keep = ~done[:, 0]
             ids, y, k1 = ids[keep], y[keep], k1[keep]
-            t, h, err_prev, K = t[keep], h[keep], err_prev[keep], None
+            t, h, K = t[keep], h[keep], None
 
 
 def _dense_output(f, t0, t1, y0, y1, f0, f1, K, t):
@@ -534,29 +536,49 @@ def _onto_triangle(x):
     return x / np.maximum(1.0, x.sum(axis=-1, keepdims=True))
 
 
+def _base_cap(d, fiber_tol):
+    """Base step caps at distances d (m,) to the nearest target.
+
+    The larger of d / 1.05 and (d - fiber_tol / 2) / (1 + 1e-6): both stay
+    below d by more than the rounding of a step, whose size bounds how far
+    it moves (b5 sums to 1).  A straight approach from d ends about
+    fiber_tol / 2 + 1e-6 d from the target, within fiber_tol while
+    d < 5e5 fiber_tol; a row within fiber_tol / 2 of a target still moves.
+    """
+    return np.maximum(d / _REACH, (d - fiber_tol / 2) / (1.0 + 1e-6))
+
+
 class _BaseFlow:
     """Unit-speed base direction field of a T-invariant field, and its runner.
 
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
     points x (m, base_dim), divided by its norm; where the tangent vanishes
     (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
-    rows' base distances d to the nearest target, their step caps
-    d / ``_REACH`` = d / 1.05 and the index of that target, and ``run``
-    starts each row with the cap at its start point.  The runner steps with
-    Cash and Karp's pair, whose 5th-order weights b5 are all >= 0 and sum
-    to 1: every stage has at most unit speed, so an accepted step of size h
-    moves its point by at most h, whichever way the stages point (DOP853's
-    sum |b_i| is 12.9).  A capped step ends within d / 1.05 and can neither
-    reach a target nor, on a 1-D base, pass one.  This bound does not rest
-    on the error estimate, which cannot see a sign flip that only stage 2
-    samples (its weight is 0 there).  On a 1-D base the velocity is constant
-    between zeros, so every step is exact and at the cap: d shrinks by a
-    factor 1.05 / 0.05 = 21 per step.
-    ``run`` takes a batch of base points to their ``outcomes``, and ``rows``
-    counts the base points at which it evaluated the base tangent: rows of
+    rows' base distances d to the nearest target and the index of that
+    target.  ``run`` caps each step, the first one included, at
+    ``_base_cap(d, fiber_tol)``, the larger of d / 1.05 and
+    (d - fiber_tol / 2) / (1 + 1e-6).  The runner steps with Cash and
+    Karp's pair, whose 5th-order weights b5 are all >= 0 and sum to 1:
+    every stage has at most unit speed, so an accepted step of size h moves
+    its point by at most h, whichever way the stages point (DOP853's
+    sum |b_i| is 12.9).  A capped step stays short of d and can neither
+    reach the nearest target nor, on a 1-D base, pass it.  This bound does
+    not rest on the error estimate, which cannot see a sign flip that only
+    stage 2 samples (its weight is 0 there).  On a 1-D base the velocity is
+    constant between zeros, so every step is exact and at the cap: a step
+    toward the nearest target ends within fiber_tol of it, and a step away
+    from it moves by about d.  The d / 1.05 arm moves a row that starts
+    within fiber_tol / 2 of a target.  Where the error estimate sets the
+    step, as on the curved S^5 orbits, it depends on h / d near a source,
+    so after each step ``run`` scales a row's next step by min(1, d_new /
+    d_old), the factor by which its distance shrank, on top of the
+    controller's growth.
+    ``run`` takes a batch of base points to their ``outcomes``; ``rows``
+    counts the base points at which it evaluated the base tangent (rows of
     the field's ``base_rule`` where it declares one, else field rows at
-    the lifted points.  The caller passes v = X(p), the field at a chart
-    point ``p``.  Only a T-invariant field has base dynamics: ValueError
+    the lifted points) and ``rejected`` its rejected step attempts, summed
+    over rows.  The caller passes v = X(p), the field at a chart point
+    ``p``.  Only a T-invariant field has base dynamics: ValueError
     when the base tangent at ``p`` moves by more than 1e-9 |X(p)| under two
     torus elements, or when a declared rule differs there by more than
     that from the field's base tangent.
@@ -582,7 +604,7 @@ class _BaseFlow:
                                  f"misses its base tangent at {p} by "
                                  f"{gap:.3g}")
         self.still = bool(np.linalg.norm(tangent) <= bound)
-        self.field, self.sign, self.rows = field, sign, 0
+        self.field, self.sign, self.rows, self.rejected = field, sign, 0, 0
         fibers = field.singular_fibers  # the targets: sources, then fibers
         self.labels = ([f"source_{i}" for i in range(len(field.sources))]
                        + [fib.label for fib in fibers])
@@ -620,7 +642,7 @@ class _BaseFlow:
         d = dist.min(axis=1, initial=np.inf)
         nearest = (dist.argmin(axis=1) if dist.shape[1]
                    else np.zeros(len(x), dtype=int))
-        return d, d / _REACH, nearest
+        return d, nearest
 
     def run(self, xs, horizon, cfg, fiber_tol):
         """Run a batch of base points xs (m, base_dim) to arc length horizon.
@@ -645,16 +667,20 @@ class _BaseFlow:
         near = self.distances(xs).min(axis=1, initial=np.inf)
         escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
         steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
-                                _CASH_KARP, h0=near / _REACH)
+                                _CASH_KARP, h0=_base_cap(near, fiber_tol))
         vel = next(steps)[2].copy()  # the start
         sent, stop = None, "horizon"
         try:
             while True:
-                s, x, v, err, _, ids, _ = steps.send(sent)
-                d, cap, nearest = self.hook(ids, x)
+                s, x, v, err, rejected, ids, _ = steps.send(sent)
+                self.rejected += rejected
+                d, nearest = self.hook(ids, x)
                 ends[ids], lengths[ids] = x, s[:, 0]
                 ok = err[:, 0] <= 1.0
                 hit = ok & (d < fiber_tol) & (d <= near[ids])
+                # a row's next step shrinks as its distance did
+                scale = np.divide(d, near[ids], out=np.ones_like(d),
+                                  where=d < near[ids])
                 near[ids] = d
                 turn = np.einsum("ij,ij->i", v, vel[ids])
                 vel[ids] = v  # a rejected row keeps its velocity
@@ -666,7 +692,7 @@ class _BaseFlow:
                     outcome[ids[far]] = len(self.labels)
                     outcome[ids[stuck]] = len(self.labels) + 1
                     outcome[ids[hit]] = nearest[hit]
-                sent = drop, cap
+                sent = drop, _base_cap(d, fiber_tol), scale
         except StopIteration:
             pass
         except FlowError as exc:
@@ -686,6 +712,8 @@ class LimitSetReport:
     # where it declares none; X(p0) and the invariance check at two
     # torus-moved copies of p0 are not counted
     rhs_rows: int
+    # step attempts the runner rejected
+    rejected_steps: int
     # of a torus_closure: the frequencies of X on the torus through the
     # start, and a small integer relation among them or None
     frequencies: Optional[tuple] = None
@@ -711,8 +739,9 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     along their negatives) and ``relation`` is ``rational_relation`` of
     them over their largest magnitude (None when it finds none).
     ``rhs_rows`` counts the rows evaluated, of the base rule or of the
-    field, by the run.  Raises ValueError when X is not T-invariant at p0,
-    or when a declared base rule misses the field's base tangent there.
+    field, and ``rejected_steps`` the step attempts rejected, by the run.
+    Raises ValueError when X is not T-invariant at p0, or when a declared
+    base rule misses the field's base tangent there.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -720,7 +749,8 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     sign = 1.0 if direction == "forward" else -1.0
     v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
-        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0)
+        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0,
+                              0)
     flow = _BaseFlow(field, sign, p0, v0)
     x0 = chart.base(p0)
     if not flow.still:
@@ -735,11 +765,11 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
         else:
             kind = "inconclusive"
         return LimitSetReport(kind, label, d, float(lengths[0]), what,
-                              flow.rows)
+                              flow.rows, flow.rejected)
     omega = chart.fiber_rates(p0, v0)
     return LimitSetReport(
         "torus_closure", None, flow.nearest(flow.distances(x0))[0], 0.0,
-        "converged", 0, frequencies=tuple(float(w) for w in omega),
+        "converged", 0, 0, frequencies=tuple(float(w) for w in omega),
         relation=rational_relation(omega / np.abs(omega).max()))
 
 
@@ -755,6 +785,8 @@ class CensusReport:
     # lifted field where it declares none; the invariance check over the
     # first sample (three field rows) is not counted
     rhs_rows: int
+    # step attempts the runner rejected, summed over samples
+    rejected_steps: int
 
 
 def _default_base_sampler(chart):
@@ -786,17 +818,19 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
 
     The samples run as one batch through ``_BaseFlow.run`` on the backward
     unit-speed base direction field, to base arc length 500 at rtol 1e-6
-    and atol 1e-9, with ``max_steps`` attempts per sample.  On
-    a 1-D base a sample needs about log_21(d0 / fiber_tol) steps from
-    distance d0.  ``counts`` holds every outcome some sample reached: a
-    target label, "escape" or "singular_set".  ``stop_reason`` is
-    "all_assigned" when every sample reached one, else why the integration
-    ended; the samples without one count as unclassified.  ``rhs_rows``
-    counts the base points at which the base tangent was evaluated: by the
-    field's ``base_rule``, or by the field at the lifted points where it
-    declares none.  Raises ValueError when X is not T-invariant at the
-    first sample, or when a declared rule misses the field's base tangent
-    there.
+    and atol 1e-9, with ``max_steps`` attempts per sample.  On a 1-D base
+    a sample's step toward its nearest target lands within ``fiber_tol``
+    of it, and a step away from it about doubles its distance.  ``counts``
+    holds every outcome some sample reached: a target label, "escape" or
+    "singular_set".  ``stop_reason`` is "all_assigned" when every sample
+    reached one, else why the integration ended; the samples without one
+    count as unclassified.  ``rhs_rows`` counts the base points at which
+    the base tangent was evaluated: by the field's ``base_rule``, or by the
+    field at the lifted points where it declares none, and
+    ``rejected_steps`` the step attempts the runner rejected, summed over
+    samples.  Raises ValueError when X is not
+    T-invariant at the first sample, or when a declared rule misses the
+    field's base tangent there.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
@@ -815,6 +849,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         seed=seed,
         stop_reason="all_assigned" if np.all(outcome >= 0) else stop,
         rhs_rows=flow.rows,
+        rejected_steps=flow.rejected,
     )
 
 

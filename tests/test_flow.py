@@ -437,8 +437,9 @@ def test_classify_torus_closure():
 
 def test_classify_reports_a_spent_step_budget():
     m = line_model_fields("line", n=1, a=(1.0,))
+    # two steps reach the sink: one away from the source, one onto the sink
     rep = classify_limit(m.Xprime, np.array([0.4, 0.0]), "forward",
-                         cfg=IntegratorConfig(max_steps=2))
+                         cfg=IntegratorConfig(max_steps=1))
     assert rep.stop_reason == "step_budget"
     assert rep.kind == "inconclusive"
 
@@ -665,25 +666,27 @@ def test_base_rule_equals_the_lifted_base_tangent(name):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("name,n,want,rows", [
+@pytest.mark.parametrize("name,n,want,rows,rejected", [
     pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in [
         ("line", 200, {"source_0": 57, "source_1": 64, "source_2": 79},
-         5_564),
+         2_102, 0),
         ("circle", 200, {"source_0": 76, "source_1": 57, "source_2": 67},
-         5_948),
-        ("planar", 200, {"source_0": 200}, 7_448),
-        ("s5", 200, {"source_0": 200}, 25_844),
-        ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 430),
-        ("s5", 16, {"source_0": 16}, 2_206),
-        ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 472),
-        ("planar", 16, {"source_0": 16}, 610),
+         2_486, 0),
+        ("planar", 200, {"source_0": 200}, 3_776, 0),
+        ("s5", 200, {"source_0": 200}, 17_378, 489),
+        ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 148, 0),
+        ("s5", 16, {"source_0": 16}, 1_510, 44),
+        ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 196,
+         0),
+        ("planar", 16, {"source_0": 16}, 316, 0),
     ]])
-def test_census_rows_are_pinned(name, n, want, rows):
+def test_census_rows_are_pinned(name, n, want, rows, rejected):
     # the base rule gives the lifted field's numbers, so the census takes
-    # the same steps as when it evaluated the whole field
+    # the same steps as when it evaluated the whole field; the straight
+    # 1-D and planar orbits reject no step
     rep = basin_census(_library_fields()[name], n, seed=0)
-    assert (rep.counts, rep.stop_reason, rep.rhs_rows) == (
-        want, "all_assigned", rows)
+    assert (rep.counts, rep.stop_reason, rep.rhs_rows,
+            rep.rejected_steps) == (want, "all_assigned", rows, rejected)
 
 
 _CENSUS_LABELS = {
@@ -716,19 +719,20 @@ def test_census_labels_are_pinned(name, n, seed):
 
 @pytest.mark.parametrize("name, x, direction, report", [
     ("line", (0.4, 0.0), "forward", ("singular_fiber", "sink_1",
-     1.1263188642862687e-06, 0.5999988736811357, "converged", 31)),
+     5.200000199989674e-06, 0.5999947999997999, "converged", 13, 0)),
     ("line", (2.5, 0.0), "backward", ("singular_fiber", "source_1",
-     2.570945233593136e-06, 0.49999742905476624, "converged", 25)),
+     5.499994499835736e-06, 0.49999450000550005, "converged", 7, 0)),
     ("circle", (0.5, 0.0, 0.0), "forward", ("singular_fiber", "sink_1.0472",
-     7.667322643456487e-06, 0.5471898838739538, "converged", 25)),
+     5.047198003982345e-06, 0.5471925039985938, "converged", 13, 0)),
     ("circle", (2.5, 0.0, 0.0), "backward", ("singular_fiber", "source_1",
-     2.0855759563787046e-06, 0.40560281203084797, "converged", 25)),
+     5.405599492025459e-06, 0.40559949200731277, "converged", 7, 0)),
     ("planar", (0.5, 0.2, 0.0, 0.0), "backward", ("singular_fiber",
-     "source_0", 4.906568101878029e-07, 0.5385159900566402, "converged", 31)),
+     "source_0", 5.0732691663868615e-06, 0.538511407444284, "converged", 13,
+     0)),
     ("planar", (1.2, -0.4, 0.1, 0.2), "forward", ("escape", None,
-     35.335764594835524, 34.87891278367177, "converged", 37)),
+     40.9293697189405, 40.473174083194934, "converged", 37, 0)),
     ("s5", (0.2, 0.3), "backward", ("singular_fiber", "source_0",
-     3.2906508570036863e-06, 0.07118365700728994, "converged", 193)),
+     3.8211904584372535e-06, 0.07118312664855518, "converged", 121, 2)),
 ])
 def test_classify_reports_are_pinned(name, x, direction, report):
     # the base runner steps with Cash-Karp, so its reports keep their numbers
@@ -736,9 +740,9 @@ def test_classify_reports_are_pinned(name, x, direction, report):
     p0 = (embed_s5(np.array(x), (0.1, 0.2, 0.3)) if name == "s5"
           else np.array(x))
     rep = classify_limit(fld, p0, direction)
-    kind, target, dist, length, stop, rows = report
-    assert (rep.kind, rep.target, rep.stop_reason, rep.rhs_rows) == (
-        kind, target, stop, rows)
+    kind, target, dist, length, stop, rows, rejected = report
+    assert (rep.kind, rep.target, rep.stop_reason, rep.rhs_rows,
+            rep.rejected_steps) == (kind, target, stop, rows, rejected)
     assert rep.final_distance == pytest.approx(dist, rel=1e-12)
     assert rep.horizon == pytest.approx(length, rel=1e-12)
 
@@ -859,7 +863,7 @@ def test_first_step_without_a_finite_target_distance(monkeypatch):
     assert (rep.kind, rep.stop_reason) == ("escape", "converged")
     guess = flow_module._initial_step(np.ones((1, 1)), np.ones((1, 1)), 1.0,
                                       cfg.rtol,
-                                      flow_module._CASH_KARP.exponents[3])
+                                      flow_module._CASH_KARP.exponents[-1])
     assert firsts[0] - 1.0 == pytest.approx(guess[0, 0], rel=1e-9)
 
 
@@ -1010,9 +1014,12 @@ def test_step_cap_is_inside_the_reach_bound():
     m = line_model_fields("line", n=1, a=(1.0,))
     p = np.array([0.5, 0.0])
     flow = flow_module._BaseFlow(m.Xprime, -1.0, p, m.Xprime(p))
-    xs = np.array([[-0.3], [0.5], [1.7], [3.9]])
-    d, cap, _ = flow.hook(np.arange(len(xs)), xs)
-    assert np.all(d > 0) and np.all(b.sum() * cap < d)
+    xs = np.array([[-0.3], [0.5], [1.7], [3.9], [2.0 + 4e-6], [1.0]])
+    d, _ = flow.hook(np.arange(len(xs)), xs)
+    cap = flow_module._base_cap(d, 1e-5)
+    assert np.all(b.sum() * cap[:-1] < d[:-1]) and cap[-1] == d[-1] == 0.0
+    # a row within fiber_tol / 2 of a target moves away at d / _REACH
+    assert cap[-2] == d[-2] / flow_module._REACH
 
 
 def test_a_step_of_unit_speed_stages_moves_at_most_its_size():
@@ -1061,29 +1068,38 @@ def _census_paths(monkeypatch, name):
     rep = basin_census(fld, len(xs), sampler=lambda rng, n: xs.copy())
     assert rep.stop_reason == "all_assigned"
     for path in map(np.array, paths):
-        assert len(path) > 2
+        assert len(path) >= 2
         yield path, runners[0].distances(path[:-1]).min(axis=1)
 
 
 def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
-    # an accepted step of size h <= d / 1.05 moves at most h < d, so it can
-    # neither reach nor pass the target nearest its start; on the 2-D bases
-    # the stage velocities point different ways, and only the nonnegative
-    # weights keep the sum of the stages within h
-    for name in ("line", "planar", "s5"):
+    # an accepted step of size h <= _base_cap(d) < d moves at most h, so it
+    # can neither reach nor pass the target nearest its start; on the 2-D
+    # bases the stage velocities point different ways, and only the
+    # nonnegative weights keep the sum of the stages within h
+    for name in ("line", "circle", "planar", "s5"):
         with monkeypatch.context() as patch:
             for path, d in _census_paths(patch, name):
                 steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
+                cap = flow_module._base_cap(d, 1e-5)
+                assert np.all(steps <= cap * (1 + 1e-12)), name
                 assert np.all(steps < d), name
 
 
-def test_line_steps_are_at_the_cap_from_the_first_on(monkeypatch):
+def test_line_steps_toward_the_nearest_target_land_on_it(monkeypatch):
     # the unit field is constant between zeros, so every step is exact and
-    # its size is the cap d / _REACH, also the first one: it is seeded from
-    # the distance at the start, not from the integrator's small guess
+    # at the cap, the first one included: a step toward the target nearest
+    # its start lands within fiber_tol of it and ends the row, and a step
+    # away from it moves by about its distance
     for path, d in _census_paths(monkeypatch, "line"):
-        assert np.allclose(np.abs(np.diff(path[:, 0])),
-                           d / flow_module._REACH, rtol=1e-8, atol=0.0)
+        steps = np.abs(np.diff(path[:, 0]))
+        assert np.allclose(steps, flow_module._base_cap(d, 1e-5),
+                           rtol=1e-8, atol=0.0)
+        target = np.abs(path[:, None, 0] - _ZEROS["line"])
+        j = target[:-1].argmin(axis=1)
+        toward = target[1:][np.arange(len(j)), j] < d
+        assert toward[-1] and not np.any(toward[:-1])
+        assert target[-1, j[-1]] < 1e-5
 
 
 # ---------------------------------------------------------------------------
