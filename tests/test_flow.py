@@ -1086,7 +1086,7 @@ def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
                 assert np.all(steps < d), name
 
 
-def test_line_steps_toward_the_nearest_target_land_on_it(monkeypatch):
+def test_line_steps_are_at_the_cap_from_the_first_on(monkeypatch):
     # the unit field is constant between zeros, so every step is exact and
     # at the cap, the first one included: a step toward the target nearest
     # its start lands within fiber_tol of it and ends the row, and a step
