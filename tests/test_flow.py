@@ -830,6 +830,151 @@ def test_census_stops_samples_at_undeclared_zeros():
     assert elapsed < 0.5
 
 
+_UNDECLARED_ZERO_CENSUS = {  # (z, sign, n): counts at seeds 0 and 1
+    (0.5, 1.0, 16): (
+        {"source_1": 3, "source_2": 7, "escape": 4, "singular_set": 2},
+        {"source_1": 6, "source_2": 5, "escape": 2, "singular_set": 3}),
+    (0.5, 1.0, 200): (
+        {"source_1": 64, "source_2": 79, "escape": 31, "singular_set": 26},
+        {"source_1": 68, "source_2": 67, "escape": 27, "singular_set": 38}),
+    (0.5, 1.0, 1000): (
+        {"source_1": 340, "source_2": 358, "escape": 146, "singular_set": 156},
+        {"source_1": 321, "source_2": 340, "escape": 162,
+         "singular_set": 177}),
+    (0.5, -1.0, 16): (
+        {"source_0": 5, "sink_1": 1, "sink_3": 7, "escape": 3},
+        {"source_0": 2, "sink_1": 6, "sink_3": 6, "escape": 2}),
+    (0.5, -1.0, 200): (
+        {"source_0": 44, "sink_1": 44, "sink_3": 67, "escape": 45},
+        {"source_0": 43, "sink_1": 57, "sink_3": 69, "escape": 31}),
+    (0.5, -1.0, 1000): (
+        {"source_0": 231, "sink_1": 242, "sink_3": 357, "escape": 170},
+        {"source_0": 239, "sink_1": 268, "sink_3": 323, "escape": 170}),
+    (2.7, 1.0, 16): (
+        {"source_2": 7, "sink_1": 2, "escape": 4, "singular_set": 3},
+        {"source_2": 5, "sink_1": 6, "escape": 2, "singular_set": 3}),
+    (2.7, 1.0, 200): (
+        {"source_2": 79, "sink_1": 57, "escape": 31, "singular_set": 33},
+        {"source_2": 67, "sink_1": 73, "escape": 27, "singular_set": 33}),
+    (2.7, 1.0, 1000): (
+        {"source_2": 358, "sink_1": 327, "escape": 146, "singular_set": 169},
+        {"source_2": 340, "sink_1": 345, "escape": 162, "singular_set": 153}),
+    (2.7, -1.0, 16): (
+        {"source_0": 6, "source_1": 2, "sink_3": 5, "escape": 3},
+        {"source_0": 5, "source_1": 6, "sink_3": 3, "escape": 2}),
+    (2.7, -1.0, 200): (
+        {"source_0": 57, "source_1": 56, "sink_3": 42, "escape": 45},
+        {"source_0": 65, "source_1": 56, "sink_3": 48, "escape": 31}),
+    (2.7, -1.0, 1000): (
+        {"source_0": 302, "source_1": 296, "sink_3": 232, "escape": 170},
+        {"source_0": 339, "source_1": 274, "sink_3": 217, "escape": 170}),
+    (4.6, 1.0, 16): (
+        {"sink_1": 2, "sink_3": 7, "escape": 4, "singular_set": 3},
+        {"sink_1": 6, "sink_3": 6, "escape": 2, "singular_set": 2}),
+    (4.6, 1.0, 200): (
+        {"sink_1": 57, "sink_3": 67, "escape": 31, "singular_set": 45},
+        {"sink_1": 73, "sink_3": 69, "escape": 27, "singular_set": 31}),
+    (4.6, 1.0, 1000): (
+        {"sink_1": 327, "sink_3": 357, "escape": 146, "singular_set": 170},
+        {"sink_1": 345, "sink_3": 323, "escape": 162, "singular_set": 170}),
+    (4.6, -1.0, 16): (
+        {"source_0": 6, "source_1": 3, "source_2": 6, "escape": 1},
+        {"source_0": 5, "source_1": 6, "source_2": 3, "escape": 2}),
+    (4.6, -1.0, 200): (
+        {"source_0": 57, "source_1": 64, "source_2": 59, "escape": 20},
+        {"source_0": 65, "source_1": 68, "source_2": 53, "escape": 14}),
+    (4.6, -1.0, 1000): (
+        {"source_0": 302, "source_1": 340, "source_2": 292, "escape": 66},
+        {"source_0": 339, "source_1": 321, "source_2": 265, "escape": 75}),
+}
+# (z, sign): kind and target from z - 0.4, z - 0.1, z - 1e-3, z + 1e-3,
+# z + 0.1, z + 0.4, forward then backward from each
+_UNDECLARED_ZERO_LIMITS = {
+    (0.5, 1.0): (
+        "singular_fiber source_0", "inconclusive sink_1",
+        "singular_fiber source_0", "inconclusive sink_1",
+        "singular_fiber source_0", "inconclusive sink_1",
+        "singular_fiber sink_1", "inconclusive source_0",
+        "singular_fiber sink_1", "inconclusive source_0",
+        "singular_fiber sink_1", "inconclusive source_0",
+    ),
+    (0.5, -1.0): (
+        "inconclusive sink_1", "singular_fiber source_0",
+        "inconclusive sink_1", "singular_fiber source_0",
+        "inconclusive sink_1", "singular_fiber source_0",
+        "inconclusive source_0", "singular_fiber sink_1",
+        "inconclusive source_0", "singular_fiber sink_1",
+        "inconclusive source_0", "singular_fiber sink_1",
+    ),
+    (2.7, 1.0): (
+        "singular_fiber source_1", "inconclusive sink_3",
+        "singular_fiber source_1", "inconclusive sink_3",
+        "singular_fiber source_1", "inconclusive sink_3",
+        "singular_fiber sink_3", "inconclusive sink_3",
+        "singular_fiber sink_3", "inconclusive sink_3",
+        "singular_fiber sink_3", "singular_fiber source_2",
+    ),
+    (2.7, -1.0): (
+        "inconclusive sink_3", "singular_fiber source_1",
+        "inconclusive sink_3", "singular_fiber source_1",
+        "inconclusive sink_3", "singular_fiber source_1",
+        "inconclusive sink_3", "singular_fiber sink_3",
+        "inconclusive sink_3", "singular_fiber sink_3",
+        "singular_fiber source_2", "singular_fiber sink_3",
+    ),
+    (4.6, 1.0): (
+        "singular_fiber source_2", "inconclusive source_2",
+        "singular_fiber source_2", "inconclusive source_2",
+        "singular_fiber source_2", "inconclusive source_2",
+        "escape None", "inconclusive source_2",
+        "escape None", "inconclusive source_2",
+        "escape None", "inconclusive source_2",
+    ),
+    (4.6, -1.0): (
+        "inconclusive source_2", "singular_fiber source_2",
+        "inconclusive source_2", "singular_fiber source_2",
+        "inconclusive source_2", "singular_fiber source_2",
+        "inconclusive source_2", "escape None",
+        "inconclusive source_2", "escape None",
+        "inconclusive source_2", "escape None",
+    ),
+}
+
+
+def _line_with_a_zero_at(z, sign):
+    """The line field rebuilt through the recipe with Y sign (x - z): a zero
+    at z where Y changes sign, which no target declares."""
+    fld = _library_fields()["line"]
+
+    def parts(x):
+        tau, y = fields_module._line_parts(x)
+        return tau, y * (sign * (x - z))
+
+    return fields_module._describing_field(
+        f"Xprime_line_zero_{z}", fld.chart, parts, (1.0,),
+        fld.singular_fibers, fld.sources)
+
+
+@pytest.mark.parametrize("z,sign,n", list(_UNDECLARED_ZERO_CENSUS))
+def test_census_does_not_skip_an_undeclared_zero(z, sign, n):
+    # a row that crosses z turns back over its step and stops at the
+    # singular set; however far a step may reach, none may pass z unseen
+    fld = _line_with_a_zero_at(z, sign)
+    for seed, want in enumerate(_UNDECLARED_ZERO_CENSUS[z, sign, n]):
+        rep = basin_census(fld, n, seed=seed)
+        assert (rep.counts, rep.stop_reason) == (want, "all_assigned"), seed
+
+
+@pytest.mark.parametrize("z,sign", list(_UNDECLARED_ZERO_LIMITS))
+def test_classify_does_not_skip_an_undeclared_zero(z, sign):
+    fld = _line_with_a_zero_at(z, sign)
+    got = [f"{rep.kind} {rep.target}" for rep in (
+        classify_limit(fld, np.array([z + dx, 0.0]), direction)
+        for dx in (-0.4, -0.1, -1e-3, 1e-3, 0.1, 0.4)
+        for direction in ("forward", "backward"))]
+    assert tuple(got) == _UNDECLARED_ZERO_LIMITS[z, sign]
+
+
 def test_census_counts_a_start_exactly_on_a_target():
     # the distance at the start is 0, so the first step is _initial_step's
     # guess; the velocity there is 0 too, so the row stays and counts
