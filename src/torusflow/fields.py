@@ -198,9 +198,6 @@ S5_ZERO_FIBERS = (
 _S5_EDGE_ORDER = 10
 
 
-_TAU_ZEROS = np.array([fib.base_point for fib in S5_ZERO_FIBERS])
-
-
 def tau_s5(x):
     """Damping factor on the base triangle.
 
@@ -209,12 +206,16 @@ def tau_s5(x):
     (1/4,1/8) with orders 2, 4 and 6.  Keeps a complex input complex.
     """
     x = np.asarray(x)
-    x1, x2 = x[..., 0], x[..., 1]
+    return _tau_s5(x[..., 0], x[..., 1])
+
+
+def _tau_s5(x1, x2):
+    """``tau_s5`` on the columns x1 and x2."""
     rho2 = (x1 * x2 * (1.0 - x1 - x2)) ** 2
     rho8 = (rho2 * rho2) ** 2
-    sq = (x[..., None, :] - _TAU_ZEROS) ** 2
-    d = sq[..., 0] + sq[..., 1]  # squared distances to the three zeros
-    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    # squared distances to the zeros of S5_ZERO_FIBERS, sharing (x_i - 1/8)^2
+    u1, u2 = (x1 - 0.125) ** 2, (x2 - 0.125) ** 2
+    d1, d2, d3 = u1 + u2, u1 + (x2 - 0.25) ** 2, (x1 - 0.25) ** 2 + u2
     return rho8 * rho2 * d1 * d2 * d2 * d3 * d3 * d3
 
 
@@ -284,13 +285,13 @@ def _s5_base_rule(x):
     the lifted path's bits: the + 0.0 is the b_j term of ``base_tangent``,
     which turns a -0 into +0 as it does there.
     """
-    a = pair_radii(x)
-    r = a * a
-    t = tau_s5(r[..., :2])[..., None]
-    w = (r[..., 0] * r[..., 1])[..., None] * (r[..., :2] - 0.25)
-    c = w * r[..., 2:] * t
-    a = a[..., :2]
-    return 2 * (a * (c * a) + 0.0)
+    radii = pair_radii(x)
+    a1, a2, a3 = radii[..., 0], radii[..., 1], radii[..., 2]
+    r1, r2 = a1 * a1, a2 * a2
+    p, r3, t = r1 * r2, a3 * a3, _tau_s5(r1, r2)
+    # per pair a_j (c_j a_j), with c_j = r1 r2 (r_j - 1/4) r3 tau
+    return np.stack([2 * (aj * (p * (rj - 0.25) * r3 * t * aj) + 0.0)
+                     for aj, rj in ((a1, r1), (a2, r2))], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ returns their start and end points; dense output needs one start point.
 elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
-through one runner, ``_BaseFlow.run``, on a unit-speed base direction
-field, so their horizons are base arc length.  Each step, the first one
-included, is capped short of the nearest target (``_base_cap``), and a
-row's step shrinks with its distance to that target.  The runner
-evaluates a field's declared ``base_rule``, checked against the field,
-instead of the whole field at lifted points.  It keeps the base orbits,
-and neither the torus drift nor the slowdown near high-order zeros can
-stall it.  Where the base does not move, on a source
-torus, the flow is a linear drift on the torus, and ``classify_limit``
-reads its frequencies off the field without integrating.
+through one runner, ``_BaseFlow.run``, on a unit-speed base direction field,
+so their horizons are base arc length.  Each step, the first one included,
+is capped short of the nearest target the row can reach (``_base_cap``; on a
+1-D base the one ahead, reached in one step), and a row's step shrinks with
+its distance to a target.  The runner evaluates a field's declared
+``base_rule``, checked against the field, instead of the whole field at
+lifted points.  It keeps the base orbits, and neither the torus drift nor
+the slowdown near high-order zeros can stall it.  Where the base does not
+move, on a source torus, the flow is a linear drift on the torus, and
+``classify_limit`` reads its frequencies off the field without integrating.
 """
 
 from __future__ import annotations
@@ -236,8 +236,7 @@ _ROWS = (np.where, np.maximum, np.minimum,
          np.sqrt)
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
-                    rowwise=False):
+def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
     """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids, K).
 
     ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
@@ -255,9 +254,9 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
     factor (m,) on it, applied before the cap; any of them None.  Then the
     finished rows (at ``t_end``, or dropped) leave the batch and the live
     rows are packed together, so ``f`` only sees live rows; the generator
-    ends when no row is left.  A batch's ``h0`` (m,)
-    sets the size of each row's first step; rows where it is 0 or not
-    finite start from ``_initial_step``'s guess, as all rows do without it.
+    ends when no row is left.  Answered with ``send(h0)``, the first yield
+    of a batch sets each row's first step to h0 (m,); rows where it is 0 or
+    not finite start from ``_initial_step``'s guess, as all do without it.
 
     With ``rowwise`` every row of a batch takes the steps, bit for bit, of
     a run of its own (for a field that evaluates a row as it does one
@@ -278,7 +277,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, h0=None,
     k1 = np.asarray(f(y), dtype=float)
     one = y.ndim == 1
     ids = None if one else np.arange(len(y))
-    yield float(t0), y, k1, 0.0, 0, ids, None
+    h0 = yield float(t0), y, k1, 0.0, 0, ids, None
     if t_end == t0 or y.size == 0:
         return
     where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
@@ -537,7 +536,7 @@ def _onto_triangle(x):
 
 
 def _base_cap(d, fiber_tol):
-    """Base step caps at distances d (m,) to the nearest target.
+    """Base step caps at distances d (m,) to the nearest reachable target.
 
     The larger of d / 1.05 and (d - fiber_tol / 2) / (1 + 1e-6): both stay
     below d by more than the rounding of a step, whose size bounds how far
@@ -555,33 +554,33 @@ class _BaseFlow:
     points x (m, base_dim), divided by its norm; where the tangent vanishes
     (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
     rows' base distances d to the nearest target and the index of that
-    target.  ``run`` caps each step, the first one included, at
-    ``_base_cap(d, fiber_tol)``, the larger of d / 1.05 and
-    (d - fiber_tol / 2) / (1 + 1e-6).  The runner steps with Cash and
-    Karp's pair, whose 5th-order weights b5 are all >= 0 and sum to 1:
-    every stage has at most unit speed, so an accepted step of size h moves
-    its point by at most h, whichever way the stages point (DOP853's
-    sum |b_i| is 12.9).  A capped step stays short of d and can neither
-    reach the nearest target nor, on a 1-D base, pass it.  This bound does
-    not rest on the error estimate, which cannot see a sign flip that only
-    stage 2 samples (its weight is 0 there).  On a 1-D base the velocity is
-    constant between zeros, so every step is exact and at the cap: a step
-    toward the nearest target ends within fiber_tol of it, and a step away
-    from it moves by about d.  The d / 1.05 arm moves a row that starts
-    within fiber_tol / 2 of a target.  Where the error estimate sets the
-    step, as on the curved S^5 orbits, it depends on h / d near a source,
-    so after each step ``run`` scales a row's next step by min(1, d_new /
-    d_old), the factor by which its distance shrank, on top of the
-    controller's growth.
+    target.  ``reach(x, v, d)`` is the distance to the nearest target rows
+    at x with velocities v can reach: d on a 2-D base; on a 1-D base, where
+    an orbit is monotone between zeros of the tangent, that to the nearest
+    target ahead along v (inf if none is, d where v is 0).  ``run`` caps
+    each step, the first one included, at ``_base_cap`` of it.  The runner
+    steps with Cash and Karp's pair, whose 5th-order weights b5 are all >= 0
+    and sum to 1: every stage has at most unit speed, so an accepted step of
+    size h moves its point by at most h, whichever way the stages point
+    (DOP853's sum |b_i| is 12.9).  So a capped step can neither reach that
+    target nor, on a 1-D base, pass it.  This bound does not rest on the
+    error estimate, which cannot see a sign flip that only stage 2 samples
+    (its weight is 0 there).  On a 1-D base the velocity is constant between
+    zeros, so every step is exact and at the cap, and a row's first step
+    ends within fiber_tol of the target ahead of it.  Where the error
+    estimate sets the step, as on the curved S^5 orbits, it depends on h / d
+    near a source, so after each step ``run`` scales a row's next step by
+    min(1, d_new / d_old), the factor by which its distance to the nearest
+    target shrank, on top of the controller's growth.
     ``run`` takes a batch of base points to their ``outcomes``; ``rows``
     counts the base points at which it evaluated the base tangent (rows of
-    the field's ``base_rule`` where it declares one, else field rows at
-    the lifted points) and ``rejected`` its rejected step attempts, summed
-    over rows.  The caller passes v = X(p), the field at a chart point
-    ``p``.  Only a T-invariant field has base dynamics: ValueError
-    when the base tangent at ``p`` moves by more than 1e-9 |X(p)| under two
-    torus elements, or when a declared rule differs there by more than
-    that from the field's base tangent.
+    the field's ``base_rule`` where it declares one, else field rows at the
+    lifted points), ``rejected`` its rejected step attempts, summed over
+    rows, and ``attempts`` its batch step attempts.  The caller passes v =
+    X(p), the field at a chart point ``p``.  Only a T-invariant field has
+    base dynamics: ValueError when the base tangent at ``p`` moves by more
+    than 1e-9 |X(p)| under two torus elements, or when a declared rule
+    differs there by more than that from the field's base tangent.
     ``still`` is True when the base tangent at ``p`` is within the same
     bound of 0: the base does not move there.
     """
@@ -604,7 +603,8 @@ class _BaseFlow:
                                  f"misses its base tangent at {p} by "
                                  f"{gap:.3g}")
         self.still = bool(np.linalg.norm(tangent) <= bound)
-        self.field, self.sign, self.rows, self.rejected = field, sign, 0, 0
+        self.field, self.sign, self.calls = field, sign, 0
+        self.rows = self.rejected = self.attempts = 0
         fibers = field.singular_fibers  # the targets: sources, then fibers
         self.labels = ([f"source_{i}" for i in range(len(field.sources))]
                        + [fib.label for fib in fibers])
@@ -624,7 +624,7 @@ class _BaseFlow:
         return float(dist[j]), self.labels[j]
 
     def velocity(self, x):
-        self.rows += len(x)
+        self.calls, self.rows = self.calls + 1, self.rows + len(x)
         chart = self.field.chart
         if chart.is_sphere:
             x = _onto_triangle(x)
@@ -644,6 +644,16 @@ class _BaseFlow:
                    else np.zeros(len(x), dtype=int))
         return d, nearest
 
+    def reach(self, x, v, d):
+        """Distances (m,) to the nearest target each row can reach."""
+        if self.field.chart.base_dim > 1:
+            return d
+        ahead = (self.tpts[:, 0] - x) * np.sign(v)  # (m, T) along v
+        if self.field.chart.base_angular:
+            ahead = np.mod(ahead, TWO_PI)
+        ahead = np.where(ahead > 0, ahead, np.inf).min(axis=1, initial=np.inf)
+        return np.where(v[:, 0] == 0, d, ahead)
+
     def run(self, xs, horizon, cfg, fiber_tol):
         """Run a batch of base points xs (m, base_dim) to arc length horizon.
 
@@ -662,14 +672,14 @@ class _BaseFlow:
         point and its arc length, then "horizon" or the FlowError's reason,
         which ended the rows left without an outcome.
         """
-        outcome = np.full(len(xs), -1)
+        outcome, calls = np.full(len(xs), -1), self.calls
         ends, lengths = xs.copy(), np.zeros(len(xs))
         near = self.distances(xs).min(axis=1, initial=np.inf)
         escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
         steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
-                                _CASH_KARP, h0=_base_cap(near, fiber_tol))
+                                _CASH_KARP)
         vel = next(steps)[2].copy()  # the start
-        sent, stop = None, "horizon"
+        sent, stop = _base_cap(self.reach(xs, vel, near), fiber_tol), "horizon"
         try:
             while True:
                 s, x, v, err, rejected, ids, _ = steps.send(sent)
@@ -692,11 +702,12 @@ class _BaseFlow:
                     outcome[ids[far]] = len(self.labels)
                     outcome[ids[stuck]] = len(self.labels) + 1
                     outcome[ids[hit]] = nearest[hit]
-                sent = drop, _base_cap(d, fiber_tol), scale
+                sent = drop, _base_cap(self.reach(x, v, d), fiber_tol), scale
         except StopIteration:
             pass
         except FlowError as exc:
             stop = exc.reason
+        self.attempts += (self.calls - calls - 1) // (len(_CASH_KARP.a) - 1)
         return outcome, ends, lengths, stop
 
 
@@ -714,6 +725,7 @@ class LimitSetReport:
     rhs_rows: int
     # step attempts the runner rejected
     rejected_steps: int
+    attempts: int  # the runner's batch step attempts
     # of a torus_closure: the frequencies of X on the torus through the
     # start, and a small integer relation among them or None
     frequencies: Optional[tuple] = None
@@ -739,9 +751,10 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     along their negatives) and ``relation`` is ``rational_relation`` of
     them over their largest magnitude (None when it finds none).
     ``rhs_rows`` counts the rows evaluated, of the base rule or of the
-    field, and ``rejected_steps`` the step attempts rejected, by the run.
-    Raises ValueError when X is not T-invariant at p0, or when a declared
-    base rule misses the field's base tangent there.
+    field, ``rejected_steps`` the step attempts rejected and ``attempts``
+    the step attempts made, by the run.  Raises ValueError when X is not
+    T-invariant at p0, or when a declared base rule misses the field's base
+    tangent there.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
@@ -750,7 +763,7 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
         return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0,
-                              0)
+                              0, 0)
     flow = _BaseFlow(field, sign, p0, v0)
     x0 = chart.base(p0)
     if not flow.still:
@@ -765,11 +778,11 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
         else:
             kind = "inconclusive"
         return LimitSetReport(kind, label, d, float(lengths[0]), what,
-                              flow.rows, flow.rejected)
+                              flow.rows, flow.rejected, flow.attempts)
     omega = chart.fiber_rates(p0, v0)
     return LimitSetReport(
         "torus_closure", None, flow.nearest(flow.distances(x0))[0], 0.0,
-        "converged", 0, 0, frequencies=tuple(float(w) for w in omega),
+        "converged", 0, 0, 0, frequencies=tuple(float(w) for w in omega),
         relation=rational_relation(omega / np.abs(omega).max()))
 
 
@@ -787,6 +800,7 @@ class CensusReport:
     rhs_rows: int
     # step attempts the runner rejected, summed over samples
     rejected_steps: int
+    attempts: int  # the runner's batch step attempts
 
 
 def _default_base_sampler(chart):
@@ -819,16 +833,16 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     The samples run as one batch through ``_BaseFlow.run`` on the backward
     unit-speed base direction field, to base arc length 500 at rtol 1e-6
     and atol 1e-9, with ``max_steps`` attempts per sample.  On a 1-D base
-    a sample's step toward its nearest target lands within ``fiber_tol``
-    of it, and a step away from it about doubles its distance.  ``counts``
-    holds every outcome some sample reached: a target label, "escape" or
-    "singular_set".  ``stop_reason`` is "all_assigned" when every sample
-    reached one, else why the integration ended; the samples without one
-    count as unclassified.  ``rhs_rows`` counts the base points at which
-    the base tangent was evaluated: by the field's ``base_rule``, or by the
-    field at the lifted points where it declares none, and
-    ``rejected_steps`` the step attempts the runner rejected, summed over
-    samples.  Raises ValueError when X is not
+    a sample's first step lands within ``fiber_tol`` of the target ahead
+    of it.  ``counts`` holds every outcome some sample reached: a target
+    label, "escape" or "singular_set".  ``stop_reason`` is "all_assigned"
+    when every sample reached one, else why the integration ended; the
+    samples without one count as unclassified.  ``rhs_rows`` counts the
+    base points at which the base tangent was evaluated: by the field's
+    ``base_rule``, or by the field at the lifted points where it declares
+    none; ``rejected_steps`` the step attempts the runner rejected, summed
+    over samples, and ``attempts`` its batch step attempts, each one call
+    of the base tangent per stage.  Raises ValueError when X is not
     T-invariant at the first sample, or when a declared rule misses the
     field's base tangent there.
     """
@@ -850,6 +864,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         stop_reason="all_assigned" if np.all(outcome >= 0) else stop,
         rhs_rows=flow.rows,
         rejected_steps=flow.rejected,
+        attempts=flow.attempts,
     )
 
 

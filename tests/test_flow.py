@@ -436,12 +436,14 @@ def test_classify_torus_closure():
 
 
 def test_classify_reports_a_spent_step_budget():
-    m = line_model_fields("line", n=1, a=(1.0,))
-    # two steps reach the sink: one away from the source, one onto the sink
-    rep = classify_limit(m.Xprime, np.array([0.4, 0.0]), "forward",
-                         cfg=IntegratorConfig(max_steps=1))
+    # a line start lands on its target in one attempt; this curved S^5
+    # approach to the source takes about 20
+    p0 = embed_s5(np.array([0.2, 0.3]), (0.1, 0.2, 0.3))
+    rep = classify_limit(build_s5().field, p0, "backward",
+                         cfg=IntegratorConfig(max_steps=5))
     assert rep.stop_reason == "step_budget"
     assert rep.kind == "inconclusive"
+    assert rep.attempts == 5
 
 
 def test_classify_escape():
@@ -539,21 +541,24 @@ def test_census_reproducible():
 
 
 def test_census_reports_why_it_stopped():
-    m = line_model_fields("line", n=1, a=(1.0,))
-    short = basin_census(m.Xprime, 4, max_steps=2)
+    # a 1-D census ends in one attempt; an S^5 census takes about 20
+    X = build_s5().field
+    short = basin_census(X, 4, max_steps=2)
     assert short.stop_reason == "step_budget"
     assert short.unclassified_fraction > 0
-    assert basin_census(m.Xprime, 4).stop_reason == "all_assigned"
+    assert short.attempts == 2
+    assert basin_census(X, 4).stop_reason == "all_assigned"
 
 
 def test_census_work_per_sample_is_bounded():
-    # unit speed with every step, the first included, at the d / 1.05 cap:
-    # d shrinks by 21 per exact step on the line, about 4 to 5 steps from
-    # d ~ 1 down to fiber_tol (28 rows per sample; 74 with the d / 1.65 cap)
+    # unit speed, and the first step lands within fiber_tol of the source
+    # ahead: the start and one step's six stages, 7 rows per sample (28
+    # when the cap was d / 1.05 of the distance to the nearest target
+    # either way, 74 with d / 1.65)
     m = line_model_fields("line", n=1, a=(1.0,))
     rep = basin_census(m.Xprime, 200, seed=1)
     assert rep.stop_reason == "all_assigned"
-    assert rep.rhs_rows / rep.n_samples <= 35
+    assert rep.rhs_rows / rep.n_samples <= 7
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -669,14 +674,14 @@ def test_base_rule_equals_the_lifted_base_tangent(name):
 @pytest.mark.parametrize("name,n,want,rows,rejected", [
     pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in [
         ("line", 200, {"source_0": 57, "source_1": 64, "source_2": 79},
-         2_102, 0),
+         1_400, 0),
         ("circle", 200, {"source_0": 76, "source_1": 57, "source_2": 67},
-         2_486, 0),
+         1_400, 0),
         ("planar", 200, {"source_0": 200}, 3_776, 0),
         ("s5", 200, {"source_0": 200}, 17_378, 489),
-        ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 148, 0),
+        ("line", 16, {"source_0": 6, "source_1": 3, "source_2": 7}, 112, 0),
         ("s5", 16, {"source_0": 16}, 1_510, 44),
-        ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 196,
+        ("circle", 16, {"source_0": 7, "source_1": 2, "source_2": 7}, 112,
          0),
         ("planar", 16, {"source_0": 16}, 316, 0),
     ]])
@@ -687,6 +692,15 @@ def test_census_rows_are_pinned(name, n, want, rows, rejected):
     rep = basin_census(_library_fields()[name], n, seed=0)
     assert (rep.counts, rep.stop_reason, rep.rhs_rows,
             rep.rejected_steps) == (want, "all_assigned", rows, rejected)
+
+
+@pytest.mark.parametrize("name", ["line", "circle"])
+def test_one_dimensional_censuses_take_one_attempt(name):
+    # every row lands on the target ahead of it in its first step
+    for n in (16, 200, 1000):
+        for seed in (0, 1):
+            rep = basin_census(_library_fields()[name], n, seed=seed)
+            assert (rep.attempts, rep.rhs_rows) == (1, 7 * n), (n, seed)
 
 
 _CENSUS_LABELS = {
@@ -719,11 +733,11 @@ def test_census_labels_are_pinned(name, n, seed):
 
 @pytest.mark.parametrize("name, x, direction, report", [
     ("line", (0.4, 0.0), "forward", ("singular_fiber", "sink_1",
-     5.200000199989674e-06, 0.5999947999997999, "converged", 13, 0)),
+     5.599994399974051e-06, 0.5999944000056, "converged", 7, 0)),
     ("line", (2.5, 0.0), "backward", ("singular_fiber", "source_1",
      5.499994499835736e-06, 0.49999450000550005, "converged", 7, 0)),
     ("circle", (0.5, 0.0, 0.0), "forward", ("singular_fiber", "sink_1.0472",
-     5.047198003982345e-06, 0.5471925039985938, "converged", 13, 0)),
+     5.54719200396292e-06, 0.5471920040045937, "converged", 7, 0)),
     ("circle", (2.5, 0.0, 0.0), "backward", ("singular_fiber", "source_1",
      5.405599492025459e-06, 0.40559949200731277, "converged", 7, 0)),
     ("planar", (0.5, 0.2, 0.0, 0.0), "backward", ("singular_fiber",
@@ -1090,15 +1104,17 @@ def test_runner_batch_equals_rows_one_at_a_time(base, direction):
 
 
 def test_classify_work_on_sign_of_y_starts():
-    # about log_21(d0 / fiber_tol) exact steps at the d / 1.05 cap: 49 rows
-    # on both bases, against 103 with the d / 1.65 cap
+    # one exact step onto the target ahead, 7 rows; a start with no target
+    # ahead grows its step from _initial_step's guess until it escapes (43
+    # rows).  Capped by the nearest target either way, 49 rows on both
+    # bases, and 103 with the d / 1.65 cap
     worst = {}
     for case in _classify_starts():
         base, x, direction = case.values
         m = line_model_fields(base, n=2, a=(1.0, SQRT2))
         rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), direction)
         worst[base] = max(worst.get(base, 0), rep.rhs_rows)
-    assert 0 < worst["line"] <= 60 and 0 < worst["circle"] <= 60
+    assert 0 < worst["line"] <= 43 and worst["circle"] == 7
 
 
 # Starts within fiber_tol of a source: the distance grows from the first
@@ -1114,9 +1130,10 @@ def test_classify_forward_leaves_a_nearby_source(base, x):
     assert rep.stop_reason == "converged"
 
 
-# With fiber_tol = 1e-3 the first step (about 1e-4 long) still ends within
-# fiber_tol of the source it started next to, but further from it: only the
-# "did not grow" half of the target rule keeps it from being the limit.
+# With fiber_tol = 1e-3 the start lies within fiber_tol of a source it
+# moves away from; the first step ends within fiber_tol of the sink ahead,
+# but further from a target than the start, so the row lands on the sink in
+# its second step.
 @pytest.mark.parametrize("base, x", [
     ("line", 1e-4), ("line", 2.0 - 1e-4), ("line", 2.0 + 1e-4),
     ("line", 4.0 - 1e-4), ("circle", TWO_PI / 3.0 + 1e-4),
@@ -1217,34 +1234,50 @@ def _census_paths(monkeypatch, name):
         yield path, runners[0].distances(path[:-1]).min(axis=1)
 
 
+def _ahead(name, x, step):
+    """Distances (steps, zeros) from 1-D base points x (steps,) to the
+    zeros of Y in the direction of each step; <= 0 for a zero behind."""
+    ahead = (_ZEROS[name] - x[:, None]) * np.sign(step)[:, None]
+    return np.mod(ahead, TWO_PI) if name == "circle" else ahead
+
+
 def test_accepted_base_steps_stay_short_of_the_nearest_target(monkeypatch):
     # an accepted step of size h <= _base_cap(d) < d moves at most h, so it
-    # can neither reach nor pass the target nearest its start; on the 2-D
-    # bases the stage velocities point different ways, and only the
-    # nonnegative weights keep the sum of the stages within h
+    # can neither reach nor pass a target within d of its start.  On the
+    # 2-D bases d is the distance to the nearest target; the stage
+    # velocities point different ways there, and only the nonnegative
+    # weights keep the sum of the stages within h.  On a 1-D base a row
+    # moves one way between zeros, and d is the distance to the nearest
+    # target ahead of it.
     for name in ("line", "circle", "planar", "s5"):
         with monkeypatch.context() as patch:
             for path, d in _census_paths(patch, name):
                 steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
+                if name in ("line", "circle"):
+                    ahead = _ahead(name, path[:-1, 0], np.diff(path[:, 0]))
+                    d = np.where(ahead > 0, ahead, np.inf).min(axis=1)
+                    # no target strictly inside a step, unless the row
+                    # landed within fiber_tol of it
+                    inside = (ahead > 0) & (ahead < steps[:, None])
+                    landed = np.abs(ahead - steps[:, None]) < 1e-5
+                    assert not np.any(inside & ~landed), name
                 cap = flow_module._base_cap(d, 1e-5)
                 assert np.all(steps <= cap * (1 + 1e-12)), name
                 assert np.all(steps < d), name
 
 
 def test_line_steps_are_at_the_cap_from_the_first_on(monkeypatch):
-    # the unit field is constant between zeros, so every step is exact and
-    # at the cap, the first one included: a step toward the target nearest
-    # its start lands within fiber_tol of it and ends the row, and a step
-    # away from it moves by about its distance
-    for path, d in _census_paths(monkeypatch, "line"):
-        steps = np.abs(np.diff(path[:, 0]))
-        assert np.allclose(steps, flow_module._base_cap(d, 1e-5),
-                           rtol=1e-8, atol=0.0)
-        target = np.abs(path[:, None, 0] - _ZEROS["line"])
-        j = target[:-1].argmin(axis=1)
-        toward = target[1:][np.arange(len(j)), j] < d
-        assert toward[-1] and not np.any(toward[:-1])
-        assert target[-1, j[-1]] < 1e-5
+    # the unit field is constant between zeros, so a step is exact and at
+    # the cap of the distance to the target ahead: every row, backward,
+    # moves toward the source of its basin and lands within fiber_tol of it
+    # in its first step, which ends the row
+    for path, _ in _census_paths(monkeypatch, "line"):
+        x0, (step,) = path[0, 0], np.diff(path[:, 0])
+        source = 2.0 * _expected_source("line", x0)
+        assert np.sign(step) == np.sign(source - x0)
+        assert abs(step) == pytest.approx(flow_module._base_cap(
+            np.array([abs(source - x0)]), 1e-5)[0], rel=1e-8)
+        assert abs(x0 + step - source) < 1e-5
 
 
 # ---------------------------------------------------------------------------
