@@ -285,13 +285,13 @@ def _s5_base_rule(x):
     the lifted path's bits: the + 0.0 is the b_j term of ``base_tangent``,
     which turns a -0 into +0 as it does there.
     """
-    radii = pair_radii(x)
-    a1, a2, a3 = radii[..., 0], radii[..., 1], radii[..., 2]
-    r1, r2 = a1 * a1, a2 * a2
-    p, r3, t = r1 * r2, a3 * a3, _tau_s5(r1, r2)
-    # per pair a_j (c_j a_j), with c_j = r1 r2 (r_j - 1/4) r3 tau
-    return np.stack([2 * (aj * (p * (rj - 0.25) * r3 * t * aj) + 0.0)
-                     for aj, rj in ((a1, r1), (a2, r2))], axis=-1)
+    a = pair_radii(x)
+    r = a * a
+    t = _tau_s5(r[..., 0], r[..., 1])[..., None]
+    w = (r[..., 0] * r[..., 1])[..., None] * (r[..., :2] - 0.25)
+    c = w * r[..., 2:] * t
+    a = a[..., :2]
+    return 2 * (a * (c * a) + 0.0)
 
 
 # ---------------------------------------------------------------------------
