@@ -220,6 +220,8 @@ def cmd_basin(args):
         "unclassified_fraction": rep.unclassified_fraction,
         "stop_reason": rep.stop_reason,
         "rhs_rows": rep.rhs_rows,
+        "rejected_steps": rep.rejected_steps,
+        "attempts": rep.attempts,
         "provenance": _provenance(cfg, args.seed),
     }
     _write(args.out, _pretty(payload), args.quiet)

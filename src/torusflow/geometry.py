@@ -81,10 +81,13 @@ def pair_radii(x):
     the closed triangle, to within 1e-15.
     """
     x = np.asarray(x, dtype=float)
-    sq = np.concatenate([x, 1.0 - x[..., :1] - x[..., 1:2]], axis=-1)
-    if (sq < -1e-15).any():
+    sq = np.empty(x.shape[:-1] + (3,))
+    sq[..., :2] = x
+    sq[..., 2] = 1.0 - x[..., 0] - x[..., 1]
+    if sq.min(initial=0.0) < -1e-15:
         raise ValueError("base point outside the closed triangle")
-    return np.sqrt(np.maximum(sq, 0.0))
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def embed_s5(x, phis=(0.0, 0.0, 0.0)):

@@ -28,9 +28,9 @@ class CommutantProbeReport:
     ``dimension`` is k * nullity_x + n * nullity_theta, the commuting
     fields found within an ansatz of ``n_basis`` functions sampled at
     ``n_points`` points.  ``gap`` is the smallest singular value counted
-    as nonzero divided by ``rank_epsilon``, over every degree block and
-    both slots: how far the kept directions sit above the cutoff (inf when
-    every direction is null).
+    as nonzero divided by ``rank_epsilon``, over every (alpha, q) pair
+    block and both slots: how far the kept directions sit above the cutoff
+    (inf when every direction is null).
     """
 
     dimension: int
@@ -59,53 +59,54 @@ def _probe_points(k, n, n_points, seed):
 
 
 def _ansatz(k, a, degree, max_freq, xs, thetas):
-    """Ansatz functions f = x^alpha * trig(q . theta) at the sample points.
+    """Sample Gram data of the ansatz pairs x^alpha (cos, sin)(q . theta).
 
-    alpha runs over the multi-indices with |alpha| <= degree, by ascending
-    degree |alpha|, and q over the integer vectors with |q|_inf <= max_freq,
-    one per {q, -q} pair (the first nonzero entry positive), with cos and
-    sin columns (cos only for q = 0).  Returns (f, deg, partner, aq): the
-    values (n_points, n_basis), the degree of each column, and the drift
-    derivative as T.f_j = aq_j * f_partner_j: T maps cos(q . theta) to
-    -(a . q) sin and sin(q . theta) to (a . q) cos, with the same x^alpha,
-    so a column's partner has its degree.  The q = 0 column is its own
-    partner, with aq = 0.
+    alpha runs over the multi-indices with |alpha| <= degree, and q over
+    the integer vectors with |q|_inf <= max_freq, one per {q, -q} pair (the
+    first nonzero entry positive), q = 0 first; q = 0 has the cos column
+    only.  Returns (deg, aq, cc, ss, cs): |alpha| (n_alpha,), a . q (n_q,),
+    and, each (n_alpha, n_q), the squared norms of the cos and sin columns
+    over the sample and their inner product: the squared monomials summed
+    against cos^2, sin^2 and cos sin of the phases, that is against
+    (1 + cos 2 phi) / 2, (1 - cos 2 phi) / 2 and sin 2 phi / 2.
     """
     alphas = np.array(list(np.ndindex((degree + 1,) * k)))
     alphas = alphas[alphas.sum(axis=1) <= degree]
-    alphas = alphas[np.argsort(alphas.sum(axis=1), kind="stable")]
-    # product order is lexicographic: zero sits in the middle, and the
-    # vectors after it are exactly those with a positive first nonzero
-    qs = np.array(list(np.ndindex((2 * max_freq + 1,) * a.size))) - max_freq
-    qs = qs[len(qs) // 2:]
-    phase = thetas @ qs.T
-    aq = qs @ a
-    # columns cos, sin per q; drop sin(0 . theta) = 0
-    trig = np.delete(np.stack([np.cos(phase), np.sin(phase)], axis=-1)
-                     .reshape(len(xs), -1), 1, axis=1)
-    # cos of q sits at 2i - 1 and sin at 2i; q = 0 is column 0
-    n_trig = trig.shape[1]
-    col = np.arange(n_trig)
-    partner = np.where(col == 0, 0, np.where(col % 2, col + 1, col - 1))
-    coef = np.where(col % 2, -1.0, 1.0) * aq[(col + 1) // 2]
-    mono = np.prod(xs[:, None, :] ** alphas, axis=-1)[:, :, None]
-    f = (mono * trig[:, None, :]).reshape(len(xs), -1)
-    offsets = n_trig * np.arange(len(alphas))[:, None]
-    deg = np.repeat(alphas.sum(axis=1), n_trig)
-    return f, deg, (offsets + partner).ravel(), np.tile(coef, len(alphas))
+    # exp(2i q . theta) over the grid of q, points last, by products of the
+    # powers of exp(2i theta_r), in product (lexicographic) order: zero
+    # sits in the middle, and the vectors after it are those with a
+    # positive first nonzero
+    m = max_freq
+    w = np.exp(2j * thetas.T)
+    powers = np.ones((2 * m + 1,) + w.shape, dtype=complex)
+    for j in range(1, m + 1):
+        powers[m + j] = powers[m + j - 1] * w
+    powers[:m] = powers[:m:-1].conj()
+    wave = powers[:, 0]
+    for r in range(1, a.size):
+        wave = (wave[:, None] * powers[:, r]).reshape(-1, len(xs))
+    qs = np.array(list(np.ndindex((2 * m + 1,) * a.size))) - m
+    half = len(qs) // 2
+    mono2 = np.prod((xs * xs)[:, None, :] ** alphas, axis=-1)
+    g = (wave[half:] @ mono2).T
+    # column 0 is q = 0, where the wave is 1: the squared norms of x^alpha
+    cc = (g.real[:, :1] + g.real) / 2
+    ss = (g.real[:, :1] - g.real) / 2
+    return alphas.sum(axis=1), qs[half:] @ a, cc, ss, g.imag / 2
 
 
-def _nullity(op):
-    """Nullity of a square operator matrix at the absolute cutoff _RANK_EPS.
+def _nullity(ops):
+    """Nullity of a stack of square blocks at the absolute cutoff _RANK_EPS.
 
-    ``op`` is R times the operator's matrix on an ansatz block, where
-    Q R is the block's sample matrix with unit columns, so its singular
-    values are those of the sampled operator.  Returns (nullity, smallest
-    kept singular value), the latter inf when none is kept.
+    ``ops`` (..., m, m) holds, per block, R times the operator's matrix on
+    an ansatz block, where Q R is the block's sample matrix with unit
+    columns, so its singular values are those of the sampled operator.
+    Returns (nullity summed over the blocks, smallest kept singular
+    value), the latter inf when none is kept.
     """
-    sigma = np.linalg.svd(op, compute_uv=False)
+    sigma = np.linalg.svd(ops, compute_uv=False)
     kept = sigma[sigma >= _RANK_EPS]
-    return op.shape[1] - kept.size, float(kept.min()) if kept.size else np.inf
+    return sigma.size - kept.size, float(kept.min()) if kept.size else np.inf
 
 
 def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
@@ -120,18 +121,23 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
     differences.  The reported dimension counts only commuting fields
     representable in the ansatz, which covers the polynomial commutant.
 
-    The systems split by homogeneous degree d = |alpha|, exactly: xi is the
-    Euler field, so X - c maps span{x^alpha cos, x^alpha sin} into itself
-    with the matrix [[d - c, a.q], [-(a.q), d - c]].  Each degree block gets
-    its columns scaled to unit norm over the sample and one QR, Q R; the
-    operator X - c on the block is then R times its matrix, and T is a
-    signed, scaled swap of R's cos/sin columns.  The nullity of a slot is
-    the count, over all blocks, of singular values below ``rank_epsilon``
-    (1e-8, absolute, in units of the unit-norm ansatz columns), so a
-    resonance a.q = 0 that misses by rounding still counts.  The split and
-    the count both rest on the sampled ansatz having full column rank,
-    which the ``n_points >= n_basis + 10`` generic sample points are there
-    to give.
+    The systems split exactly into (alpha, q) pair blocks: xi is the Euler
+    field, so X - c maps span{x^alpha cos(q . theta), x^alpha sin(q . theta)}
+    into itself with the matrix [[d - c, a.q], [-(a.q), d - c]], d = |alpha|
+    (a single column x^alpha with the matrix [d - c] for q = 0).  On the
+    pair's columns scaled to unit norm over the sample, with Gram matrix
+    [[1, rho], [rho, 1]], the sampled operator has the singular values of
+    R times the operator's matrix, R = [[1, rho], [0, sqrt(1 - rho^2)]] its
+    closed-form 2 x 2 triangular factor, so the sample enters only through
+    each pair's two column norms and inner product.  The nullity of a slot
+    is the count, over all blocks, of singular values below
+    ``rank_epsilon`` (1e-8, absolute, in units of the unit-norm ansatz
+    columns), so a resonance a.q = 0 that misses by rounding still counts.
+    The split and the count both rest on the sampled ansatz having full
+    column rank, which the ``n_points >= n_basis + 10`` generic sample
+    points are there to give; a pair whose unit columns are collinear at
+    the cutoff (1 - |rho| < ``rank_epsilon``, the smaller eigenvalue of its
+    Gram matrix) raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     n = a.size
@@ -141,21 +147,34 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
             f"underdetermined probe: {n_basis} ansatz functions need at "
             f"least {n_basis + 10} sample points, got {n_points}"
         )
-    f, deg, partner, aq = _ansatz(k, a, degree, max_freq,
+    deg, aq, cc, ss, cs = _ansatz(k, a, degree, max_freq,
                                   *_probe_points(k, n, n_points, seed))
+    # column 0 is q = 0: one column x^alpha, the rest are the pairs
+    cc, ss, cs, aq = cc[:, 1:], ss[:, 1:], cs[:, 1:], aq[1:]
+    gn2 = cc * ss
+    if not (gn2.min(initial=np.inf) > 0.0
+            and np.all(cs * cs <= (1.0 - _RANK_EPS) ** 2 * gn2)):
+        raise ValueError("collinear ansatz pair on the sample: the probe "
+                         "needs full column rank")
+    rho = cs / np.sqrt(gn2)
+    r = np.zeros(rho.shape + (2, 2))
+    r[..., 0, 0] = 1.0
+    r[..., 0, 1] = rho
+    r[..., 1, 1] = np.sqrt(1.0 - rho * rho)
+    # T on the unit columns sends u_cos to -(a.q) |f_sin| / |f_cos| u_sin
+    # and u_sin to (a.q) |f_cos| / |f_sin| u_cos
+    ratio = np.sqrt(cc / ss)
+    t = np.zeros_like(r)
+    t[..., 0, 1] = aq * ratio
+    t[..., 1, 0] = -aq / ratio
     # by c: the angle slots need X.f = 0, the base slots X.f = f
     nullity = [0, 0]
     smallest = np.inf
-    for d in range(degree + 1):
-        lo, hi = np.searchsorted(deg, (d, d + 1))
-        norms = np.linalg.norm(f[:, lo:hi], axis=0)
-        r = np.linalg.qr(f[:, lo:hi] / norms, mode="r")
-        # T on the unit columns: column j goes to its partner p, scaled by
-        # aq_j |f_p| / |f_j|, so in R-space it is a column gather of R
-        p = partner[lo:hi] - lo
-        rt = r[:, p] * (aq[lo:hi] * norms[p] / norms)
-        for c in (0, 1):
-            null, low = _nullity((d - c) * r + rt)
+    for c in (0, 1):
+        e = deg - c
+        for ops in (e[:, None, None],
+                    r @ (e[:, None, None, None] * np.eye(2) + t)):
+            null, low = _nullity(ops)
             nullity[c] += null
             smallest = min(smallest, low)
     null_t, null_x = nullity

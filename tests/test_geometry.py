@@ -8,6 +8,7 @@ from torusflow.geometry import (
     base_projection_pi,
     embed_s5,
     in_triangle,
+    pair_radii,
     sphere_normalize,
     sphere_phases,
     torus_act_s5,
@@ -95,6 +96,37 @@ def test_in_triangle():
     assert in_triangle(np.array([0.25, 0.25]))
     assert not in_triangle(np.array([0.6, 0.6]))
     assert not in_triangle(np.array([0.05, 0.5]), margin=0.1)
+
+
+def test_pair_radii_bits_match_the_per_pair_formula():
+    # interior points, points on each edge (some an ulp or so outside, which
+    # clamp onto it) and the three vertices, as a batch and one at a time
+    rng = np.random.default_rng(5)
+    inner = rng.dirichlet(np.ones(3), size=10_000)[:, :2]
+    t = rng.uniform(0.0, 1.0, size=5_000)
+    ulp = rng.choice([-1.0, 0.0, 1.0], size=t.size) * 2e-16
+    edges = np.concatenate([np.stack([t, ulp], axis=-1),
+                            np.stack([ulp, t], axis=-1),
+                            np.stack([t, 1.0 - t + ulp], axis=-1)])
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    x = np.concatenate([inner, edges, vertices])
+    want = np.stack([np.sqrt(np.maximum(x[:, 0], 0.0)),
+                     np.sqrt(np.maximum(x[:, 1], 0.0)),
+                     np.sqrt(np.maximum(1.0 - x[:, 0] - x[:, 1], 0.0))],
+                    axis=-1)
+    got = pair_radii(x)
+    assert got.shape == (len(x), 3) and np.array_equal(got, want)
+    assert all(np.array_equal(pair_radii(p), w) for p, w in zip(x[::997],
+                                                                want[::997]))
+    assert np.array_equal(pair_radii(x[:25_000].reshape(5, -1, 2)),
+                          want[:25_000].reshape(5, -1, 3))
+
+
+@pytest.mark.parametrize("x", [[-1e-14, 0.5], [0.5, -1e-14],
+                               [0.5, 0.5 + 1e-14], [[0.2, 0.2], [0.7, 0.7]]])
+def test_pair_radii_rejects_points_outside_the_triangle(x):
+    with pytest.raises(ValueError, match="outside the closed triangle"):
+        pair_radii(np.array(x))
 
 
 def test_chart_kinds_and_dims():

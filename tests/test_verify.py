@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -72,36 +73,81 @@ def test_probe_counts_resonances_in_ansatz_units(k, a, want):
         assert rep.gap < 1e3
 
 
-def test_probe_gap_matches_the_sampled_operator_on_unit_columns():
-    # reference: evaluate (X - c).f on the sample in closed form, one column
-    # per (alpha, q, cos/sin), scale each by its |f| and take the SVD of the
-    # tall matrix of each degree block
-    k, a, n_points, seed = 1, np.array([1.0, 1.0 + 1e-6]), 200, 3
-    xs, thetas = verify_module._probe_points(k, a.size, n_points, seed)
-    qs = [q for q in itertools.product(range(-2, 3), repeat=a.size)
+def _sampled_blocks(k, a, xs, thetas, degree=2, max_freq=2):
+    """The probe's ansatz and X on it in closed form, per (alpha, q) block:
+    yields (f, xf), the sampled columns x^alpha (cos, sin)(q . theta) (cos
+    only for q = 0) and X.f = |alpha| f + T.f, one column per function."""
+    qs = [q for q in itertools.product(range(-max_freq, max_freq + 1),
+                                       repeat=len(a))
           if not any(q) or [v for v in q if v][0] > 0]
-    smallest, nullity = np.inf, {0: 0, 1: 0}
-    for d in range(3):
-        f, xf = [], []
+    for alpha in itertools.product(range(degree + 1), repeat=k):
+        d = sum(alpha)
+        if d > degree:
+            continue
+        mono = np.prod(xs ** np.array(alpha), axis=1)
         for q in qs:
             phase, aq = thetas @ np.array(q), np.dot(q, a)
             kinds = [(np.cos(phase), -aq * np.sin(phase))]
             if any(q):
                 kinds.append((np.sin(phase), aq * np.cos(phase)))
-            for trig, dtrig in kinds:
-                f.append(xs[:, 0] ** d * trig)
-                xf.append(xs[:, 0] ** d * (d * trig + dtrig))
-        f, xf = np.array(f).T, np.array(xf).T
-        norms = np.linalg.norm(f, axis=0)
+            yield (np.array([mono * trig for trig, _ in kinds]).T,
+                   np.array([mono * (d * trig + dtrig)
+                             for trig, dtrig in kinds]).T)
+
+
+def _unit_column_svd(f, xf, c):
+    """Singular values of the sampled X - c on the unit-norm columns of f."""
+    return np.linalg.svd((xf - c * f) / np.linalg.norm(f, axis=0),
+                         compute_uv=False)
+
+
+def test_probe_gap_matches_the_sampled_operator_on_unit_columns():
+    # reference: the tall SVD of the sampled X - c on each (alpha, q) pair's
+    # unit-norm columns
+    k, a, n_points, seed = 1, np.array([1.0, 1.0 + 1e-6]), 200, 3
+    xs, thetas = verify_module._probe_points(k, a.size, n_points, seed)
+    smallest, nullity = np.inf, {0: 0, 1: 0}
+    for f, xf in _sampled_blocks(k, a, xs, thetas):
         for c in (0, 1):
-            sigma = np.linalg.svd((xf - c * f) / norms, compute_uv=False)
+            sigma = _unit_column_svd(f, xf, c)
             kept = sigma[sigma >= 1e-8]
             nullity[c] += sigma.size - kept.size
-            smallest = min(smallest, kept.min())
+            smallest = min(smallest, kept.min(initial=np.inf))
     rep = commutant_dimension_probe(k, a, n_points=n_points, seed=seed)
     assert (rep.nullity_theta, rep.nullity_x) == (nullity[0], nullity[1])
     assert rep.gap < 1e3
     assert rep.gap == pytest.approx(smallest / 1e-8, rel=1e-6)
+
+
+@pytest.mark.parametrize("k,a", [
+    (2, (1.0, SQRT2)), (2, (1.0, 2.0)), (1, (1.0, SQRT2, 2 * SQRT2)),
+    (2, (0.1 + 0.2, 0.3)),
+], ids=["k2_dense", "k2_resonant", "k1_resonant", "rounding"])
+def test_probe_nullities_match_the_whole_sampled_operator(k, a):
+    # exactness of the pair split: one tall SVD of the sampled X - c on all
+    # unit-norm ansatz columns at once counts the same null directions
+    xs, thetas = verify_module._probe_points(k, len(a), 500, 0)
+    f, xf = (np.concatenate(cols, axis=1)
+             for cols in zip(*_sampled_blocks(k, np.array(a), xs, thetas)))
+    nullity = [int(np.sum(_unit_column_svd(f, xf, c) < 1e-8))
+               for c in (0, 1)]
+    rep = commutant_dimension_probe(k, a, n_points=500, seed=0)
+    assert f.shape[1] == rep.n_basis
+    assert [rep.nullity_theta, rep.nullity_x] == nullity
+
+
+def test_probe_rejects_collinear_pair_columns(monkeypatch):
+    # every sample point at the same angles: each pair's cos and sin
+    # columns are proportional, so the split's full-rank premise fails
+    real = verify_module._probe_points
+
+    def same_angles(k, n, n_points, seed):
+        xs, thetas = real(k, n, n_points, seed)
+        return xs, np.broadcast_to(thetas[:1], thetas.shape)
+
+    monkeypatch.setattr(verify_module, "_probe_points", same_angles)
+    with pytest.raises(ValueError, match="collinear"):
+        commutant_dimension_probe(2, (1.0, SQRT2), n_points=500, seed=0)
 
 
 BASIS = (1, SQRT2, np.sqrt(3.0), np.sqrt(5.0), np.e)
@@ -124,7 +170,7 @@ def _resonant_modes(rows, max_freq):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("k,n,resonant", [
     (1, 1, False), (1, 2, False), (1, 2, True), (2, 2, False), (2, 2, True),
-    (1, 3, False), (1, 3, True),
+    (1, 3, False), (1, 3, True), (2, 3, False), (2, 3, True),
 ])
 def test_probe_matches_exact_resonance_count(k, n, resonant, seed):
     # a_i = m_i * BASIS_j(i) with m_i in {1, 2}: a . q is exactly zero on
@@ -139,34 +185,35 @@ def test_probe_matches_exact_resonance_count(k, n, resonant, seed):
     a = tuple(float(sum(c * b for c, b in zip(row, BASIS))) for row in rows)
     r = _resonant_modes(rows, 2)
     assert (r > 1) == resonant
-    rep = commutant_dimension_probe(k, a, n_points=500, seed=seed)
+    # 500 points, or the guard's minimum where the ansatz needs more
+    n_points = max(500, math.comb(k + 2, k) * 5 ** n + 10)
+    rep = commutant_dimension_probe(k, a, n_points=n_points, seed=seed)
     assert rep.dimension == k * k * r + n * r
 
 
-@pytest.mark.parametrize("k,a,qrs,svds,widest", [
-    (1, (1.0, np.e, np.e ** 2), 3, 6, 125),
-    (2, (1.0, SQRT2), 3, 6, 75),
-])
-def test_probe_factors_by_degree_block(monkeypatch, k, a, qrs, svds, widest):
-    # one QR per degree block and one small square SVD per block and slot,
-    # never a decomposition of the whole (n_points, n_basis) ansatz
-    shapes = {"qr": [], "svd": []}
+@pytest.mark.parametrize("k,a", [(1, (1.0, np.e, np.e ** 2)),
+                                 (2, (1.0, SQRT2))])
+def test_probe_factors_by_pair_block(monkeypatch, k, a):
+    # no linear algebra on the (n_points, n_basis) ansatz or a degree block:
+    # no np.linalg call sees a matrix wider than 2 columns, and the SVDs are
+    # one stacked call per slot and block size, on square blocks
+    shapes = {}
 
-    def recording(name):
-        real = getattr(np.linalg, name)
-
+    def recording(name, real):
         def call(m, *args, **kwargs):
-            shapes[name].append(np.shape(m))
+            shapes.setdefault(name, []).append(np.shape(m))
             return real(m, *args, **kwargs)
         return call
 
-    for name in shapes:
-        monkeypatch.setattr(np.linalg, name, recording(name))
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, recording(name, real))
     rep = commutant_dimension_probe(k, a, n_points=500, seed=0)
     assert rep.matches_expected
-    assert len(shapes["qr"]) == qrs and len(shapes["svd"]) == svds
-    assert max(s[1] for s in shapes["qr"] + shapes["svd"]) == widest
-    assert all(s[0] == s[1] for s in shapes["svd"])
+    assert set(shapes) == {"svd"} and len(shapes["svd"]) == 4
+    assert all(s[-1] == s[-2] <= 2 for s in shapes["svd"])
+    assert sum(np.prod(s[:-2]) * s[-1] for s in shapes["svd"]) == 2 * rep.n_basis
 
 
 def test_basis_bracket_residuals_at_fd_noise_floor():
