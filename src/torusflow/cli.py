@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -67,10 +67,6 @@ def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _pretty(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _merged_config(scenario, cfg):
     merged = dict(_SCENARIO_DEFAULTS.get(scenario, {}))
     merged.update(cfg)
@@ -116,18 +112,28 @@ def _write(path, text, quiet):
         sys.stdout.write(text)
 
 
-def cmd_build(args):
+def _scenario(args):
+    """The merged config of ``--scenario`` and ``--config``, and its
+    manifest."""
     cfg = _merged_config(args.scenario, _load_config(args.config))
-    manifest = _build_manifest(args.scenario, cfg)
-    payload = manifest.to_dict()
+    return cfg, _build_manifest(args.scenario, cfg)
+
+
+def _emit(args, cfg, payload):
+    """Write a JSON payload with its provenance to ``--out`` or stdout."""
     payload["provenance"] = _provenance(cfg, args.seed)
-    _write(args.out, _pretty(payload), args.quiet)
+    _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n",
+           args.quiet)
+
+
+def cmd_build(args):
+    cfg, manifest = _scenario(args)
+    _emit(args, cfg, manifest.to_dict())
     return 0
 
 
 def cmd_trace(args):
-    cfg = _merged_config(args.scenario, _load_config(args.config))
-    manifest = _build_manifest(args.scenario, cfg)
+    cfg, manifest = _scenario(args)
     fld = manifest.field
     dim = fld.chart.dim
     p0 = np.asarray(cfg.get("p0", fld.chart.wrap([0.5] * dim)), dtype=float)
@@ -154,8 +160,7 @@ def cmd_trace(args):
 
 
 def cmd_verify(args):
-    cfg = _merged_config(args.scenario, _load_config(args.config))
-    manifest = _build_manifest(args.scenario, cfg)
+    cfg, manifest = _scenario(args)
     if args.sabotage:
         # negative control: a copy with two equal orders, so a check fails
         fld = manifest.field
@@ -168,13 +173,8 @@ def cmd_verify(args):
         manifest = replace(manifest, field=replace(fld, singular_fibers=fibs))
     report = verify_manifest(manifest, seed=args.seed,
                              check_orders=bool(cfg.get("check_orders")))
-    payload = {
-        "name": report.name,
-        "passed": report.passed,
-        "checks": report.checks,
-        "provenance": _provenance(cfg, args.seed),
-    }
-    _write(args.out, _pretty(payload), args.quiet)
+    _emit(args, cfg, {"name": report.name, "passed": report.passed,
+                      "checks": report.checks})
     if not args.quiet:
         print(report.summary())
     return 0 if report.passed else 1
@@ -191,7 +191,7 @@ def cmd_probe(args):
         n_points=int(cfg.get("n_points", 500)),
         seed=args.seed,
     )
-    payload = {
+    _emit(args, cfg, {
         "dimension": rep.dimension,
         "expected_dimension": rep.expected_dimension,
         "matches_expected": rep.matches_expected,
@@ -199,32 +199,17 @@ def cmd_probe(args):
         "nullity_x": rep.nullity_x,
         "nullity_theta": rep.nullity_theta,
         "n_basis": rep.n_basis,
-        "provenance": _provenance(cfg, args.seed),
-    }
-    _write(args.out, _pretty(payload), args.quiet)
+    })
     return 0
 
 
 def cmd_basin(args):
-    cfg = _merged_config(args.scenario, _load_config(args.config))
-    manifest = _build_manifest(args.scenario, cfg)
-    rep = basin_census(
-        manifest.field,
-        n_samples=int(cfg.get("n_samples", 200)),
-        seed=args.seed,
-    )
-    payload = {
-        "n_samples": rep.n_samples,
-        "counts": rep.counts,
-        "source_fraction": rep.source_fraction,
-        "unclassified_fraction": rep.unclassified_fraction,
-        "stop_reason": rep.stop_reason,
-        "rhs_rows": rep.rhs_rows,
-        "rejected_steps": rep.rejected_steps,
-        "attempts": rep.attempts,
-        "provenance": _provenance(cfg, args.seed),
-    }
-    _write(args.out, _pretty(payload), args.quiet)
+    cfg, manifest = _scenario(args)
+    payload = asdict(basin_census(manifest.field,
+                                  n_samples=int(cfg.get("n_samples", 200)),
+                                  seed=args.seed))
+    del payload["seed"]  # the provenance carries it
+    _emit(args, cfg, payload)
     return 0
 
 

@@ -64,10 +64,6 @@ class FieldHandle:
     def __call__(self, p):
         return np.asarray(self.func(np.asarray(p, dtype=float)), dtype=float)
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
 
 def field_scale(name, scalar_fn, base_field):
     """Multiply a field by a scalar function of the point."""

@@ -9,7 +9,8 @@ base runner of ``classify_limit`` and ``basin_census`` steps with Cash and
 Karp's 5(4) pair, whose 5th-order weights are all >= 0, because the base
 step cap rests on them (see ``_BaseFlow``).
 The loop advances one point or a batch of points; every row of a batch
-has its own step size, and a row leaves the batch when it is finished.
+has its own step size, and a row leaves the batch when it is finished.  It
+holds no caller's step policy: a batch caller sends back each row's steps.
 ``integrate`` takes a batch (m, d) of start points in one call and
 returns their start and end points; dense output needs one start point.
 ``flow_commutation_residual`` runs its two sides, for one or many torus
@@ -17,13 +18,14 @@ elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
 ``classify_limit`` (one start) and ``basin_census`` (a batch) run them
 through one runner, ``_BaseFlow.run``, on a unit-speed base direction field,
-so their horizons are base arc length.  Each step, the first one included,
-is capped short of the nearest target the row can reach (``_base_cap``; on a
-1-D base the one ahead, reached in one step), and a row's step shrinks with
-its distance to a target.  The runner evaluates a field's declared
-``base_rule``, checked against the field, instead of the whole field at
-lifted points.  It keeps the base orbits, and neither the torus drift nor
-the slowdown near high-order zeros can stall it.  Where the base does not
+so their horizons are base arc length.  The runner sets every step: each
+one, the first included, is capped short of the nearest target the row can
+reach (``_base_cap``; on a 1-D base the one ahead, reached in one step),
+and a row's step shrinks with its distance to a target.  The runner
+evaluates a field's declared ``base_rule``, checked against the field,
+instead of the whole field at lifted points.  It keeps the base orbits, and
+neither the torus drift nor the slowdown near high-order zeros can stall
+it.  Where the base does not
 move, on a source torus, the flow is a linear drift on the torus, and
 ``classify_limit`` reads its frequencies off the field without integrating.
 """
@@ -237,26 +239,25 @@ _ROWS = (np.where, np.maximum, np.minimum,
 
 
 def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
-    """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids, K).
+    """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids, K, h).
 
     ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
     steps with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has
     its own time and step size and is accepted or rejected on its own error
-    norm; t and err are floats for one point and (m, 1) columns for a
+    norm; t, err and h are floats for one point and (m, 1) columns for a
     batch, and ``ids`` are the original numbers of the live rows
     (None for one point).  A yield follows every attempt that accepted some
     row, once ``project(y)`` (the sphere renormalizer, or None) has given
     the points to go on from and ``f`` has been evaluated there again.
     ``K`` holds the attempt's stages along its axis -2: (stages, d) for one
-    point (None at the first yield); the next attempt overwrites it.  A
-    batch's consumer may answer a yield with ``send((drop, cap, scale))``:
-    a mask (m,) of rows to drop, a cap (m,) on each row's step size and a
-    factor (m,) on it, applied before the cap; any of them None.  Then the
-    finished rows (at ``t_end``, or dropped) leave the batch and the live
-    rows are packed together, so ``f`` only sees live rows; the generator
-    ends when no row is left.  Answered with ``send(h0)``, the first yield
-    of a batch sets each row's first step to h0 (m,); rows where it is 0 or
-    not finite start from ``_initial_step``'s guess, as all do without it.
+    point (None at the first yield); the next attempt overwrites it.  ``h``
+    is the step each live row tries next, ``_initial_step``'s guess at the
+    first yield.  A batch's consumer may answer any yield with
+    ``send((drop, h))``: a mask (m,) of rows to drop (None at the first
+    yield) and the steps (m, 1) they try instead.  Then the finished rows
+    (at ``t_end``, or dropped) leave the batch and the live rows are packed
+    together, so ``f`` only sees live rows; the generator ends when no row
+    is left.
 
     With ``rowwise`` every row of a batch takes the steps, bit for bit, of
     a run of its own (for a field that evaluates a row as it does one
@@ -277,20 +278,17 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
     k1 = np.asarray(f(y), dtype=float)
     one = y.ndim == 1
     ids = None if one else np.arange(len(y))
-    h0 = yield float(t0), y, k1, 0.0, 0, ids, None
+    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
+    a, b, e5, e3, (grow_exp, shrink_exp, start_exp) = pair
+    h = _initial_step(k1, y, direction, rtol, start_exp)
+    _, h = (yield float(t0), y, k1, 0.0, 0, ids, None, h) or (None, h)
     if t_end == t0 or y.size == 0:
         return
     where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
     rows_apart = rowwise and not one
-    rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    a, b, e5, e3, (grow_exp, shrink_exp, start_exp) = pair
     n_stages = len(a)
     t = float(t0) if one else np.full((len(y), 1), float(t0))
-    h = _initial_step(k1, y, direction, rtol, start_exp)
-    if h0 is not None:
-        h0 = h0[:, None]
-        h = np.where(np.isfinite(h0) & (h0 > 0), direction * h0, h)
     d, K = y.shape[-1], None
     n_steps = rejected = 0
     while True:
@@ -349,13 +347,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
         if project is not None:
             y = project(y)
             k1 = np.asarray(f(y), dtype=float)
-        drop, cap, scale = ((yield t, y, k1, err, rejected, ids, K)
-                            or (None, None, None))
+        drop, h = (yield t, y, k1, err, rejected, ids, K, h) or (None, h)
         rejected = 0
-        if scale is not None:
-            h = h * scale[:, None]
-        if cap is not None:
-            h = direction * np.minimum(direction * h, cap[:, None])
         done = reached(t, t_end)
         if drop is not None:
             done = done | drop[:, None]
@@ -397,8 +390,7 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
     each time is evaluated on the step that holds it, a time before t0 on
     the first step and one after t1 on the last.
     """
-    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm,
-                           rowwise=True)
+    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm)
     t, y, fy = next(steps)[:3]
     ts, ys = [t], [y]
     if t_eval is not None:
@@ -409,7 +401,7 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
         points, j = np.empty((len(t_eval), len(y))), 0
     accepted = rejected = 0
     max_err = 0.0
-    for t_new, y_new, f_new, err, rej, _, K in steps:
+    for t_new, y_new, f_new, err, rej, _, K, _ in steps:
         accepted += 1
         rejected += rej
         max_err = max(max_err, err)
@@ -446,7 +438,7 @@ def _batch_ends(f, t0, y0, t1, cfg, renorm):
     steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm,
                            rowwise=True)
     next(steps)  # the start, with err 0
-    for _, y, _, err, rej, ids, _ in steps:
+    for _, y, _, err, rej, ids, _, _ in steps:
         ends[ids] = y
         ok = err <= 1.0
         accepted += int(np.count_nonzero(ok))
@@ -552,7 +544,9 @@ class _BaseFlow:
 
     ``velocity(x)`` is ``sign`` times the field's base tangent over the base
     points x (m, base_dim), divided by its norm; where the tangent vanishes
-    (norm below 1e-300) it is returned as is.  ``hook(ids, x)`` gives the
+    (norm below 1e-300) it is returned as is.  ``rule`` gives that base
+    tangent: the field's declared ``base_rule``, else the field's at the
+    lifted points.  ``hook(ids, x)`` gives the
     rows' base distances d to the nearest target and the index of that
     target.  ``reach(x, v, d)`` is the distance to the nearest target rows
     at x with velocities v can reach: d on a 2-D base; on a 1-D base, where
@@ -571,7 +565,7 @@ class _BaseFlow:
     estimate sets the step, as on the curved S^5 orbits, it depends on h / d
     near a source, so after each step ``run`` scales a row's next step by
     min(1, d_new / d_old), the factor by which its distance to the nearest
-    target shrank, on top of the controller's growth.
+    target shrank.  ``run`` sends the RK loop every step it takes.
     ``run`` takes a batch of base points to their ``outcomes``; ``rows``
     counts the base points at which it evaluated the base tangent (rows of
     the field's ``base_rule`` where it declares one, else field rows at the
@@ -596,7 +590,12 @@ class _BaseFlow:
             raise ValueError(f"field {field.name!r} is not invariant under "
                              f"the torus at {p}: base tangent moves {gap:.3g}")
         self.rule = field.base_rule
-        if self.rule is not None:
+        if self.rule is None:
+            def lifted(x):
+                ys = chart.lift(x)
+                return chart.base_tangent(ys, field.func(ys))
+            self.rule = lifted
+        else:
             gap = np.linalg.norm(self.rule(chart.base(p)) - tangent)
             if not gap <= bound:
                 raise ValueError(f"the base rule of field {field.name!r} "
@@ -625,14 +624,9 @@ class _BaseFlow:
 
     def velocity(self, x):
         self.calls, self.rows = self.calls + 1, self.rows + len(x)
-        chart = self.field.chart
-        if chart.is_sphere:
+        if self.field.chart.is_sphere:
             x = _onto_triangle(x)
-        if self.rule is not None:
-            v = self.sign * self.rule(x)
-        else:
-            ys = chart.lift(x)
-            v = self.sign * chart.base_tangent(ys, self.field.func(ys))
+        v = self.sign * self.rule(x)
         nv = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
         nv[nv < 1e-300] = 1.0
         return v / nv
@@ -671,6 +665,8 @@ class _BaseFlow:
         Returns per row the index of its outcome (-1 for none), its last
         point and its arc length, then "horizon" or the FlowError's reason,
         which ended the rows left without an outcome.
+        Each row's first step is its cap (the loop's guess where that is 0
+        or not finite); each next one is the loop's, scaled, then capped.
         """
         outcome, calls = np.full(len(xs), -1), self.calls
         ends, lengths = xs.copy(), np.zeros(len(xs))
@@ -678,11 +674,13 @@ class _BaseFlow:
         escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
         steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
                                 _CASH_KARP)
-        vel = next(steps)[2].copy()  # the start
-        sent, stop = _base_cap(self.reach(xs, vel, near), fiber_tol), "horizon"
+        _, _, vel, *_, h = next(steps)  # the start
+        cap = _base_cap(self.reach(xs, vel, near), fiber_tol)[:, None]
+        sent = None, np.where(np.isfinite(cap) & (cap > 0), cap, h)
+        vel, stop = vel.copy(), "horizon"
         try:
             while True:
-                s, x, v, err, rejected, ids, _ = steps.send(sent)
+                s, x, v, err, rejected, ids, _, h = steps.send(sent)
                 self.rejected += rejected
                 d, nearest = self.hook(ids, x)
                 ends[ids], lengths[ids] = x, s[:, 0]
@@ -702,7 +700,8 @@ class _BaseFlow:
                     outcome[ids[far]] = len(self.labels)
                     outcome[ids[stuck]] = len(self.labels) + 1
                     outcome[ids[hit]] = nearest[hit]
-                sent = drop, _base_cap(self.reach(x, v, d), fiber_tol), scale
+                cap = _base_cap(self.reach(x, v, d), fiber_tol)
+                sent = drop, np.minimum(h * scale[:, None], cap[:, None])
         except StopIteration:
             pass
         except FlowError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import lie_bracket
+from .fields import lie_bracket, xi_plus_affine
 from .flow import IntegratorConfig, integrate
 from .geometry import TWO_PI
 
@@ -194,23 +194,18 @@ def commutant_basis_check(k, a, n_points=1000, h=1e-4, seed=0):
     """Max finite-difference bracket residual of the claimed commutant basis.
 
     The basis is {x_j d/dx_l} union {d/dtheta_r}, bracketed against
-    X = xi + T at random points; all residuals should sit at the FD noise
-    floor because every field involved is affine.  The fields act on the
-    last axis, so each basis field takes one batched ``lie_bracket`` call
-    over all points.
+    X = xi + T (``xi_plus_affine``) at random points; all residuals should
+    sit at the FD noise floor because every field involved is affine.  The
+    fields act on the last axis, so each basis field takes one batched
+    ``lie_bracket`` call over all points.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.size
+    X = xi_plus_affine(k, a, dense=False)
+    n = X.chart.n
     rng = np.random.default_rng(seed)
     pts = np.concatenate(
         [rng.uniform(-2.0, 2.0, size=(n_points, k)),
          rng.uniform(0.0, TWO_PI, size=(n_points, n))], axis=1
     )
-
-    def X(p):
-        out = p.copy()
-        out[..., k:] = a
-        return out
 
     def linear_basis(j, l):
         def fld(p):
@@ -228,8 +223,8 @@ def commutant_basis_check(k, a, n_points=1000, h=1e-4, seed=0):
 
     basis = [linear_basis(j, l) for j in range(k) for l in range(k)]
     basis += [angle_basis(r) for r in range(n)]
-    return max(float(np.linalg.norm(lie_bracket(fld, X, pts, h), axis=1).max())
-               for fld in basis)
+    return max(float(np.linalg.norm(lie_bracket(fld, X.func, pts, h),
+                                    axis=1).max()) for fld in basis)
 
 
 def conjugation_residual(F, fld, points, t=5.0):

@@ -369,6 +369,50 @@ def test_batch_step_budget_raises():
     assert exc.value.reason == "step_budget"
 
 
+@pytest.mark.parametrize("p0", [[1.0], [[1.0], [0.1]]],
+                         ids=["point", "batch"])
+def test_blow_up_raises_underflow(p0):
+    # y' = y^2 from 1 reaches infinity at t = 1, so the steps shrink until
+    # they underflow there; a batch fails with its first such row
+    with pytest.raises(FlowError) as exc:
+        integrate(lambda y: y * y, p0, (0.0, 2.0))
+    assert exc.value.reason == "underflow"
+
+
+@pytest.mark.parametrize("p0", [[1.0, 0.5], [[1.0, 0.5], [-0.5, 1.0]]],
+                         ids=["point", "batch"])
+def test_zero_length_span_returns_the_start(p0):
+    X = xi_plus_affine(1, (1.0,))
+    traj = integrate(X, p0, (2.0, 2.0))
+    assert np.all(traj.times == 2.0)
+    np.testing.assert_array_equal(traj.start, p0)
+    np.testing.assert_array_equal(traj.end, p0)
+    assert traj.stats["accepted"] == traj.stats["rejected"] == 0
+
+
+def test_adaptive_steps_take_the_steps_their_consumer_sends():
+    # the loop holds no consumer's step policy: each row's accepted step is
+    # the h sent for it (dyadic steps and times, so exact), whatever the
+    # controller proposed, and a dropped row's id never comes back
+    v = np.array([1.0, -2.0])
+    steps = flow_module._adaptive_steps(
+        lambda y: np.broadcast_to(v, y.shape).copy(), 0.0, np.zeros((4, 2)),
+        10.0, IntegratorConfig(), flow_module._CASH_KARP)
+    h = next(steps)[-1]
+    assert h.shape == (4, 1) and np.all(h > 0)  # _initial_step's guess
+    sent = np.array([[0.5], [0.25], [1.0], [0.125]])
+    reply, times = (None, sent), np.zeros(4)
+    for i in range(5):
+        t, y, _, err, rejected, ids, _, h = steps.send(reply)
+        assert rejected == 0 and np.all(err <= 1.0)
+        assert list(ids) == ([0, 1, 2, 3] if i < 2 else [0, 2, 3])
+        np.testing.assert_array_equal(t[:, 0] - times[ids], sent[ids, 0])
+        np.testing.assert_allclose(y, t * v, rtol=1e-15)
+        assert np.all(h != sent[ids])  # the controller's own proposal
+        times[ids] = t[:, 0]
+        reply = (ids == 1 if i == 1 else None), sent[ids]
+
+
 def test_commutation_residual_fails_backward_for_a_twisted_field():
     # the torus translation does not commute with the flow of a field whose
     # base component depends on the angle; at t < 0 the residual must see it

@@ -71,10 +71,14 @@ def test_solve_radial_rejects_bad_input():
 
 
 def test_annulus_grid_respects_radii():
-    grid = annulus_grid(*ANNULUS, k=2)
-    r = np.linalg.norm(grid, axis=1)
-    assert np.all((r >= ANNULUS[0]) & (r <= ANNULUS[1]))
-    assert len(grid) > 500
+    # k = 2 is a grid; k = 3 (the bench's normal_form grid) draws points
+    for k in (2, 3):
+        grid = annulus_grid(*ANNULUS, k=k)
+        r = np.linalg.norm(grid, axis=1)
+        assert np.all((r >= ANNULUS[0]) & (r <= ANNULUS[1]))
+        assert len(grid) > 500 and grid.shape[1] == k
+    np.testing.assert_array_equal(annulus_grid(*ANNULUS, k=3, seed=4),
+                                  annulus_grid(*ANNULUS, k=3, seed=4))
 
 
 @pytest.mark.parametrize("g,deg", [
