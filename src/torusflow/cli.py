@@ -254,6 +254,9 @@ def main(argv=None):
     except (FlowError, RadialSolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (TypeError, IndexError) as exc:  # a config value's type or length
+        print(f"error: bad config value: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

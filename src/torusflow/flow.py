@@ -238,8 +238,9 @@ _ROWS = (np.where, np.maximum, np.minimum,
          np.sqrt)
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
-    """Generator of accepted steps (t, y, f(y), err_norm, rejected, ids, K, h).
+def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
+                    rowwise=False):
+    """Generator of accepted steps (t, y, f(y), err_norm, ids, K, h).
 
     ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
     steps with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has
@@ -265,6 +266,13 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
     it a batch's stage sums are one product over all rows, which is faster
     for many rows but rounds differently from one row to the next.
 
+    ``stats`` is the run's record, a dict the loop fills as it runs, so
+    its counts hold also when FlowError ends the run: "rhs_calls" and
+    "rhs_rows", the calls of ``f`` and the rows they evaluated (the start,
+    the stages and the re-evaluations after ``project``); "attempts", the
+    step attempts, which all live rows make together; "accepted" and
+    "rejected", the row steps accepted and rejected, summed over rows.
+
     The first yield is the initial condition with err 0.  All live rows
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
     attempts of each row.  Raises FlowError on step underflow or when a
@@ -277,11 +285,12 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
     y = np.array(y0, dtype=float)
     k1 = np.asarray(f(y), dtype=float)
     one = y.ndim == 1
-    ids = None if one else np.arange(len(y))
+    ids, m = (None, 1) if one else (np.arange(len(y)), len(y))  # live rows
+    stats.update(rhs_calls=1, rhs_rows=m, attempts=0, accepted=0, rejected=0)
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     a, b, e5, e3, (grow_exp, shrink_exp, start_exp) = pair
     h = _initial_step(k1, y, direction, rtol, start_exp)
-    _, h = (yield float(t0), y, k1, 0.0, 0, ids, None, h) or (None, h)
+    _, h = (yield float(t0), y, k1, 0.0, ids, None, h) or (None, h)
     if t_end == t0 or y.size == 0:
         return
     where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
@@ -290,10 +299,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
     n_stages = len(a)
     t = float(t0) if one else np.full((len(y), 1), float(t0))
     d, K = y.shape[-1], None
-    n_steps = rejected = 0
     while True:
-        n_steps += 1
-        if n_steps > max_steps:
+        if stats["attempts"] >= max_steps:
             raise FlowError(f"step budget {max_steps} exhausted at t={t}",
                             "step_budget")
         h = where(past(t + h, t_end), t_end - t, h)
@@ -332,23 +339,29 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
             err = err / sqrt(lower(1e-300, d * (err + 0.01 * np.add.reduce(
                 q3 * q3, axis=-1, keepdims=not one))))
         ok = err <= 1.0
+        n_ok = int(any_(ok))  # the accepted rows
+        stats["attempts"] += 1
+        stats["rhs_calls"] += n_stages - 1
+        stats["rhs_rows"] += (n_stages - 1) * m
+        stats["accepted"] += n_ok
+        stats["rejected"] += m - n_ok
         e = lower(err, 1e-10)
         grow = upper(max_factor, lower(min_factor, where(
             err < 1e-10, max_factor, safety * np.power(e, -grow_exp))))
-        if all_(ok):
+        if n_ok == m:
             t, y, k1, h = t + h, y_new, k, h * grow  # FSAL
         else:
-            rejected += np.size(ok) - int(np.count_nonzero(ok))
             shrink = lower(min_factor, safety * np.power(e, -shrink_exp))
             t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
             h = h * where(ok, grow, shrink)
-            if not any_(ok):
+            if not n_ok:
                 continue
         if project is not None:
             y = project(y)
             k1 = np.asarray(f(y), dtype=float)
-        drop, h = (yield t, y, k1, err, rejected, ids, K, h) or (None, h)
-        rejected = 0
+            stats["rhs_calls"] += 1
+            stats["rhs_rows"] += m
+        drop, h = (yield t, y, k1, err, ids, K, h) or (None, h)
         done = reached(t, t_end)
         if drop is not None:
             done = done | drop[:, None]
@@ -357,7 +370,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, project=None, rowwise=False):
                 return
             keep = ~done[:, 0]
             ids, y, k1 = ids[keep], y[keep], k1[keep]
-            t, h, K = t[keep], h[keep], None
+            t, h, K, m = t[keep], h[keep], None, len(ids)
 
 
 def _dense_output(f, t0, t1, y0, y1, f0, f1, K, t):
@@ -383,14 +396,15 @@ def _dense_output(f, t0, t1, y0, y1, f0, f1, K, t):
     return y0 + y
 
 
-def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
-    """Times, points and stats of the run from one start point (d,).
+def _one_point(f, t0, y0, t1, cfg, renorm, t_eval, stats):
+    """Times and points of the run from one start point (d,), whose counts
+    and largest accepted error norm go to ``stats``.
 
     The points are the accepted steps, or the dense output at ``t_eval``:
     each time is evaluated on the step that holds it, a time before t0 on
     the first step and one after t1 on the last.
     """
-    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm)
+    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, stats, renorm)
     t, y, fy = next(steps)[:3]
     ts, ys = [t], [y]
     if t_eval is not None:
@@ -399,11 +413,8 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
         order = np.argsort(sign * t_eval, kind="stable")
         ahead = sign * t_eval[order]
         points, j = np.empty((len(t_eval), len(y))), 0
-    accepted = rejected = 0
     max_err = 0.0
-    for t_new, y_new, f_new, err, rej, _, K, _ in steps:
-        accepted += 1
-        rejected += rej
+    for t_new, y_new, f_new, err, _, K, _ in steps:
         max_err = max(max_err, err)
         if t_eval is None:
             ts.append(t_new)
@@ -414,39 +425,15 @@ def _one_point(f, t0, y0, t1, cfg, renorm, t_eval):
             if k > j:
                 points[order[j:k]] = _dense_output(
                     f, t, t_new, y, y_new, fy, f_new, K, t_eval[order[j:k]])
+                stats["rhs_calls"] += len(_DENSE_A)  # its extra stages
+                stats["rhs_rows"] += len(_DENSE_A)
                 j = k
         t, y, fy = t_new, y_new, f_new
+    stats["max_local_error"] = float(max_err)
     if t_eval is None:
-        times, points = np.array(ts), np.stack(ys, axis=0)
-    else:
-        points[order[j:]] = y  # t1 == t0: no step was taken
-        times = t_eval
-    stats = {"accepted": accepted, "rejected": rejected,
-             "max_local_error": float(max_err)}
-    return times, points, stats
-
-
-def _batch_ends(f, t0, y0, t1, cfg, renorm):
-    """Start and end points (2, m, d) and stats of a batch of m start points.
-
-    Each row's last point is recorded after ``renorm`` (the sphere
-    renormalizer or None) has put it back on the chart.
-    """
-    ends = y0.copy()
-    accepted = rejected = 0
-    max_err = 0.0
-    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, renorm,
-                           rowwise=True)
-    next(steps)  # the start, with err 0
-    for _, y, _, err, rej, ids, _, _ in steps:
-        ends[ids] = y
-        ok = err <= 1.0
-        accepted += int(np.count_nonzero(ok))
-        rejected += rej
-        max_err = float(err.max(where=ok, initial=max_err))
-    stats = {"accepted": accepted, "rejected": rejected,
-             "max_local_error": max_err}
-    return np.array([t0, t1]), np.stack([y0, ends]), stats
+        return np.array(ts), np.stack(ys, axis=0)
+    points[order[j:]] = y  # t1 == t0: no step was taken
+    return t_eval, points
 
 
 def integrate(field, p0, t_span, cfg=None, t_eval=None):
@@ -460,35 +447,38 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
     the result holds only the start and end points, ``times`` [t0, t1] and
     ``points`` (2, m, d), and ``t_eval`` raises ValueError.  Samples are in
     chronological order, so ``end`` is the point at the later time also for
-    a backward run.  The stats are ints summed over rows ("accepted",
-    "rejected"), the largest accepted local error norm ("max_local_error")
-    and the number of field calls ("rhs_calls": the stages, the dense
-    output's extra stages and the re-evaluations after a renormalization;
-    a batch call counts once).  Angles in the result are wrapped.
+    a backward run.  The stats are the RK loop's record (``_adaptive_steps``)
+    with the dense output's extra stages: the ints "rhs_calls" and
+    "rhs_rows" (field calls, a batch call counting once, and the rows they
+    evaluated), "attempts" (step attempts, which a batch's rows make
+    together), "accepted" and "rejected" (row steps, summed over rows), and
+    "max_local_error", the largest accepted local error norm.  Angles in
+    the result are wrapped.
     """
     cfg = cfg or IntegratorConfig()
     if isinstance(field, FieldHandle):
-        chart, func = field.chart, field.func
+        chart, f = field.chart, field.func
     else:
-        chart, func = None, field
+        chart, f = None, field
     t0, t1 = float(t_span[0]), float(t_span[1])
     p0 = np.asarray(p0, dtype=float)
-    calls = 0
-
-    def f(y):
-        nonlocal calls
-        calls += 1
-        return func(y)
-
     renorm = chart.wrap if chart is not None and chart.is_sphere else None
+    stats = {}
     if p0.ndim == 1:
-        times, points, stats = _one_point(f, t0, p0, t1, cfg, renorm, t_eval)
+        times, points = _one_point(f, t0, p0, t1, cfg, renorm, t_eval, stats)
     elif t_eval is not None:
         raise ValueError("dense output (t_eval) needs one start point, "
                          f"not a batch of shape {p0.shape}")
-    else:
-        times, points, stats = _batch_ends(f, t0, p0, t1, cfg, renorm)
-    stats["rhs_calls"] = calls
+    else:  # each row's end is recorded after renorm put it on the chart
+        ends, max_err = p0.copy(), 0.0
+        steps = _adaptive_steps(f, t0, p0, t1, cfg, _DOP853, stats, renorm,
+                                rowwise=True)
+        next(steps)  # the start, with err 0
+        for _, y, _, err, ids, _, _ in steps:
+            ends[ids] = y
+            max_err = float(err.max(where=err <= 1.0, initial=max_err))
+        stats["max_local_error"] = max_err
+        times, points = np.array([t0, t1]), np.stack([p0, ends])
     if chart is not None:
         points = chart.wrap(points)
     if times.size > 1 and times[-1] < times[0]:
@@ -566,15 +556,16 @@ class _BaseFlow:
     near a source, so after each step ``run`` scales a row's next step by
     min(1, d_new / d_old), the factor by which its distance to the nearest
     target shrank.  ``run`` sends the RK loop every step it takes.
-    ``run`` takes a batch of base points to their ``outcomes``; ``rows``
-    counts the base points at which it evaluated the base tangent (rows of
-    the field's ``base_rule`` where it declares one, else field rows at the
-    lifted points), ``rejected`` its rejected step attempts, summed over
-    rows, and ``attempts`` its batch step attempts.  The caller passes v =
-    X(p), the field at a chart point ``p``.  Only a T-invariant field has
-    base dynamics: ValueError when the base tangent at ``p`` moves by more
-    than 1e-9 |X(p)| under two torus elements, or when a declared rule
-    differs there by more than that from the field's base tangent.
+    ``run`` takes a batch of base points to their ``outcomes``.  The runner
+    counts nothing itself: ``stats`` is the RK loop's record of its last
+    run, also of one that FlowError ended, whose "rhs_rows" are the base
+    points at which it evaluated the base tangent (rows of the field's
+    ``base_rule`` where it declares one, else field rows at the lifted
+    points).  The caller passes v = X(p), the field at a chart point
+    ``p``.  Only a T-invariant field has base dynamics: ValueError when the
+    base tangent at ``p`` moves by more than 1e-9 |X(p)| under two torus
+    elements, or when a declared rule differs there by more than that from
+    the field's base tangent.
     ``still`` is True when the base tangent at ``p`` is within the same
     bound of 0: the base does not move there.
     """
@@ -602,8 +593,7 @@ class _BaseFlow:
                                  f"misses its base tangent at {p} by "
                                  f"{gap:.3g}")
         self.still = bool(np.linalg.norm(tangent) <= bound)
-        self.field, self.sign, self.calls = field, sign, 0
-        self.rows = self.rejected = self.attempts = 0
+        self.field, self.sign, self.stats = field, sign, {}
         fibers = field.singular_fibers  # the targets: sources, then fibers
         self.labels = ([f"source_{i}" for i in range(len(field.sources))]
                        + [fib.label for fib in fibers])
@@ -623,7 +613,6 @@ class _BaseFlow:
         return float(dist[j]), self.labels[j]
 
     def velocity(self, x):
-        self.calls, self.rows = self.calls + 1, self.rows + len(x)
         if self.field.chart.is_sphere:
             x = _onto_triangle(x)
         v = self.sign * self.rule(x)
@@ -668,20 +657,19 @@ class _BaseFlow:
         Each row's first step is its cap (the loop's guess where that is 0
         or not finite); each next one is the loop's, scaled, then capped.
         """
-        outcome, calls = np.full(len(xs), -1), self.calls
+        outcome = np.full(len(xs), -1)
         ends, lengths = xs.copy(), np.zeros(len(xs))
         near = self.distances(xs).min(axis=1, initial=np.inf)
         escape_radius = 25.0 if self.field.chart.kind == "product" else np.inf
         steps = _adaptive_steps(self.velocity, 0.0, xs, horizon, cfg,
-                                _CASH_KARP)
+                                _CASH_KARP, self.stats)
         _, _, vel, *_, h = next(steps)  # the start
         cap = _base_cap(self.reach(xs, vel, near), fiber_tol)[:, None]
         sent = None, np.where(np.isfinite(cap) & (cap > 0), cap, h)
         vel, stop = vel.copy(), "horizon"
         try:
             while True:
-                s, x, v, err, rejected, ids, _, h = steps.send(sent)
-                self.rejected += rejected
+                s, x, v, err, ids, _, h = steps.send(sent)
                 d, nearest = self.hook(ids, x)
                 ends[ids], lengths[ids] = x, s[:, 0]
                 ok = err[:, 0] <= 1.0
@@ -706,7 +694,6 @@ class _BaseFlow:
             pass
         except FlowError as exc:
             stop = exc.reason
-        self.attempts += (self.calls - calls - 1) // (len(_CASH_KARP.a) - 1)
         return outcome, ends, lengths, stop
 
 
@@ -718,13 +705,13 @@ class LimitSetReport:
     horizon: float
     # converged | singular_set | horizon | step_budget | underflow
     stop_reason: str
-    # points at which the runner evaluated the base rule, or the field
-    # where it declares none; X(p0) and the invariance check at two
-    # torus-moved copies of p0 are not counted
+    # the counts of the runner's record (see _BaseFlow): points at which it
+    # evaluated the base rule, or the field where it declares none (X(p0)
+    # and the invariance check at two torus-moved copies of p0 are not
+    # counted), its rejected step attempts and its step attempts
     rhs_rows: int
-    # step attempts the runner rejected
     rejected_steps: int
-    attempts: int  # the runner's batch step attempts
+    attempts: int
     # of a torus_closure: the frequencies of X on the torus through the
     # start, and a small integer relation among them or None
     frequencies: Optional[tuple] = None
@@ -751,7 +738,8 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     them over their largest magnitude (None when it finds none).
     ``rhs_rows`` counts the rows evaluated, of the base rule or of the
     field, ``rejected_steps`` the step attempts rejected and ``attempts``
-    the step attempts made, by the run.  Raises ValueError when X is not
+    the step attempts made, by the run, as the RK loop's record holds them
+    also when the step budget ends it.  Raises ValueError when X is not
     T-invariant at p0, or when a declared base rule misses the field's base
     tangent there.
     """
@@ -776,8 +764,10 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
             kind, what = "singular_fiber", "converged"
         else:
             kind = "inconclusive"
+        stats = flow.stats
         return LimitSetReport(kind, label, d, float(lengths[0]), what,
-                              flow.rows, flow.rejected, flow.attempts)
+                              stats["rhs_rows"], stats["rejected"],
+                              stats["attempts"])
     omega = chart.fiber_rates(p0, v0)
     return LimitSetReport(
         "torus_closure", None, flow.nearest(flow.distances(x0))[0], 0.0,
@@ -793,13 +783,14 @@ class CensusReport:
     unclassified_fraction: float
     seed: int
     stop_reason: str  # all_assigned | horizon | step_budget | underflow
-    # base points at which the runner evaluated the base rule, or the
-    # lifted field where it declares none; the invariance check over the
-    # first sample (three field rows) is not counted
+    # the counts of the runner's record (see _BaseFlow): base points at
+    # which it evaluated the base rule, or the lifted field where it
+    # declares none (the invariance check over the first sample, three
+    # field rows, is not counted), its rejected step attempts summed over
+    # samples, and its batch step attempts
     rhs_rows: int
-    # step attempts the runner rejected, summed over samples
     rejected_steps: int
-    attempts: int  # the runner's batch step attempts
+    attempts: int
 
 
 def _default_base_sampler(chart):
@@ -841,9 +832,10 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     ``base_rule``, or by the field at the lifted points where it declares
     none; ``rejected_steps`` the step attempts the runner rejected, summed
     over samples, and ``attempts`` its batch step attempts, each one call
-    of the base tangent per stage.  Raises ValueError when X is not
-    T-invariant at the first sample, or when a declared rule misses the
-    field's base tangent there.
+    of the base tangent per stage.  They are the RK loop's record, which
+    holds them also when the step budget ends the run.  Raises ValueError
+    when X is not T-invariant at the first sample, or when a declared rule
+    misses the field's base tangent there.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
@@ -861,9 +853,9 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         unclassified_fraction=float(np.mean(outcome < 0)),
         seed=seed,
         stop_reason="all_assigned" if np.all(outcome >= 0) else stop,
-        rhs_rows=flow.rows,
-        rejected_steps=flow.rejected,
-        attempts=flow.attempts,
+        rhs_rows=flow.stats["rhs_rows"],
+        rejected_steps=flow.stats["rejected"],
+        attempts=flow.stats["attempts"],
     )
 
 

@@ -100,16 +100,14 @@ class RadialSolution:
         return np.abs(deriv - np.asarray(self.g(pts), dtype=float))
 
 
-def solve_radial(g, annulus, tol=1e-8, k=None):
+def solve_radial(g, annulus, tol=1e-8, *, k):
     """Construct f with xi . f = g on the annulus, g smooth with g(0) = 0.
 
-    ``tol`` bounds the quadrature error of f(x) relative to max(1, |f(x)|).
+    ``k`` is the dimension of the x-space.  ``tol`` bounds the quadrature error of f(x) relative to max(1, |f(x)|).
     """
     r_min, r_max = float(annulus[0]), float(annulus[1])
     if not (0.0 < r_min < r_max):
         raise RadialSolverError("annulus must satisfy 0 < r_min < r_max")
-    if k is None:
-        raise RadialSolverError("pass k, the dimension of the x-space")
     if not tol > 0.0:
         raise RadialSolverError("tol must be positive")
     g0 = float(np.asarray(g(np.zeros((1, k)))).ravel()[0])
@@ -192,14 +190,14 @@ class NormalFormReport:
                                     target=normal_form)
 
 
-def normalize_lifted_field(g_list: Sequence[Callable], annulus, tol=1e-8, k=None):
+def normalize_lifted_field(g_list: Sequence[Callable], annulus, tol=1e-8, *,
+                           k):
     """Frequencies and correctors of X~ = xi + sum g_r(x) d/dtheta_r.
 
     The radial part is assumed to be xi already (the linearization step is
-    taken as given); each g_r only needs to be smooth.
+    taken as given); each g_r only needs to be smooth.  ``k`` is the
+    dimension of the x-space.
     """
-    if k is None:
-        raise RadialSolverError("pass k, the dimension of the x-space")
     freqs = []
     corrs = []
     for g in g_list:

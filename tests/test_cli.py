@@ -194,11 +194,53 @@ def test_basin_payload_is_the_census_report(scenario, tmp_path):
     assert payload["stop_reason"] == "all_assigned" and payload["rhs_rows"] > 0
 
 
-def test_bad_config_returns_2(tmp_path):
+def test_build_writes_to_stdout_without_out(tmp_path, capsys):
+    # without --out the payload goes to stdout; with it, and without
+    # --quiet, stdout names the file
+    assert run(["build", "--scenario", "line"]) == 0
+    payload = capsys.readouterr().out
+    out = tmp_path / "m.json"
+    assert run(["build", "--scenario", "line", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == payload
+
+
+def test_verify_prints_its_summary(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--scenario", "line", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    payload = json.loads(out.read_text())
+    assert lines[0] == f"wrote {out}"
+    assert lines[1] == f"{payload['name']}: PASS"
+    assert sorted(ln.split()[1] for ln in lines[2:]) == [
+        f"{key}:" for key in payload["checks"]]  # the payload sorts keys
+    assert all(ln.startswith("  [ok] ") for ln in lines[2:])
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 99}))
+    cfg.write_text("[1, 2]")
     assert run(["build", "--scenario", "line", "--config", str(cfg),
+                "--quiet"]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("build", {"schema_version": 99}),
+    # a value of the wrong type or length
+    ("trace", {"t_span": 5}),
+    ("trace", {"t_span": [0]}),
+    ("trace", {"frequencies": 3}),
+    ("basin", {"frequencies": 3}),
+    ("basin", {"n_samples": [1]}),
+], ids=["build-schema_version", "trace-t_span_number", "trace-t_span_short",
+        "trace-frequencies", "basin-frequencies", "basin-n_samples"])
+def test_bad_config_returns_2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--scenario", "line", "--config", str(cfg),
                 "--quiet", "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_malformed_json_returns_2(tmp_path):

@@ -94,6 +94,11 @@ def test_planar_demo_rejects_bad_orders():
         build_planar_demo(orders=(2, 2, 4))
 
 
+def test_planar_demo_needs_one_frequency_per_angle():
+    with pytest.raises(ValueError, match="frequency vector length"):
+        build_planar_demo(n=2, freqs=(1.0,))
+
+
 # ---------------------------------------------------------------------------
 # Haar averaging
 

@@ -38,6 +38,11 @@ def test_xi_plus_affine_values():
     assert np.allclose(X(np.array([2.0, 0.1, 0.2])), [2.0, 3.0, 4.0])
 
 
+def test_xi_plus_affine_needs_a_frequency():
+    with pytest.raises(ValueError, match="at least one frequency"):
+        xi_plus_affine(2, ())
+
+
 def grid_relation(a, max_coeff=50, tol=1e-9):
     """The smallest relation on the full coefficient grid, first in grid order."""
     a = np.asarray(a, dtype=float)

@@ -348,6 +348,13 @@ def test_batch_rows_match_one_point_runs(name, fld, pts, t_span):
     assert type(batch.stats["rejected"]) is int
     assert batch.stats["max_local_error"] == max(
         s.stats["max_local_error"] for s in singles)
+    # the rows make their attempts together, until the last row is done
+    assert batch.stats["attempts"] == max(s.stats["attempts"] for s in singles)
+    # on a sphere the batch's re-evaluation after renormalizing also takes
+    # the rows whose step the attempt rejected
+    if not fld.chart.is_sphere:
+        assert batch.stats["rhs_rows"] == sum(
+            s.stats["rhs_rows"] for s in singles)
     if fld.chart.is_sphere:
         assert np.max(np.abs(np.linalg.norm(batch.points, axis=-1) - 1.0)) \
             < 1e-8
@@ -395,16 +402,17 @@ def test_adaptive_steps_take_the_steps_their_consumer_sends():
     # the h sent for it (dyadic steps and times, so exact), whatever the
     # controller proposed, and a dropped row's id never comes back
     v = np.array([1.0, -2.0])
+    record = {}
     steps = flow_module._adaptive_steps(
         lambda y: np.broadcast_to(v, y.shape).copy(), 0.0, np.zeros((4, 2)),
-        10.0, IntegratorConfig(), flow_module._CASH_KARP)
+        10.0, IntegratorConfig(), flow_module._CASH_KARP, record)
     h = next(steps)[-1]
     assert h.shape == (4, 1) and np.all(h > 0)  # _initial_step's guess
     sent = np.array([[0.5], [0.25], [1.0], [0.125]])
     reply, times = (None, sent), np.zeros(4)
     for i in range(5):
-        t, y, _, err, rejected, ids, _, h = steps.send(reply)
-        assert rejected == 0 and np.all(err <= 1.0)
+        t, y, _, err, ids, _, h = steps.send(reply)
+        assert record["rejected"] == 0 and np.all(err <= 1.0)
         assert list(ids) == ([0, 1, 2, 3] if i < 2 else [0, 2, 3])
         np.testing.assert_array_equal(t[:, 0] - times[ids], sent[ids, 0])
         np.testing.assert_allclose(y, t * v, rtol=1e-15)
@@ -592,6 +600,14 @@ def test_census_reports_why_it_stopped():
     assert short.unclassified_fraction > 0
     assert short.attempts == 2
     assert basin_census(X, 4).stop_reason == "all_assigned"
+
+
+def test_a_run_cut_by_its_step_budget_counts_its_rejections():
+    # the RK loop's record holds the attempts made after the last accepted
+    # step: here every sample's one attempt is rejected
+    rep = basin_census(build_s5().field, 4, max_steps=1)
+    assert (rep.stop_reason, rep.attempts, rep.rejected_steps,
+            rep.rhs_rows) == ("step_budget", 1, 4, 4 * 7)
 
 
 def test_census_work_per_sample_is_bounded():

@@ -136,6 +136,14 @@ def test_normal_form_conjugation_residual():
     assert np.max(res) < 1e-6
 
 
+def test_conjugation_residual_rejects_points_of_the_wrong_width():
+    # x in R^1 and one angle: points need 2 coordinates
+    g = [lambda x: x[..., 0]]
+    nf = normalize_lifted_field(g, ANNULUS, k=1)
+    with pytest.raises(RadialSolverError, match="2 coordinates"):
+        nf.conjugation_residual(g, np.full((3, 3), 0.5))
+
+
 def test_coordinate_change_only_shifts_angles():
     nf = normalize_lifted_field([lambda x: x[..., 0]], ANNULUS, k=1)
     F = nf.coordinate_change()
