@@ -63,6 +63,14 @@ def _load_config(path):
     return cfg
 
 
+def _count(cfg, key, default):
+    """The config's ``key`` (or ``default``), which must be an integer >= 1."""
+    value = cfg.get(key, default)
+    if type(value) is not int or value < 1:  # bool is not int here
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -142,7 +150,10 @@ def cmd_trace(args):
     if fld.chart.is_sphere and abs(np.linalg.norm(p0) - 1.0) > 1e-9:
         raise ConfigError("p0 must lie on the unit sphere")
     t_span = cfg.get("t_span", [0.0, 10.0])
-    n_eval = int(cfg.get("n_eval", 200))
+    if not (isinstance(t_span, list) and len(t_span) == 2
+            and all(type(t) in (int, float) for t in t_span)):
+        raise ConfigError(f"t_span must be two numbers, got {t_span!r}")
+    n_eval = _count(cfg, "n_eval", 200)
     icfg = IntegratorConfig(
         rtol=float(cfg.get("rtol", 1e-9)),
         atol=float(cfg.get("atol", 1e-12)),
@@ -171,8 +182,7 @@ def cmd_verify(args):
                               f"{len(fibs)}")
         fibs = (replace(fibs[0], order=fibs[1].order),) + fibs[1:]
         manifest = replace(manifest, field=replace(fld, singular_fibers=fibs))
-    report = verify_manifest(manifest, seed=args.seed,
-                             check_orders=bool(cfg.get("check_orders")))
+    report = verify_manifest(manifest, seed=args.seed)
     _emit(args, cfg, {"name": report.name, "passed": report.passed,
                       "checks": report.checks})
     if not args.quiet:
@@ -206,7 +216,7 @@ def cmd_probe(args):
 def cmd_basin(args):
     cfg, manifest = _scenario(args)
     payload = asdict(basin_census(manifest.field,
-                                  n_samples=int(cfg.get("n_samples", 200)),
+                                  n_samples=_count(cfg, "n_samples", 200),
                                   seed=args.seed))
     del payload["seed"]  # the provenance carries it
     _emit(args, cfg, payload)

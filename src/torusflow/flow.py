@@ -177,9 +177,10 @@ _BASE_TOL = 1e-6  # an orbit whose base moves at most this stays in its fiber
 
 
 class FlowError(RuntimeError):
-    """Integration failure: step underflow or step budget exhausted.
+    """Integration failure: step underflow, a non-finite step, state or
+    derivative, or step budget exhausted.
 
-    ``reason`` is "underflow" or "step_budget".
+    ``reason`` is "underflow", "non_finite" or "step_budget".
     """
 
     def __init__(self, message, reason):
@@ -275,9 +276,11 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
 
     The first yield is the initial condition with err 0.  All live rows
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
-    attempts of each row.  Raises FlowError on step underflow or when a
-    row spends cfg.max_steps before t_end; its ``reason`` is "underflow"
-    or "step_budget".
+    attempts of each row.  Raises FlowError on step underflow, on a step,
+    state or derivative that is not finite (a NaN start gets a NaN first
+    step, and a batch's NaN error norm carries into its next step), or when
+    a row spends cfg.max_steps before t_end; its ``reason`` is "underflow",
+    "non_finite" or "step_budget".
     """
     direction = 1.0 if t_end >= t0 else -1.0
     # a step past t_end, a row at or past it: direction * (a - b) > 0, >= 0
@@ -304,7 +307,11 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
             raise FlowError(f"step budget {max_steps} exhausted at t={t}",
                             "step_budget")
         h = where(past(t + h, t_end), t_end - t, h)
-        if any_(abs(h) < 1e-14 * lower(1.0, abs(t))):
+        if not all_(abs(h) >= 1e-14 * lower(1.0, abs(t))):  # NaN fails too
+            if not (np.isfinite(h).all() and np.isfinite(y).all()
+                    and np.isfinite(k1).all()):
+                raise FlowError(f"non-finite step, state or derivative at "
+                                f"t={t}, point {y}", "non_finite")
             raise FlowError(f"step underflow at t={t}, point {y}",
                             "underflow")
         if K is None:  # stage derivatives, the stage axis at -2
@@ -703,7 +710,8 @@ class LimitSetReport:
     target: Optional[str]
     final_distance: float
     horizon: float
-    # converged | singular_set | horizon | step_budget | underflow
+    # converged | singular_set | horizon | step_budget | underflow |
+    # non_finite
     stop_reason: str
     # the counts of the runner's record (see _BaseFlow): points at which it
     # evaluated the base rule, or the field where it declares none (X(p0)
@@ -727,12 +735,13 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     (beyond base radius 25 on R^k) ``escape``, both "converged", and the
     singular set (the edge of the S^5 triangle) ``inconclusive`` with
     ``stop_reason`` "singular_set".  Any other run is ``inconclusive`` with
-    ``stop_reason`` "horizon", "step_budget" or "underflow".  Where the base
-    tangent at p0 is within 1e-9 |X(p0)| of 0 (``_BaseFlow.still``) the base
-    does not move: p0 lies on a source torus, where the T-invariant X is the
-    fundamental field of one frequency vector, the rates of the fiber
-    angles ``chart.fiber_rates(p0, X(p0))``, and the flow is the linear
-    drift along it.  That gives ``torus_closure``, "converged", with no
+    ``stop_reason`` "horizon", "step_budget", "underflow" or "non_finite".
+    Where the base tangent at p0 is within 1e-9 |X(p0)| of 0
+    (``_BaseFlow.still``) the base does not move: p0 lies on a source
+    torus, where the T-invariant X is the fundamental field of one
+    frequency vector, the rates of the fiber angles
+    ``chart.fiber_rates(p0, X(p0))``, and the flow is the linear drift
+    along it.  That gives ``torus_closure``, "converged", with no
     integration: ``frequencies`` are those of X (the backward flow drifts
     along their negatives) and ``relation`` is ``rational_relation`` of
     them over their largest magnitude (None when it finds none).
@@ -782,7 +791,8 @@ class CensusReport:
     source_fraction: float
     unclassified_fraction: float
     seed: int
-    stop_reason: str  # all_assigned | horizon | step_budget | underflow
+    # all_assigned | horizon | step_budget | underflow | non_finite
+    stop_reason: str
     # the counts of the runner's record (see _BaseFlow): base points at
     # which it evaluated the base rule, or the lifted field where it
     # declares none (the invariance check over the first sample, three

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import torusflow
-from torusflow import cli
+from torusflow import cli, verify
 from torusflow.cli import main
 from torusflow.flow import IntegratorConfig, basin_census, integrate
 from torusflow.radial import RadialSolverError
@@ -89,7 +89,7 @@ def test_verify_exit_codes(scenario, monkeypatch, tmp_path):
     ok = run(["verify", "--scenario", scenario, "--quiet",
               "--out", str(tmp_path / "v.json")])
     assert ok == 0
-    # the sabotage fails only the order check, on a copy of the manifest
+    # the sabotage fails only the order checks, on a copy of the manifest
     manifest = cli._build_manifest(scenario, cli._merged_config(scenario, {}))
     fibers = manifest.field.singular_fibers
     monkeypatch.setattr(cli, _BUILDERS[scenario], lambda *a, **k: manifest)
@@ -99,8 +99,29 @@ def test_verify_exit_codes(scenario, monkeypatch, tmp_path):
     payload = json.loads((tmp_path / "vs.json").read_text())
     assert payload["passed"] is False
     assert [k for k, c in payload["checks"].items() if not c["passed"]] == [
-        "orders_pairwise_distinct"]
+        "orders_match_declared", "orders_pairwise_distinct"]
     assert manifest.field.singular_fibers is fibers
+
+
+@pytest.mark.parametrize("sabotage", [False, True], ids=["plain", "sabotage"])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("scenario", sorted(_BUILDERS))
+def test_verify_passes_each_check_by_its_bound(scenario, seed, sabotage,
+                                               tmp_path):
+    # passed is the value against its tol, on the side the bound holds
+    out = tmp_path / "v.json"
+    code = run(["verify", "--scenario", scenario, "--seed", str(seed),
+                "--quiet", "--out", str(out)] + ["--sabotage"] * sabotage)
+    payload = json.loads(out.read_text())
+    assert code == (1 if sabotage else 0)
+    assert set(payload["checks"]) >= {"declared_zeros_vanish",
+                                      "orders_pairwise_distinct",
+                                      "orders_match_declared"}
+    for name, c in payload["checks"].items():
+        tol, upper = verify._BOUNDS[name]
+        assert c["tol"] == tol
+        assert c["passed"] is (c["value"] <= tol if upper
+                               else c["value"] >= tol)
 
 
 def test_sabotage_needs_two_declared_fibers(tmp_path, capsys):
@@ -233,14 +254,25 @@ def test_config_must_be_a_json_object(tmp_path, capsys):
     ("trace", {"frequencies": 3}),
     ("basin", {"frequencies": 3}),
     ("basin", {"n_samples": [1]}),
+    # a value the command would otherwise cut or misread without a word
+    ("trace", {"t_span": [0, 1, 5]}),
+    ("trace", {"n_eval": 0}),
+    ("basin", {"n_samples": 2.5}),
+    ("basin", {"n_samples": 0}),
 ], ids=["build-schema_version", "trace-t_span_number", "trace-t_span_short",
-        "trace-frequencies", "basin-frequencies", "basin-n_samples"])
+        "trace-frequencies", "basin-frequencies", "basin-n_samples",
+        "trace-t_span_long", "trace-n_eval_0", "basin-n_samples_float",
+        "basin-n_samples_0"])
 def test_bad_config_returns_2(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run([command, "--scenario", "line", "--config", str(cfg),
                 "--quiet", "--out", str(tmp_path / "x.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # a ConfigError names its key; a TypeError or IndexError caught at main
+    # reads "bad config value"
+    assert next(iter(config)) in err or "bad config value" in err
 
 
 def test_malformed_json_returns_2(tmp_path):

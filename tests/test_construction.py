@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -73,7 +74,19 @@ def test_manifest_rejects_nonvanishing_declared_zero():
                       singular_fibers=(SingularFiber("fake", (0.0,), 2),))
     rep = verify_manifest(ConstructionManifest("lie", fld, (1.0,)))
     assert [k for k, c in rep.checks.items() if not c["passed"]] == [
-        "declared_zeros_vanish"]
+        "declared_zeros_vanish", "orders_match_declared"]
+
+
+def test_manifest_rejects_a_field_flat_at_its_declared_zero():
+    # identically 0 near the fiber, the order fit has no ray to fit on, so
+    # the order deviates by inf and fails (not 0.0)
+    chart = Chart("product", k=1, n=0)
+    fld = FieldHandle("flat", chart, lambda p: np.zeros_like(np.asarray(p)),
+                      singular_fibers=(SingularFiber("zero", (0.0,), 2),))
+    rep = verify_manifest(ConstructionManifest("flat", fld, (1.0,)))
+    assert rep.checks["orders_match_declared"]["value"] == math.inf
+    assert [k for k, c in rep.checks.items() if not c["passed"]] == [
+        "orders_match_declared"]
 
 
 def test_planar_demo_zero_orders():

@@ -6,7 +6,11 @@ import pytest
 
 from torusflow import fields as fields_module
 from torusflow import flow as flow_module
-from torusflow.construction import build_planar_demo, build_s5
+from torusflow.construction import (
+    build_line_describing,
+    build_planar_demo,
+    build_s5,
+)
 from torusflow.fields import (
     FieldHandle,
     describing_field_s5,
@@ -383,6 +387,25 @@ def test_blow_up_raises_underflow(p0):
     with pytest.raises(FlowError) as exc:
         integrate(lambda y: y * y, p0, (0.0, 2.0))
     assert exc.value.reason == "underflow"
+
+
+@pytest.mark.parametrize("p0", [[np.nan, 0.0], [[0.5, 0.0], [np.nan, 0.0]]],
+                         ids=["point", "batch"])
+def test_non_finite_start_raises_non_finite(p0):
+    # a NaN start gets a NaN step, which ends the run at once instead of
+    # spending the step budget on rejected attempts
+    X = xi_plus_affine(1, (1.0,))
+    with pytest.raises(FlowError) as exc:
+        integrate(X, p0, (0.0, 1.0), IntegratorConfig(max_steps=50))
+    assert exc.value.reason == "non_finite"
+
+
+def test_census_with_a_non_finite_sample_stops_non_finite():
+    xs = np.array([[0.5], [np.nan]])
+    rep = basin_census(build_line_describing("line").field, 2,
+                       sampler=lambda rng, n: xs.copy(), max_steps=50)
+    assert rep.stop_reason == "non_finite"
+    assert rep.counts == {} and rep.unclassified_fraction == 1.0
 
 
 @pytest.mark.parametrize("p0", [[1.0, 0.5], [[1.0, 0.5], [-0.5, 1.0]]],

@@ -358,7 +358,7 @@ def test_verify_manifest_passes_for_line_model():
 
 def test_verify_manifest_with_order_estimation():
     rep = verify_manifest(build_line_describing("circle", n=1, freqs=(1.0,)),
-                          seed=0, check_orders=True)
+                          seed=0)
     assert rep.passed
     assert rep.checks["orders_match_declared"]["passed"]
 
