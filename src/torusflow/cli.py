@@ -63,11 +63,12 @@ def _load_config(path):
     return cfg
 
 
-def _count(cfg, key, default):
-    """The config's ``key`` (or ``default``), which must be an integer >= 1."""
-    value = cfg.get(key, default)
-    if type(value) is not int or value < 1:  # bool is not int here
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+def _integer(value, key, least=None):
+    """A config value of ``key`` that must be an int (a float, a bool or a
+    string is not one here), and at least ``least`` unless that is None."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -84,14 +85,14 @@ def _merged_config(scenario, cfg):
 def _build_manifest(scenario, cfg):
     if scenario in ("line", "circle"):
         return build_line_describing(
-            scenario, n=int(cfg["n"]),
+            scenario, n=_integer(cfg["n"], "n"),
             freqs=tuple(float(f) for f in cfg["frequencies"]),
         )
     if scenario == "planar":
         return build_planar_demo(
-            orders=tuple(int(m) for m in cfg["orders"]),
+            orders=tuple(_integer(m, "orders") for m in cfg["orders"]),
             radius=float(cfg["radius"]),
-            n=int(cfg["n"]),
+            n=_integer(cfg["n"], "n"),
             freqs=tuple(float(f) for f in cfg["frequencies"]),
         )
     if scenario == "s5":
@@ -153,7 +154,7 @@ def cmd_trace(args):
     if not (isinstance(t_span, list) and len(t_span) == 2
             and all(type(t) in (int, float) for t in t_span)):
         raise ConfigError(f"t_span must be two numbers, got {t_span!r}")
-    n_eval = _count(cfg, "n_eval", 200)
+    n_eval = _integer(cfg.get("n_eval", 200), "n_eval", 1)
     icfg = IntegratorConfig(
         rtol=float(cfg.get("rtol", 1e-9)),
         atol=float(cfg.get("atol", 1e-12)),
@@ -192,13 +193,13 @@ def cmd_verify(args):
 
 def cmd_probe(args):
     cfg = _merged_config("probe", _load_config(args.config))
-    k = int(cfg.get("k", 2))
+    k = _integer(cfg.get("k", 2), "k")
     a = [float(v) for v in cfg.get("frequencies", [1.0, 2.0 ** 0.5])]
     rep = commutant_dimension_probe(
         k, a,
-        degree=int(cfg.get("degree", 2)),
-        max_freq=int(cfg.get("max_freq", 2)),
-        n_points=int(cfg.get("n_points", 500)),
+        degree=_integer(cfg.get("degree", 2), "degree"),
+        max_freq=_integer(cfg.get("max_freq", 2), "max_freq"),
+        n_points=_integer(cfg.get("n_points", 500), "n_points"),
         seed=args.seed,
     )
     _emit(args, cfg, {
@@ -215,8 +216,8 @@ def cmd_probe(args):
 
 def cmd_basin(args):
     cfg, manifest = _scenario(args)
-    payload = asdict(basin_census(manifest.field,
-                                  n_samples=_count(cfg, "n_samples", 200),
+    n_samples = _integer(cfg.get("n_samples", 200), "n_samples", 1)
+    payload = asdict(basin_census(manifest.field, n_samples,
                                   seed=args.seed))
     del payload["seed"]  # the provenance carries it
     _emit(args, cfg, payload)

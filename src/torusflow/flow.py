@@ -174,6 +174,8 @@ _DENSE_D = np.array(_rows([
 _REACH = 1.05  # the base step cap's short arm d / _REACH (_base_cap)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # of the step controller
 _BASE_TOL = 1e-6  # an orbit whose base moves at most this stays in its fiber
+# the RK loop's record (_adaptive_steps) of a run that integrates nothing
+_NO_RUN = dict(rhs_calls=0, rhs_rows=0, attempts=0, accepted=0, rejected=0)
 
 
 class FlowError(RuntimeError):
@@ -289,7 +291,7 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
     k1 = np.asarray(f(y), dtype=float)
     one = y.ndim == 1
     ids, m = (None, 1) if one else (np.arange(len(y)), len(y))  # live rows
-    stats.update(rhs_calls=1, rhs_rows=m, attempts=0, accepted=0, rejected=0)
+    stats.update(_NO_RUN, rhs_calls=1, rhs_rows=m)
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     a, b, e5, e3, (grow_exp, shrink_exp, start_exp) = pair
     h = _initial_step(k1, y, direction, rtol, start_exp)
@@ -358,7 +360,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
         if n_ok == m:
             t, y, k1, h = t + h, y_new, k, h * grow  # FSAL
         else:
-            shrink = lower(min_factor, safety * np.power(e, -shrink_exp))
+            # the norm first: one point's builtin max drops a NaN second
+            shrink = lower(safety * np.power(e, -shrink_exp), min_factor)
             t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
             h = h * where(ok, grow, shrink)
             if not n_ok:
@@ -713,13 +716,9 @@ class LimitSetReport:
     # converged | singular_set | horizon | step_budget | underflow |
     # non_finite
     stop_reason: str
-    # the counts of the runner's record (see _BaseFlow): points at which it
-    # evaluated the base rule, or the field where it declares none (X(p0)
-    # and the invariance check at two torus-moved copies of p0 are not
-    # counted), its rejected step attempts and its step attempts
-    rhs_rows: int
-    rejected_steps: int
-    attempts: int
+    # the runner's RK-loop record (see _BaseFlow); X(p0) and the invariance
+    # check at two torus-moved copies of p0 are not counted
+    stats: dict
     # of a torus_closure: the frequencies of X on the torus through the
     # start, and a small integer relation among them or None
     frequencies: Optional[tuple] = None
@@ -735,7 +734,9 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     (beyond base radius 25 on R^k) ``escape``, both "converged", and the
     singular set (the edge of the S^5 triangle) ``inconclusive`` with
     ``stop_reason`` "singular_set".  Any other run is ``inconclusive`` with
-    ``stop_reason`` "horizon", "step_budget", "underflow" or "non_finite".
+    ``stop_reason`` "horizon", "step_budget", "underflow" or "non_finite";
+    a start p0 that is not finite is "non_finite" at once, with
+    ``final_distance`` NaN.
     Where the base tangent at p0 is within 1e-9 |X(p0)| of 0
     (``_BaseFlow.still``) the base does not move: p0 lies on a source
     torus, where the T-invariant X is the fundamental field of one
@@ -745,21 +746,25 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     integration: ``frequencies`` are those of X (the backward flow drifts
     along their negatives) and ``relation`` is ``rational_relation`` of
     them over their largest magnitude (None when it finds none).
-    ``rhs_rows`` counts the rows evaluated, of the base rule or of the
-    field, ``rejected_steps`` the step attempts rejected and ``attempts``
-    the step attempts made, by the run, as the RK loop's record holds them
-    also when the step budget ends it.  Raises ValueError when X is not
-    T-invariant at p0, or when a declared base rule misses the field's base
-    tangent there.
+    ``stats`` is a copy of the run's RK-loop record (``_adaptive_steps``),
+    whose "rhs_rows" count the rows of the base rule, or of the field where
+    it declares none; it holds the counts also when the step budget ends
+    the run, and all five are 0 where nothing is integrated (a fixed point,
+    a torus closure, a start that is not finite).  Raises ValueError when X
+    is not T-invariant at p0, or when a declared base rule misses the
+    field's base tangent there.
     """
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)
+    if not np.isfinite(p0).all():
+        return LimitSetReport("inconclusive", None, math.nan, 0.0,
+                              "non_finite", dict(_NO_RUN))
     sign = 1.0 if direction == "forward" else -1.0
     v0 = field(p0)
     if np.linalg.norm(v0) < 1e-300:
-        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged", 0,
-                              0, 0)
+        return LimitSetReport("fixed_point", None, 0.0, 0.0, "converged",
+                              dict(_NO_RUN))
     flow = _BaseFlow(field, sign, p0, v0)
     x0 = chart.base(p0)
     if not flow.still:
@@ -773,14 +778,13 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
             kind, what = "singular_fiber", "converged"
         else:
             kind = "inconclusive"
-        stats = flow.stats
         return LimitSetReport(kind, label, d, float(lengths[0]), what,
-                              stats["rhs_rows"], stats["rejected"],
-                              stats["attempts"])
+                              dict(flow.stats))
     omega = chart.fiber_rates(p0, v0)
     return LimitSetReport(
         "torus_closure", None, flow.nearest(flow.distances(x0))[0], 0.0,
-        "converged", 0, 0, 0, frequencies=tuple(float(w) for w in omega),
+        "converged", dict(_NO_RUN),
+        frequencies=tuple(float(w) for w in omega),
         relation=rational_relation(omega / np.abs(omega).max()))
 
 
@@ -793,65 +797,39 @@ class CensusReport:
     seed: int
     # all_assigned | horizon | step_budget | underflow | non_finite
     stop_reason: str
-    # the counts of the runner's record (see _BaseFlow): base points at
-    # which it evaluated the base rule, or the lifted field where it
-    # declares none (the invariance check over the first sample, three
-    # field rows, is not counted), its rejected step attempts summed over
-    # samples, and its batch step attempts
-    rhs_rows: int
-    rejected_steps: int
-    attempts: int
-
-
-def _default_base_sampler(chart):
-    if chart.kind == "circle_product":
-        return lambda rng, n: rng.uniform(0.0, TWO_PI, size=(n, 1))
-    if chart.is_sphere:
-        def triangle(rng, n):
-            pts = rng.uniform(0.02, 0.98, size=(n, 2))
-            bad = pts.sum(axis=1) > 0.98
-            while np.any(bad):
-                pts[bad] = rng.uniform(0.02, 0.98, size=(int(bad.sum()), 2))
-                bad = pts.sum(axis=1) > 0.98
-            return pts
-        return triangle
-    if chart.k == 1:
-        return lambda rng, n: rng.uniform(-1.0, 5.0, size=(n, 1))
-
-    def disc(rng, n):
-        r = np.sqrt(rng.uniform(0.0, 1.0, size=n)) * 2.0
-        ang = rng.uniform(0.0, TWO_PI, size=n)
-        return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-
-    return disc
+    # the runner's RK-loop record (see _BaseFlow); the invariance check
+    # over the first finite sample, three field rows, is not counted
+    stats: dict
 
 
 def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
                  max_steps=100_000):
     """Backward-classify a sample of base points to their source fibers.
 
-    The samples run as one batch through ``_BaseFlow.run`` on the backward
-    unit-speed base direction field, to base arc length 500 at rtol 1e-6
-    and atol 1e-9, with ``max_steps`` attempts per sample.  On a 1-D base
-    a sample's first step lands within ``fiber_tol`` of the target ahead
-    of it.  ``counts`` holds every outcome some sample reached: a target
-    label, "escape" or "singular_set".  ``stop_reason`` is "all_assigned"
-    when every sample reached one, else why the integration ended; the
-    samples without one count as unclassified.  ``rhs_rows`` counts the
-    base points at which the base tangent was evaluated: by the field's
-    ``base_rule``, or by the field at the lifted points where it declares
-    none; ``rejected_steps`` the step attempts the runner rejected, summed
-    over samples, and ``attempts`` its batch step attempts, each one call
-    of the base tangent per stage.  They are the RK loop's record, which
-    holds them also when the step budget ends the run.  Raises ValueError
-    when X is not T-invariant at the first sample, or when a declared rule
-    misses the field's base tangent there.
+    The samples, ``sampler(rng, n_samples)`` or else
+    ``chart.sample_base(rng, n_samples)``, run as one batch through
+    ``_BaseFlow.run`` on the backward unit-speed base direction field, to
+    base arc length 500 at rtol 1e-6 and atol 1e-9, with ``max_steps``
+    attempts per sample.  On a 1-D base a sample's first step lands within
+    ``fiber_tol`` of the target ahead of it.  ``counts`` holds every
+    outcome some sample reached: a target label, "escape" or
+    "singular_set".  ``stop_reason`` is "all_assigned" when every sample
+    reached one, else why the integration ended; the samples without one
+    count as unclassified.  A sample that is not finite ends the run
+    "non_finite", wherever it sits in the batch.
+    ``stats`` is a copy of the run's RK-loop record (``_adaptive_steps``):
+    "rhs_calls" and "rhs_rows" are the calls and base points of the base
+    tangent, by the field's ``base_rule``, or by the field at the lifted
+    points where it declares none; "attempts" the batch step attempts;
+    "accepted" and "rejected" the row steps summed over samples.  It holds
+    the counts also when the step budget ends the run.  Raises ValueError
+    when X is not T-invariant at the first finite sample, or when a
+    declared rule misses the field's base tangent there.
     """
     chart = field.chart
     rng = np.random.default_rng(seed)
-    sampler = sampler or _default_base_sampler(chart)
-    xs = sampler(rng, n_samples)
-    p = chart.lift(xs[0])
+    xs = (sampler or chart.sample_base)(rng, n_samples)
+    p = chart.lift(xs[np.isfinite(xs).all(axis=1).argmax()])
     flow = _BaseFlow(field, -1.0, p, field(p))
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=max_steps)
     outcome, _, _, stop = flow.run(xs, 500.0, cfg, fiber_tol)
@@ -863,9 +841,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         unclassified_fraction=float(np.mean(outcome < 0)),
         seed=seed,
         stop_reason="all_assigned" if np.all(outcome >= 0) else stop,
-        rhs_rows=flow.stats["rhs_rows"],
-        rejected_steps=flow.stats["rejected"],
-        attempts=flow.stats["attempts"],
+        stats=dict(flow.stats),
     )
 
 

@@ -254,6 +254,28 @@ class Chart:
             np.sum(d_lin**2, axis=-1) + np.sum(d_ang**2, axis=-1)
         )
 
+    def sample_base(self, rng, n):
+        """n base points (n, base_dim) drawn uniformly with ``rng`` from the
+        base domain: [-1, 5] on the line, the circle, the disc of radius 2
+        on the plane, and on S^5 the triangle shrunk by the margin 0.02
+        (by rejection).  ValueError on R^k for k other than 1 and 2."""
+        if self.kind == "circle_product":
+            return rng.uniform(0.0, TWO_PI, size=(n, 1))
+        if self.is_sphere:
+            pts = rng.uniform(0.02, 0.98, size=(n, 2))
+            bad = pts.sum(axis=1) > 0.98
+            while np.any(bad):
+                pts[bad] = rng.uniform(0.02, 0.98, size=(int(bad.sum()), 2))
+                bad = pts.sum(axis=1) > 0.98
+            return pts
+        if self.k == 1:
+            return rng.uniform(-1.0, 5.0, size=(n, 1))
+        if self.k != 2:
+            raise ValueError(f"no base domain to sample on R^{self.k}")
+        r = np.sqrt(rng.uniform(0.0, 1.0, size=n)) * 2.0
+        ang = rng.uniform(0.0, TWO_PI, size=n)
+        return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+
     def base_distance(self, b1, b2):
         b1 = np.asarray(b1, dtype=float)
         b2 = np.asarray(b2, dtype=float)

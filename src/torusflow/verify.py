@@ -313,7 +313,7 @@ def verify_manifest(manifest, seed=0):
             fld, lam, p0, 1.0)
 
     if fld.base_rule is not None:
-        xs = flow._default_base_sampler(chart)(rng, 64)
+        xs = chart.sample_base(rng, 64)
         if chart.is_sphere:
             # a third of the points on the edges, where the lift clamps
             # its radii and the edge factor of tau cancels

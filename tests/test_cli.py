@@ -186,6 +186,14 @@ def test_probe_reports_expected_dimension(tmp_path):
     assert payload["matches_expected"] is True
 
 
+def test_probe_takes_degree_and_max_freq_0(tmp_path):
+    # the CLI checks the type of an integer key; the library its range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree": 0, "max_freq": 0}))
+    assert run(["probe", "--config", str(cfg), "--quiet",
+                "--out", str(tmp_path / "p.json")]) == 0
+
+
 def test_basin_counts_sum_to_samples(tmp_path):
     out = tmp_path / "b.json"
     cfg = tmp_path / "cfg.json"
@@ -212,7 +220,14 @@ def test_basin_payload_is_the_census_report(scenario, tmp_path):
     want = dataclasses.asdict(basin_census(manifest.field, 24, seed=4))
     assert want.pop("seed") == payload["provenance"]["seed"]
     assert {k: payload[k] for k in want} == want
-    assert payload["stop_reason"] == "all_assigned" and payload["rhs_rows"] > 0
+    assert payload["stop_reason"] == "all_assigned"
+    # the counters are the RK loop's record, under "stats" and nowhere else
+    assert sorted(payload) == ["counts", "n_samples", "provenance",
+                               "source_fraction", "stats", "stop_reason",
+                               "unclassified_fraction"]
+    assert sorted(payload["stats"]) == [
+        "accepted", "attempts", "rejected", "rhs_calls", "rhs_rows"]
+    assert payload["stats"]["rhs_rows"] > 0
 
 
 def test_build_writes_to_stdout_without_out(tmp_path, capsys):
@@ -259,15 +274,32 @@ def test_config_must_be_a_json_object(tmp_path, capsys):
     ("trace", {"n_eval": 0}),
     ("basin", {"n_samples": 2.5}),
     ("basin", {"n_samples": 0}),
+    # an integer key given a float, a bool or a string, which int() would
+    # truncate or parse
+    ("build", {"n": 1.5}),
+    ("trace", {"n": True}),
+    ("basin", {"n": "1"}),
+    ("build --scenario planar", {"orders": [2.9, 4, 6]}),
+    ("verify --scenario planar", {"orders": [2, "4", 6]}),
+    ("probe", {"k": 1.9}),
+    ("probe", {"degree": 2.5}),
+    ("probe", {"max_freq": True}),
+    ("probe", {"n_points": 500.0}),
 ], ids=["build-schema_version", "trace-t_span_number", "trace-t_span_short",
         "trace-frequencies", "basin-frequencies", "basin-n_samples",
         "trace-t_span_long", "trace-n_eval_0", "basin-n_samples_float",
-        "basin-n_samples_0"])
+        "basin-n_samples_0", "build-n_float", "trace-n_bool",
+        "basin-n_string", "build-orders_float", "verify-orders_string",
+        "probe-k_float", "probe-degree_float", "probe-max_freq_bool",
+        "probe-n_points_float"])
 def test_bad_config_returns_2(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert run([command, "--scenario", "line", "--config", str(cfg),
-                "--quiet", "--out", str(tmp_path / "x.json")]) == 2
+    argv = command.split()
+    if argv[0] != "probe" and "--scenario" not in argv:
+        argv += ["--scenario", "line"]
+    assert run(argv + ["--config", str(cfg), "--quiet",
+                       "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     # a ConfigError names its key; a TypeError or IndexError caught at main

@@ -400,12 +400,28 @@ def test_non_finite_start_raises_non_finite(p0):
     assert exc.value.reason == "non_finite"
 
 
+@pytest.mark.parametrize("p0", [(0.5, 0.5, 0.0, 0.0), [(0.5, 0.5, 0.0, 0.0)]],
+                         ids=["point", "batch"])
+def test_overflow_raises_non_finite(p0):
+    # the state overflows to inf and the error norm to NaN, which must make
+    # the next step NaN on one point as on a batch, not shrink it to an
+    # underflow
+    X = build_planar_demo().field
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FlowError) as exc:
+            integrate(lambda y: 1e3 * X.func(y), p0, (0.0, 1.0))
+    assert exc.value.reason == "non_finite"
+
+
 def test_census_with_a_non_finite_sample_stops_non_finite():
-    xs = np.array([[0.5], [np.nan]])
-    rep = basin_census(build_line_describing("line").field, 2,
-                       sampler=lambda rng, n: xs.copy(), max_steps=50)
-    assert rep.stop_reason == "non_finite"
-    assert rep.counts == {} and rep.unclassified_fraction == 1.0
+    # the invariance check is taken at the first finite sample, so a NaN
+    # sample ends the run wherever it sits in the batch
+    for xs in ([[0.5], [np.nan]], [[np.nan], [0.5]]):
+        xs = np.array(xs)
+        rep = basin_census(build_line_describing("line").field, 2,
+                           sampler=lambda rng, n: xs.copy(), max_steps=50)
+        assert rep.stop_reason == "non_finite"
+        assert rep.counts == {} and rep.unclassified_fraction == 1.0
 
 
 @pytest.mark.parametrize("p0", [[1.0, 0.5], [[1.0, 0.5], [-0.5, 1.0]]],
@@ -517,7 +533,7 @@ def test_classify_reports_a_spent_step_budget():
                          cfg=IntegratorConfig(max_steps=5))
     assert rep.stop_reason == "step_budget"
     assert rep.kind == "inconclusive"
-    assert rep.attempts == 5
+    assert rep.stats["attempts"] == 5
 
 
 def test_classify_escape():
@@ -546,18 +562,28 @@ def test_classify_s5_forward_stops_at_the_singular_set(x):
     assert (rep.kind, rep.stop_reason) == ("inconclusive", "singular_set")
     assert rep.final_distance >= 1e-5
     assert rep.horizon < 1.0
-    assert 0 < rep.rhs_rows < 2_000
+    assert 0 < rep.stats["rhs_rows"] < 2_000
+
+
+def test_classify_of_a_non_finite_start_is_non_finite():
+    # no base tangent to check or integrate: the run ends before it starts
+    m = line_model_fields("line", n=1, a=(1.0,))
+    rep = classify_limit(m.Xprime, np.array([np.nan, 0.0]), "forward")
+    assert (rep.kind, rep.target, rep.stop_reason, rep.horizon) == (
+        "inconclusive", None, "non_finite", 0.0)
+    assert np.isnan(rep.final_distance)
+    assert set(rep.stats.values()) == {0}
 
 
 def test_classify_counts_its_field_rows():
     m = line_model_fields("line", n=1, a=(1.0,))
     assert classify_limit(m.Xprime, np.array([1.0, 0.0]),
-                          "forward").rhs_rows == 0  # a fixed point
+                          "forward").stats["rhs_rows"] == 0  # a fixed point
     closure = classify_limit(xi_plus_affine(1, (1.0, SQRT2)),
                              np.array([0.0, 0.1, 0.2]), "forward",
                              horizon=30.0)
     # the flow on a source torus is known exactly: nothing is integrated
-    assert closure.kind == "torus_closure" and closure.rhs_rows == 0
+    assert closure.kind == "torus_closure" and closure.stats["rhs_rows"] == 0
 
 
 def test_classify_evaluates_the_field_at_its_start_once():
@@ -620,7 +646,7 @@ def test_census_reports_why_it_stopped():
     short = basin_census(X, 4, max_steps=2)
     assert short.stop_reason == "step_budget"
     assert short.unclassified_fraction > 0
-    assert short.attempts == 2
+    assert short.stats["attempts"] == 2
     assert basin_census(X, 4).stop_reason == "all_assigned"
 
 
@@ -628,8 +654,8 @@ def test_a_run_cut_by_its_step_budget_counts_its_rejections():
     # the RK loop's record holds the attempts made after the last accepted
     # step: here every sample's one attempt is rejected
     rep = basin_census(build_s5().field, 4, max_steps=1)
-    assert (rep.stop_reason, rep.attempts, rep.rejected_steps,
-            rep.rhs_rows) == ("step_budget", 1, 4, 4 * 7)
+    assert (rep.stop_reason, rep.stats["attempts"], rep.stats["rejected"],
+            rep.stats["rhs_rows"]) == ("step_budget", 1, 4, 4 * 7)
 
 
 def test_census_work_per_sample_is_bounded():
@@ -640,7 +666,7 @@ def test_census_work_per_sample_is_bounded():
     m = line_model_fields("line", n=1, a=(1.0,))
     rep = basin_census(m.Xprime, 200, seed=1)
     assert rep.stop_reason == "all_assigned"
-    assert rep.rhs_rows / rep.n_samples <= 7
+    assert rep.stats["rhs_rows"] / rep.n_samples <= 7
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -666,7 +692,7 @@ def _census_of_the_reversed_s5(base_rule):
     assert rep.counts == {"singular_set": 50}
     assert rep.stop_reason == "all_assigned"
     assert rep.unclassified_fraction == 0.0
-    assert rep.rhs_rows <= 400 * rep.n_samples
+    assert rep.stats["rhs_rows"] <= 400 * rep.n_samples
     assert elapsed < 0.5
 
 
@@ -772,8 +798,17 @@ def test_census_rows_are_pinned(name, n, want, rows, rejected):
     # the same steps as when it evaluated the whole field; the straight
     # 1-D and planar orbits reject no step
     rep = basin_census(_library_fields()[name], n, seed=0)
-    assert (rep.counts, rep.stop_reason, rep.rhs_rows,
-            rep.rejected_steps) == (want, "all_assigned", rows, rejected)
+    assert (rep.counts, rep.stop_reason, rep.stats["rhs_rows"],
+            rep.stats["rejected"]) == (want, "all_assigned", rows, rejected)
+    _assert_cash_karp_record(rep.stats, n)
+
+
+def _assert_cash_karp_record(stats, n):
+    """The report's record is the RK loop's own: the n start rows, then six
+    Cash-Karp stage calls per attempt, over the rows that made it."""
+    rows = stats["accepted"] + stats["rejected"]
+    assert stats["rhs_rows"] == n + 6 * rows
+    assert stats["rhs_calls"] == 1 + 6 * stats["attempts"]
 
 
 @pytest.mark.parametrize("name", ["line", "circle"])
@@ -782,7 +817,8 @@ def test_one_dimensional_censuses_take_one_attempt(name):
     for n in (16, 200, 1000):
         for seed in (0, 1):
             rep = basin_census(_library_fields()[name], n, seed=seed)
-            assert (rep.attempts, rep.rhs_rows) == (1, 7 * n), (n, seed)
+            assert (rep.stats["attempts"], rep.stats["rhs_rows"]) == (
+                1, 7 * n), (n, seed)
 
 
 _CENSUS_LABELS = {
@@ -837,10 +873,11 @@ def test_classify_reports_are_pinned(name, x, direction, report):
           else np.array(x))
     rep = classify_limit(fld, p0, direction)
     kind, target, dist, length, stop, rows, rejected = report
-    assert (rep.kind, rep.target, rep.stop_reason, rep.rhs_rows,
-            rep.rejected_steps) == (kind, target, stop, rows, rejected)
+    assert (rep.kind, rep.target, rep.stop_reason, rep.stats["rhs_rows"],
+            rep.stats["rejected"]) == (kind, target, stop, rows, rejected)
     assert rep.final_distance == pytest.approx(dist, rel=1e-12)
     assert rep.horizon == pytest.approx(length, rel=1e-12)
+    _assert_cash_karp_record(rep.stats, 1)
 
 
 def _source_starts(name, fld):
@@ -862,7 +899,7 @@ def test_classify_on_a_source_torus_takes_no_step(monkeypatch):
             for direction in ("forward", "backward"):
                 rep = classify_limit(fld, p0, direction)
                 assert (rep.kind, rep.target, rep.stop_reason, rep.horizon,
-                        rep.rhs_rows) == (
+                        rep.stats["rhs_rows"]) == (
                     "torus_closure", None, "converged", 0.0, 0), name
                 assert rep.final_distance < 1e-15
 
@@ -1114,8 +1151,8 @@ def test_census_work_per_sample_does_not_grow_with_n():
     m = line_model_fields("line", n=1, a=(1.0,))
     small = basin_census(m.Xprime, 200, seed=1)
     large = basin_census(m.Xprime, 800, seed=1)
-    assert small.rhs_rows > 0
-    assert large.rhs_rows / small.rhs_rows <= 4.4
+    assert small.stats["rhs_rows"] > 0
+    assert large.stats["rhs_rows"] / small.stats["rhs_rows"] <= 4.4
 
 
 def _expected_source(base, x):
@@ -1195,7 +1232,7 @@ def test_classify_work_on_sign_of_y_starts():
         base, x, direction = case.values
         m = line_model_fields(base, n=2, a=(1.0, SQRT2))
         rep = classify_limit(m.Xprime, np.array([x, 0.3, 1.1]), direction)
-        worst[base] = max(worst.get(base, 0), rep.rhs_rows)
+        worst[base] = max(worst.get(base, 0), rep.stats["rhs_rows"])
     assert 0 < worst["line"] <= 43 and worst["circle"] == 7
 
 
@@ -1296,8 +1333,7 @@ def _census_paths(monkeypatch, name):
         xs = xs[np.min(np.abs(xs[:, None] - _ZEROS["line"]), axis=1) > 0.02]
         xs = xs[:, None]
     else:
-        sample = flow_module._default_base_sampler(fld.chart)
-        xs = sample(np.random.default_rng(3), 40)
+        xs = fld.chart.sample_base(np.random.default_rng(3), 40)
     paths = [[x] for x in xs]
     runners = []
     hook = flow_module._BaseFlow.hook

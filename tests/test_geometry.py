@@ -222,3 +222,21 @@ def test_displace_base_broadcasts_point_against_deltas(chart):
     assert np.array_equal(moved, rows)
     assert np.allclose(chart.base(moved), chart.base(p) + deltas, atol=1e-15)
     assert np.allclose(chart.fiber_angles(moved), chart.fiber_angles(p))
+
+
+@pytest.mark.parametrize("chart, inside", [
+    (Chart("product", k=1, n=1), lambda x: (x[:, 0] >= -1) & (x[:, 0] <= 5)),
+    (Chart("circle_product", n=2),
+     lambda x: (x[:, 0] >= 0) & (x[:, 0] < TWO_PI)),
+    (Chart("product", k=2, n=2), lambda x: np.hypot(*x.T) <= 2),
+    (Chart("sphere5"), lambda x: in_triangle(x, margin=0.02)),
+], ids=["line", "circle", "plane", "s5"])
+def test_sample_base_draws_from_its_domain(chart, inside):
+    xs = chart.sample_base(np.random.default_rng(0), 500)
+    assert xs.shape == (500, chart.base_dim)
+    assert np.all(inside(xs))
+
+
+def test_sample_base_has_no_domain_on_other_euclidean_bases():
+    with pytest.raises(ValueError):
+        Chart("product", k=3, n=1).sample_base(np.random.default_rng(0), 4)
