@@ -219,7 +219,6 @@ def cmd_basin(args):
     n_samples = _integer(cfg.get("n_samples", 200), "n_samples", 1)
     payload = asdict(basin_census(manifest.field, n_samples,
                                   seed=args.seed))
-    del payload["seed"]  # the provenance carries it
     _emit(args, cfg, payload)
     return 0
 

@@ -98,7 +98,10 @@ def build_planar_demo(orders=(2, 4, 6), radius=1.0, n=2,
     on pairwise distinct rays at the given radius so their orbits under the
     flow stay disjoint; the full field is X' = tau * (xi + T).
     """
-    orders = tuple(int(m) for m in orders)
+    ints = tuple(int(m) for m in orders)
+    if ints != tuple(orders):
+        raise ValueError(f"artificial orders must be integers, got {orders}")
+    orders = ints
     if any(m % 2 or m <= 0 for m in orders):
         raise ValueError("artificial orders must be positive and even")
     if len(set(orders)) != len(orders):

@@ -359,11 +359,8 @@ def _circle_parts(alpha):
 
 @dataclass(frozen=True)
 class LineModel:
-    """The one-dimensional-base field family: Y, tau and X' = tau*(Y+T)."""
+    """The one-dimensional-base field family: X' = tau*(Y+T)."""
 
-    base: str
-    Y: FieldHandle
-    tau: Callable[[np.ndarray], np.ndarray]
     Xprime: FieldHandle
 
 
@@ -372,41 +369,27 @@ def line_model_fields(base, n=1, a=(1.0,)):
 
     Line: Y = q/(q^2+1), q = x(x-1)(x-2)(x-3)(x-4); sinks 1, 3 get damping
     orders 2, 4.  Circle: Y = sin(3a); sinks pi/3, pi, 5pi/3 get orders
-    2, 4, 6.  X' = tau*(Y + T) lives on B x T^n.  ``Y`` and ``tau`` read
-    the kernel the field is built from.
+    2, 4, 6.  X' = tau*(Y + T) lives on B x T^n.
     """
     a = np.asarray(a, dtype=float)
     if a.size != n:
         raise ValueError("frequency vector length must equal n")
     if base == "line":
-        base_chart = Chart("product", k=1, n=0)
         full_chart = Chart("product", k=1, n=n)
         parts = _line_parts
         sinks, sources = LINE_SINK_ORDERS, LINE_SOURCES
     elif base == "circle":
-        base_chart = Chart("circle_product", n=0)
         full_chart = Chart("circle_product", n=n)
         parts = _circle_parts
         sinks, sources = CIRCLE_SINK_ORDERS, CIRCLE_SOURCES
     else:
         raise ValueError(f"unknown base tag {base!r}")
 
-    def y_func(p):
-        return parts(np.asarray(p, dtype=float)[..., :1])[1]
-
-    def tau(x):
-        return parts(np.asarray(x, dtype=float))[0]
-
     fibers = tuple(
         SingularFiber(f"sink_{loc:.6g}", (loc,), order) for loc, order in sinks
     )
-    return LineModel(
-        base=base,
-        Y=FieldHandle(f"Y_{base}", base_chart, y_func),
-        tau=tau,
-        Xprime=_describing_field(f"Xprime_{base}", full_chart, parts, a,
-                                 fibers, tuple((s,) for s in sources)),
-    )
+    return LineModel(_describing_field(f"Xprime_{base}", full_chart, parts, a,
+                                       fibers, tuple((s,) for s in sources)))
 
 
 # ---------------------------------------------------------------------------

@@ -750,10 +750,14 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     whose "rhs_rows" count the rows of the base rule, or of the field where
     it declares none; it holds the counts also when the step budget ends
     the run, and all five are 0 where nothing is integrated (a fixed point,
-    a torus closure, a start that is not finite).  Raises ValueError when X
-    is not T-invariant at p0, or when a declared base rule misses the
-    field's base tangent there.
+    a torus closure, a start that is not finite).  Raises ValueError when
+    ``direction`` is neither "forward" nor "backward", when X is not
+    T-invariant at p0, or when a declared base rule misses the field's base
+    tangent there.
     """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', "
+                         f"got {direction!r}")
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)
@@ -794,11 +798,10 @@ class CensusReport:
     counts: dict
     source_fraction: float
     unclassified_fraction: float
-    seed: int
     # all_assigned | horizon | step_budget | underflow | non_finite
     stop_reason: str
     # the runner's RK-loop record (see _BaseFlow); the invariance check
-    # over the first finite sample, three field rows, is not counted
+    # over the first sample, three field rows, is not counted
     stats: dict
 
 
@@ -815,21 +818,27 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     outcome some sample reached: a target label, "escape" or
     "singular_set".  ``stop_reason`` is "all_assigned" when every sample
     reached one, else why the integration ended; the samples without one
-    count as unclassified.  A sample that is not finite ends the run
-    "non_finite", wherever it sits in the batch.
+    count as unclassified.  A sample that is not finite ends the census
+    "non_finite" at once, wherever it sits in the batch: every sample is
+    unclassified, nothing is integrated and ``stats`` is all 0.
     ``stats`` is a copy of the run's RK-loop record (``_adaptive_steps``):
     "rhs_calls" and "rhs_rows" are the calls and base points of the base
     tangent, by the field's ``base_rule``, or by the field at the lifted
     points where it declares none; "attempts" the batch step attempts;
     "accepted" and "rejected" the row steps summed over samples.  It holds
     the counts also when the step budget ends the run.  Raises ValueError
-    when X is not T-invariant at the first finite sample, or when a
-    declared rule misses the field's base tangent there.
+    when ``n_samples`` is below 1, when X is not T-invariant at the first
+    sample, or when a declared rule misses the field's base tangent there.
     """
+    if n_samples < 1:
+        raise ValueError(f"a census needs n_samples >= 1, got {n_samples}")
     chart = field.chart
     rng = np.random.default_rng(seed)
     xs = (sampler or chart.sample_base)(rng, n_samples)
-    p = chart.lift(xs[np.isfinite(xs).all(axis=1).argmax()])
+    if not np.isfinite(xs).all():
+        return CensusReport(n_samples, {}, 0.0, 1.0, "non_finite",
+                            dict(_NO_RUN))
+    p = chart.lift(xs[0])
     flow = _BaseFlow(field, -1.0, p, field(p))
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=max_steps)
     outcome, _, _, stop = flow.run(xs, 500.0, cfg, fiber_tol)
@@ -839,7 +848,6 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
         counts={lbl: int(c) for lbl, c in zip(flow.outcomes, hits) if c},
         source_fraction=int(hits[:len(field.sources)].sum()) / n_samples,
         unclassified_fraction=float(np.mean(outcome < 0)),
-        seed=seed,
         stop_reason="all_assigned" if np.all(outcome >= 0) else stop,
         stats=dict(flow.stats),
     )
@@ -851,9 +859,7 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
 
 @dataclass
 class SingularityReport:
-    location: np.ndarray
     estimated_order: float
-    declared_order: Optional[int]
     r_squared: float
     radii: np.ndarray
     slopes: tuple
@@ -887,18 +893,12 @@ def estimate_order(field, p0):
     np.logspace(-6, -4, 8) along up to 4 probe rays, with one field call
     for all rays and the least-squares slope in closed form, and reports
     the median slope; r^2 below 0.99 flags a degenerate regression.  A ray
-    on which the field reads 0 is left out.  The declared order is that
-    of a declared fiber at p0 (base distance < 1e-9), or None.
+    on which the field reads 0 is left out.
     """
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)
     radii = np.logspace(-6.0, -4.0, 8)
     x0 = chart.base(p0)
-    fibers, declared_order = field.singular_fibers, None
-    if fibers:
-        d = chart.base_distance(x0, [fib.base_point for fib in fibers])
-        if d.min() < 1e-9:
-            declared_order = fibers[int(d.argmin())].order
     rays = np.array(_probe_directions(chart, x0, float(radii.max())))
     slopes, r2s = (), []
     if len(rays):
@@ -916,11 +916,9 @@ def estimate_order(field, p0):
         r2s = [1.0 - float(a / b) if b > 0 else 0.0
                for a, b in zip(ss_res, ss_tot)]
     if not slopes:
-        return SingularityReport(p0, np.nan, declared_order, 0.0, radii, ())
+        return SingularityReport(np.nan, 0.0, radii, ())
     return SingularityReport(
-        location=p0,
         estimated_order=float(np.median(slopes)),
-        declared_order=declared_order,
         r_squared=float(np.min(r2s)),
         radii=radii,
         slopes=slopes,

@@ -50,12 +50,9 @@ def _rule(n, panels):
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Evaluation rule for f with xi . f = g on the annulus [r_min, r_max]."""
+    """Evaluation rule for f with xi . f = g."""
 
     g: Callable
-    k: int
-    r_min: float
-    r_max: float
     tol: float
 
     def __call__(self, x):
@@ -105,8 +102,7 @@ def solve_radial(g, annulus, tol=1e-8, *, k):
 
     ``k`` is the dimension of the x-space.  ``tol`` bounds the quadrature error of f(x) relative to max(1, |f(x)|).
     """
-    r_min, r_max = float(annulus[0]), float(annulus[1])
-    if not (0.0 < r_min < r_max):
+    if not (0.0 < float(annulus[0]) < float(annulus[1])):
         raise RadialSolverError("annulus must satisfy 0 < r_min < r_max")
     if not tol > 0.0:
         raise RadialSolverError("tol must be positive")
@@ -115,7 +111,7 @@ def solve_radial(g, annulus, tol=1e-8, *, k):
         raise RadialSolverError(
             f"g(0) = {g0:g} violates the g(0) = 0 hypothesis"
         )
-    return RadialSolution(g=g, k=k, r_min=r_min, r_max=r_max, tol=float(tol))
+    return RadialSolution(g=g, tol=float(tol))
 
 
 def annulus_grid(r_min, r_max, k, n_per_axis=32, seed=0):

@@ -27,11 +27,10 @@ class CommutantProbeReport:
     """What ``commutant_dimension_probe`` measured.
 
     ``dimension`` is k * nullity_x + n * nullity_theta, the commuting
-    fields found within an ansatz of ``n_basis`` functions sampled at
-    ``n_points`` points.  ``gap`` is the smallest singular value counted
-    as nonzero divided by ``rank_epsilon``, over every (alpha, q) pair
-    block and both slots: how far the kept directions sit above the cutoff
-    (inf when every direction is null).
+    fields found within an ansatz of ``n_basis`` functions.  ``gap`` is
+    the smallest singular value counted as nonzero, over every (alpha, q)
+    pair block and both slots, in units of the 1e-8 rank cutoff: how far
+    the kept directions sit above it (inf when every direction is null).
     """
 
     dimension: int
@@ -39,9 +38,7 @@ class CommutantProbeReport:
     gap: float
     nullity_x: int
     nullity_theta: int
-    n_points: int
     n_basis: int
-    rank_epsilon: float
 
     @property
     def matches_expected(self):
@@ -131,14 +128,14 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
     R times the operator's matrix, R = [[1, rho], [0, sqrt(1 - rho^2)]] its
     closed-form 2 x 2 triangular factor, so the sample enters only through
     each pair's two column norms and inner product.  The nullity of a slot
-    is the count, over all blocks, of singular values below
-    ``rank_epsilon`` (1e-8, absolute, in units of the unit-norm ansatz
-    columns), so a resonance a.q = 0 that misses by rounding still counts.
-    The split and the count both rest on the sampled ansatz having full
-    column rank, which the ``n_points >= n_basis + 10`` generic sample
-    points are there to give; a pair whose unit columns are collinear at
-    the cutoff (1 - |rho| < ``rank_epsilon``, the smaller eigenvalue of its
-    Gram matrix) raises ``ValueError``.
+    is the count, over all blocks, of singular values below the rank
+    cutoff (1e-8, absolute, in units of the unit-norm ansatz columns), so
+    a resonance a.q = 0 that misses by rounding still counts.  The split
+    and the count both rest on the sampled ansatz having full column rank,
+    which the ``n_points >= n_basis + 10`` generic sample points are there
+    to give; a pair whose unit columns are collinear at the cutoff
+    (1 - |rho| < 1e-8, the smaller eigenvalue of its Gram matrix) raises
+    ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     n = a.size
@@ -185,9 +182,7 @@ def commutant_dimension_probe(k, a, degree=2, max_freq=2, n_points=500,
         gap=smallest / _RANK_EPS,
         nullity_x=null_x,
         nullity_theta=null_t,
-        n_points=n_points,
         n_basis=n_basis,
-        rank_epsilon=_RANK_EPS,
     )
 
 

@@ -107,6 +107,16 @@ def test_planar_demo_rejects_bad_orders():
         build_planar_demo(orders=(2, 2, 4))
 
 
+def test_planar_demo_rejects_orders_that_are_not_integers():
+    # int() would build orders (2, 4, 6) from 2.9 without a word
+    with pytest.raises(ValueError, match="must be integers"):
+        build_planar_demo(orders=(2.9, 4, 6))
+    for orders in ((2, 4, 6), (np.int64(2), 4, 6), (2.0, 4, 6)):
+        fibers = build_planar_demo(orders=orders).field.singular_fibers
+        assert [type(f.order) for f in fibers] == [int] * 3
+        assert [f.order for f in fibers] == [2, 4, 6]
+
+
 def test_planar_demo_needs_one_frequency_per_angle():
     with pytest.raises(ValueError, match="frequency vector length"):
         build_planar_demo(n=2, freqs=(1.0,))

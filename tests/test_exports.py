@@ -131,3 +131,50 @@ def test_frozen_objects_are_set_only_while_created():
         uses = _loads(ast.parse(path.read_text())).get("__setattr__", [])
         assert all(inside == ("Chart", "__post_init__") for inside in uses), \
             f"{path.name} calls __setattr__ outside Chart.__post_init__"
+
+
+def _dataclass_fields():
+    """(class, field) of every field of a public dataclass under
+    src/torusflow/."""
+    for path in sorted((ROOT / "src" / "torusflow").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    and any(_name(d) == "dataclass"
+                            for d in node.decorator_list)):
+                yield from ((node.name, s.target.id) for s in node.body
+                            if isinstance(s, ast.AnnAssign))
+
+
+def _dumped():
+    """Names of the classes whose every field src/ writes out by
+    ``dataclasses.asdict``: a class passed to it by name, or one that the
+    function called in its argument returns."""
+    returns, dumped = {}, set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                returns.setdefault(node.name, set()).update(
+                    _name(r.value) for r in ast.walk(node)
+                    if isinstance(r, ast.Return)
+                    and isinstance(r.value, ast.Call))
+            elif (isinstance(node, ast.Call) and _name(node) == "asdict"
+                  and node.args):
+                dumped.add(_name(node.args[0]))
+    return dumped | {c for f in dumped for c in returns.get(f, ())}
+
+
+def test_every_report_field_is_read():
+    """A field that nothing reads is work done on every call for no one:
+    every field of a public dataclass is loaded as an attribute somewhere
+    in src/, bench/ or tests/ (matched by name), unless src/ writes the
+    whole object out with ``dataclasses.asdict``."""
+    loaded = {node.attr for path in CALL_SITES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    dumped = _dumped()
+    unread = [f"{cls}.{field}" for cls, field in _dataclass_fields()
+              if cls not in dumped and field not in loaded]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"

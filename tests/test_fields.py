@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusflow import fields as fields_module
 from torusflow.fields import (
     E,
     FieldHandle,
@@ -217,6 +218,27 @@ def test_describing_field_is_exactly_equivariant_and_the_check_can_fail():
     assert np.any(equivariance_gaps(sabotaged, lam, ys) > bound)
 
 
+def normal_shares(func, ys):
+    """|<X(y), y>| / |X(y)| per row: the share of X normal to the sphere."""
+    out = func(ys)
+    return np.abs(np.sum(out * ys, axis=1)) / np.linalg.norm(out, axis=1)
+
+
+def test_describing_field_is_tangent_to_the_sphere_and_the_check_can_fail():
+    # read off the field itself: integrate puts every sphere point it
+    # returns back on the sphere, so a flow's drift cannot see a normal part.
+    # Relative, since |X| runs from about 1e-59 to 1e-20 on these points
+    x5 = describing_field_s5()
+    ys = random_sphere_points(2000)
+    assert np.max(normal_shares(x5.func, ys)) <= 1e-12
+
+    def sabotaged(y):
+        out = x5.func(y)
+        return out + 1e-9 * np.linalg.norm(out, axis=-1, keepdims=True) * y
+
+    assert np.max(normal_shares(sabotaged, ys)) > 1e-12
+
+
 def test_describing_field_complex_step_matches_central_difference():
     # X'(y + i h v).imag / h is DX'(y) v to rounding; the real part is X'(y)
     x5 = describing_field_s5()
@@ -236,9 +258,10 @@ def test_describing_field_complex_step_matches_central_difference():
 def test_line_model_zero_structure():
     m = line_model_fields("line", n=1, a=(1.0,))
     for s in (0.0, 2.0, 4.0):
-        assert np.isclose(m.Y(np.array([s]))[0], 0.0)
+        assert np.isclose(fields_module._line_parts(np.array([s]))[1][0], 0.0)
     # tau oracle at x = 2: (2-1)^2 (2-3)^4 / (1+4)^3 = 1/125
-    assert np.isclose(m.tau(2.0), 1.0 / 125.0, rtol=1e-14)
+    assert np.isclose(fields_module._line_parts(np.array([2.0]))[0][0],
+                      1.0 / 125.0, rtol=1e-14)
     for sink in (1.0, 3.0):
         assert np.allclose(m.Xprime(np.array([sink, 0.3])), 0.0)
     # away from sinks the drift component is tau * a
@@ -249,7 +272,7 @@ def test_line_model_zero_structure():
 def test_circle_model_zero_structure():
     m = line_model_fields("circle", n=2, a=(1.0, np.sqrt(2.0)))
     for s in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):
-        assert abs(m.Y(np.array([s]))[0]) < 1e-12
+        assert abs(fields_module._circle_parts(np.array([s]))[1][0]) < 1e-12
     for sink, _ in ((np.pi / 3, 2), (np.pi, 4), (5 * np.pi / 3, 6)):
         assert np.linalg.norm(m.Xprime(np.array([sink, 0.1, 0.2]))) < 1e-12
 

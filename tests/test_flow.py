@@ -414,14 +414,21 @@ def test_overflow_raises_non_finite(p0):
 
 
 def test_census_with_a_non_finite_sample_stops_non_finite():
-    # the invariance check is taken at the first finite sample, so a NaN
-    # sample ends the run wherever it sits in the batch
-    for xs in ([[0.5], [np.nan]], [[np.nan], [0.5]]):
+    # a NaN sample ends the census before any check or step, wherever it
+    # sits in the batch, also when no sample is finite
+    for xs in ([[0.5], [np.nan]], [[np.nan], [0.5]], [[np.nan], [np.nan]]):
         xs = np.array(xs)
         rep = basin_census(build_line_describing("line").field, 2,
                            sampler=lambda rng, n: xs.copy(), max_steps=50)
         assert rep.stop_reason == "non_finite"
         assert rep.counts == {} and rep.unclassified_fraction == 1.0
+        assert rep.source_fraction == 0.0
+        assert set(rep.stats.values()) == {0}
+
+
+def test_census_needs_a_sample():
+    with pytest.raises(ValueError, match="n_samples >= 1, got 0"):
+        basin_census(build_line_describing("line").field, 0)
 
 
 @pytest.mark.parametrize("p0", [[1.0, 0.5], [[1.0, 0.5], [-0.5, 1.0]]],
@@ -508,6 +515,15 @@ def test_classify_backward_reaches_source():
     m = line_model_fields("line", n=1, a=(1.0,))
     rep = classify_limit(m.Xprime, np.array([0.4, 0.0]), "backward")
     assert rep.kind == "singular_fiber" and rep.target == "source_0"
+
+
+@pytest.mark.parametrize("direction", ["Forward", "back", "", None, 1])
+def test_classify_rejects_an_unknown_direction(direction):
+    # any value but "forward" used to run backward: "Forward" from 0.5
+    # gave source_0, where "forward" gives sink_1
+    m = line_model_fields("line", n=1, a=(1.0,))
+    with pytest.raises(ValueError, match=repr(direction)):
+        classify_limit(m.Xprime, np.array([0.5, 0.0]), direction)
 
 
 def test_classify_fixed_point_on_dead_fiber():
@@ -910,9 +926,10 @@ def test_source_torus_frequencies_are_exact(name):
     # e.g. 81 (1, sqrt 2) at the line's source 0; neither (1, sqrt 2) nor
     # (1, e, e^2) has a small integer relation
     if name in ("line", "circle"):
-        m = line_model_fields(name, n=2, a=(1.0, SQRT2))
-        fld = m.Xprime
-        taus = [float(m.tau(np.array(x))[0]) for x in fld.sources]
+        fld = line_model_fields(name, n=2, a=(1.0, SQRT2)).Xprime
+        parts = {"line": fields_module._line_parts,
+                 "circle": fields_module._circle_parts}[name]
+        taus = [float(parts(np.array(x))[0][0]) for x in fld.sources]
     else:
         fld = _library_fields()[name]
         # the planar field's planted points lie on the unit circle
@@ -1408,7 +1425,6 @@ def test_estimate_order_line_sinks():
         rep = estimate_order(m.Xprime, np.array([loc, 0.0]))
         assert abs(rep.estimated_order - order) < 0.2
         assert rep.r_squared >= 0.99
-        assert rep.declared_order == order
 
 
 @pytest.mark.parametrize("build", [
