@@ -257,8 +257,9 @@ class Chart:
     def sample_base(self, rng, n):
         """n base points (n, base_dim) drawn uniformly with ``rng`` from the
         base domain: [-1, 5] on the line, the circle, the disc of radius 2
-        on the plane, and on S^5 the triangle shrunk by the margin 0.02
-        (by rejection).  ValueError on R^k for k other than 1 and 2."""
+        on the plane and the ball of radius 2 on R^k for k >= 3, and on
+        S^5 the triangle shrunk by the margin 0.02 (by rejection).  On R^0
+        the points have no coordinates, shape (n, 0)."""
         if self.kind == "circle_product":
             return rng.uniform(0.0, TWO_PI, size=(n, 1))
         if self.is_sphere:
@@ -268,13 +269,18 @@ class Chart:
                 pts[bad] = rng.uniform(0.02, 0.98, size=(int(bad.sum()), 2))
                 bad = pts.sum(axis=1) > 0.98
             return pts
+        if self.k == 0:
+            return np.empty((n, 0))
         if self.k == 1:
             return rng.uniform(-1.0, 5.0, size=(n, 1))
-        if self.k != 2:
-            raise ValueError(f"no base domain to sample on R^{self.k}")
-        r = np.sqrt(rng.uniform(0.0, 1.0, size=n)) * 2.0
-        ang = rng.uniform(0.0, TWO_PI, size=n)
-        return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+        if self.k == 2:
+            r = np.sqrt(rng.uniform(0.0, 1.0, size=n)) * 2.0
+            ang = rng.uniform(0.0, TWO_PI, size=n)
+            return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+        # uniform in the ball: a Gaussian direction at radius 2 u^(1/k)
+        r = 2.0 * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / self.k)
+        d = rng.standard_normal((n, self.k))
+        return r * d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def base_distance(self, b1, b2):
         b1 = np.asarray(b1, dtype=float)

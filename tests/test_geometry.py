@@ -230,13 +230,20 @@ def test_displace_base_broadcasts_point_against_deltas(chart):
      lambda x: (x[:, 0] >= 0) & (x[:, 0] < TWO_PI)),
     (Chart("product", k=2, n=2), lambda x: np.hypot(*x.T) <= 2),
     (Chart("sphere5"), lambda x: in_triangle(x, margin=0.02)),
-], ids=["line", "circle", "plane", "s5"])
+    (Chart("product", k=0, n=2), lambda x: np.ones(len(x), dtype=bool)),
+    (Chart("product", k=3, n=1), lambda x: np.linalg.norm(x, axis=1) <= 2),
+], ids=["line", "circle", "plane", "s5", "r0", "r3"])
 def test_sample_base_draws_from_its_domain(chart, inside):
     xs = chart.sample_base(np.random.default_rng(0), 500)
     assert xs.shape == (500, chart.base_dim)
     assert np.all(inside(xs))
 
 
-def test_sample_base_has_no_domain_on_other_euclidean_bases():
-    with pytest.raises(ValueError):
-        Chart("product", k=3, n=1).sample_base(np.random.default_rng(0), 4)
+def test_sample_base_is_uniform_in_the_ball_on_r3():
+    # half the volume of the ball of radius 2 lies within 2 / 2^(1/3), and
+    # the directions have no preferred side
+    xs = Chart("product", k=3, n=1).sample_base(np.random.default_rng(1),
+                                               4000)
+    inner = np.linalg.norm(xs, axis=1) <= 2.0 / 2.0 ** (1.0 / 3.0)
+    assert abs(inner.mean() - 0.5) < 0.03
+    assert np.all(np.abs(np.mean(xs > 0, axis=0) - 0.5) < 0.03)

@@ -1,13 +1,20 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from torusflow import cli
+from torusflow import flow as flow_module
 from torusflow import verify as verify_module
-from torusflow.construction import build_line_describing, build_s5
+from torusflow.construction import (
+    ConstructionManifest,
+    build_line_describing,
+    build_s5,
+)
 from torusflow.fields import pushforward_residual, xi_plus_affine
 from torusflow.flow import IntegratorConfig, integrate
 from torusflow.verify import (
@@ -18,6 +25,8 @@ from torusflow.verify import (
 )
 
 SQRT2 = np.sqrt(2.0)
+SCENARIOS = ("line", "circle", "planar", "s5")
+SCALES = (1e-20, 1e-3, -1.0, 1e3)
 
 
 def test_probe_dense_frequencies_give_k2_plus_n():
@@ -382,3 +391,101 @@ def test_base_rule_check_is_made_when_a_rule_is_declared():
         m, field=dataclasses.replace(m.field, base_rule=None))
     assert "base_rule_matches_field" not in verify_manifest(bare).checks
 
+
+
+def _scenario(name):
+    return cli._build_manifest(name, cli._merged_config(name, {}))
+
+
+def _with_field(m, func, base_rule=None):
+    return dataclasses.replace(m, field=dataclasses.replace(
+        m.field, func=func, base_rule=base_rule))
+
+
+def _verdicts(rep):
+    return {name: c["passed"] for name, c in rep.checks.items()}
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_verify_manifest_reports_on_other_euclidean_bases(k):
+    rep = verify_manifest(
+        ConstructionManifest("xi+T", xi_plus_affine(k, (1.0,)), (1.0,)))
+    assert rep.passed
+    assert rep.checks["flow_commutes_with_action"]["value"] == 0.0
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_verify_manifest_integrates_nothing(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_manifest integrated a flow")
+
+    monkeypatch.setattr(flow_module, "integrate", refuse)
+    monkeypatch.setattr(verify_module, "integrate", refuse)
+    rep = verify_manifest(_scenario(name), seed=0)
+    assert rep.passed
+    assert rep.checks["flow_commutes_with_action"]["value"] <= 1e-14
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("c", SCALES)
+def test_verify_verdicts_do_not_depend_on_the_field_scale(name, c):
+    m = _scenario(name)
+    func, rule = m.field.func, m.field.base_rule
+    scaled = _with_field(m, lambda p: c * func(p), lambda x: c * rule(x))
+    t0 = time.perf_counter()
+    rep = verify_manifest(scaled, seed=0)
+    assert time.perf_counter() - t0 < 1.0
+    assert _verdicts(rep) == _verdicts(verify_manifest(m, seed=0))
+
+
+@pytest.mark.parametrize("c", (1.0,) + SCALES)
+def test_equivariance_check_fails_a_term_that_reads_the_fiber_angle(c):
+    # the one-start flow check that this check replaced passed this term at
+    # 1.5e-12, the clean field's own value: its orbit missed the bump
+    m = _scenario("line")
+    func = m.field.func
+
+    def sabotaged(p):
+        out = np.array(func(p), dtype=float)
+        out[..., 0] += 1e-4 * np.exp(-((p[..., 0] - 2.5) / 0.3) ** 2) * np.sin(
+            p[..., 1])
+        return c * out
+
+    check = verify_manifest(_with_field(m, sabotaged), seed=0).checks[
+        "flow_commutes_with_action"]
+    assert not check["passed"]
+    assert check["value"] > 1e-7
+
+
+@pytest.mark.parametrize("c", (1.0,) + SCALES)
+def test_equivariance_check_fails_a_term_that_breaks_the_s5_rotation(c):
+    # on S^5 the old check's flow did not move: it read 1.8e-16 here
+    m = _scenario("s5")
+    func = m.field.func
+
+    def sabotaged(y):
+        out = np.array(func(y), dtype=float)
+        out[..., 0] += 1e-6 * np.linalg.norm(out, axis=-1)
+        return c * out
+
+    check = verify_manifest(_with_field(m, sabotaged), seed=0).checks[
+        "flow_commutes_with_action"]
+    assert not check["passed"]
+    assert check["value"] > 1e-7
+
+
+def test_declared_zero_check_is_relative_to_the_field_scale():
+    # 1e-20 X misses its declared zeros by 1e-26, which an absolute bound
+    # of 1e-12 passes
+    m = _scenario("line")
+    func = m.field.func
+
+    def missed(p):
+        out = 1e-20 * np.asarray(func(p), dtype=float)
+        out[..., 0] += 1e-26
+        return out
+
+    check = verify_manifest(_with_field(m, missed), seed=0).checks[
+        "declared_zeros_vanish"]
+    assert not check["passed"]
+    assert check["value"] > 1e-10
