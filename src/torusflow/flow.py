@@ -4,15 +4,17 @@ One Runge-Kutta loop with adaptive step control (``_adaptive_steps``)
 takes an embedded pair as data and runs two of them.  ``integrate`` steps
 with Dormand and Prince's 8(5,3) pair, DOP853, and gives dense output from
 its 7th-order continuous extension (``_dense_output``), whose three extra
-stages are evaluated only on the steps that hold a requested time.  The
-base runner of ``classify_limit`` and ``basin_census`` steps with Cash and
-Karp's 5(4) pair, whose 5th-order weights are all >= 0, because the base
-step cap rests on them (see ``_BaseFlow``).
-The loop advances one point or a batch of points; every row of a batch
-has its own step size, and a row leaves the batch when it is finished.  It
-holds no caller's step policy: a batch caller sends back each row's steps.
-``integrate`` takes a batch (m, d) of start points in one call and
-returns their start and end points; dense output needs one start point.
+stages are evaluated, after the run and in three batched field calls,
+only on the steps that hold a requested time.  The base runner of
+``classify_limit`` and ``basin_census`` steps with Cash and Karp's 5(4)
+pair, whose 5th-order weights are all >= 0, because the base step cap
+rests on them (see ``_BaseFlow``).
+The loop advances a batch of points, a single start as a batch of one;
+every row has its own step size, and a row leaves the batch when it is
+finished.  It holds no caller's step policy: a caller sends back each
+row's steps.  ``integrate`` takes a batch (m, d) of start points in one
+call and returns their start and end points; dense output needs one start
+point.
 ``flow_commutation_residual`` runs its two sides, for one or many torus
 elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
@@ -33,6 +35,7 @@ move, on a source torus, the flow is a linear drift on the torus, and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from operator import ge, gt, le, lt
 from typing import NamedTuple, Optional
@@ -194,11 +197,23 @@ class FlowError(RuntimeError):
 class IntegratorConfig:
     """``rtol`` and ``atol`` bound each row's RMS local error, ``max_steps``
     its step attempts.  The step controller's safety factor 0.9 and its
-    step size factors from 0.2 to 10 are fixed."""
+    step size factors from 0.2 to 10 are fixed.  ValueError unless rtol
+    and atol are finite, >= 0 and not both 0, and max_steps is an int
+    >= 1."""
 
     rtol: float = 1e-9
     atol: float = 1e-12
     max_steps: int = 400_000
+
+    def __post_init__(self):
+        rtol, atol = self.rtol, self.atol
+        if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf
+                and rtol + atol > 0.0):  # NaN fails too
+            raise ValueError(f"rtol and atol must be finite, >= 0 and not "
+                             f"both 0, got rtol={rtol!r}, atol={atol!r}")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an int >= 1, "
+                             f"got {self.max_steps!r}")
 
 
 @dataclass
@@ -220,25 +235,14 @@ class Trajectory:
 
 
 def _initial_step(f0, y0, direction, rtol, exponent):
-    """Starting step of each row: a float for one point, (m, 1) for a batch.
+    """Starting step (m, 1) of each row of a batch y0 (m, d).
 
     It scales with max(rtol, 1e-12) ** exponent."""
     scale = 1.0 + np.linalg.norm(y0, axis=-1, keepdims=True)
     rate = np.linalg.norm(f0, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", over="ignore"):
         h = np.minimum(1e-2 * scale / rate, 1.0) * max(rtol, 1e-12) ** exponent
-    h = direction * np.where(rate < 1e-300, 1e-3, h)
-    return float(h[0]) if y0.ndim == 1 else h
-
-
-# Per-row operations (where, max, min, all, any, sqrt): builtins on the
-# floats of one point, whose steps would otherwise pay more for numpy calls
-# than for the row's arithmetic; numpy on the (m, 1) columns of a batch,
-# with count_nonzero for masks (a fraction of the cost of any and all).
-_ONE_ROW = (lambda c, a, b: a if c else b, max, min, bool, bool, math.sqrt)
-_ROWS = (np.where, np.maximum, np.minimum,
-         lambda mask: np.count_nonzero(mask) == mask.size, np.count_nonzero,
-         np.sqrt)
+    return direction * np.where(rate < 1e-300, 1e-3, h)
 
 
 def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
@@ -246,28 +250,29 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
     """Generator of accepted steps (t, y, f(y), err_norm, ids, K, h).
 
     ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
-    steps with.  ``y0`` is one point (d,) or a batch (m, d).  Every row has
-    its own time and step size and is accepted or rejected on its own error
-    norm; t, err and h are floats for one point and (m, 1) columns for a
-    batch, and ``ids`` are the original numbers of the live rows
-    (None for one point).  A yield follows every attempt that accepted some
-    row, once ``project(y)`` (the sphere renormalizer, or None) has given
-    the points to go on from and ``f`` has been evaluated there again.
-    ``K`` holds the attempt's stages along its axis -2: (stages, d) for one
-    point (None at the first yield); the next attempt overwrites it.  ``h``
-    is the step each live row tries next, ``_initial_step``'s guess at the
-    first yield.  A batch's consumer may answer any yield with
-    ``send((drop, h))``: a mask (m,) of rows to drop (None at the first
-    yield) and the steps (m, 1) they try instead.  Then the finished rows
-    (at ``t_end``, or dropped) leave the batch and the live rows are packed
-    together, so ``f`` only sees live rows; the generator ends when no row
-    is left.
+    steps with.  ``y0`` is a batch (m, d) of start points; a single start
+    is a batch of one.  Every row has its own time and step size and is
+    accepted or rejected on its own error norm; t, err and h are (m, 1)
+    columns, and ``ids`` are the original numbers of the live rows.  A
+    yield follows every attempt that accepted some row, once ``project(y)``
+    (the sphere renormalizer, or None) has given the points to go on from
+    and ``f`` has been evaluated there again.  ``K`` holds the attempt's
+    stages along its axis -2 (None at the first yield); the next attempt
+    overwrites it.  ``h`` is the step each live row tries next,
+    ``_initial_step``'s guess at the first yield.  The consumer may answer
+    any yield with ``send((drop, h))``: a mask (m,) of rows to drop (None
+    at the first yield) and the steps (m, 1) they try instead.  Then the
+    finished rows (at ``t_end``, or dropped) leave the batch and the live
+    rows are packed together, so ``f`` only sees live rows; the generator
+    ends when no row is left.  Row masks are counted with count_nonzero,
+    a fraction of the cost of any and all.
 
-    With ``rowwise`` every row of a batch takes the steps, bit for bit, of
-    a run of its own (for a field that evaluates a row as it does one
-    point): the stage sums are one matrix-vector product per row.  Without
-    it a batch's stage sums are one product over all rows, which is faster
-    for many rows but rounds differently from one row to the next.
+    With ``rowwise`` every row takes the steps, bit for bit, of a run of
+    its own as a batch of one (for a field that evaluates a row of a batch
+    as it does a batch of one): the stage sums are one matrix-vector
+    product per row, with K (m, stages, d).  Without it the stage sums are
+    one product over all rows, with K (stages, m d), which is faster for
+    many rows but rounds differently from one row to the next.
 
     ``stats`` is the run's record, a dict the loop fills as it runs, so
     its counts hold also when FlowError ends the run: "rhs_calls" and
@@ -280,8 +285,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
     have made the same number of attempts, so ``cfg.max_steps`` bounds the
     attempts of each row.  Raises FlowError on step underflow, on a step,
     state or derivative that is not finite (a NaN start gets a NaN first
-    step, and a batch's NaN error norm carries into its next step), or when
-    a row spends cfg.max_steps before t_end; its ``reason`` is "underflow",
+    step, and a NaN error norm carries into the next step), or when a row
+    spends cfg.max_steps before t_end; its ``reason`` is "underflow",
     "non_finite" or "step_budget".
     """
     direction = 1.0 if t_end >= t0 else -1.0
@@ -289,8 +294,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
     past, reached = (gt, ge) if direction > 0 else (lt, le)
     y = np.array(y0, dtype=float)
     k1 = np.asarray(f(y), dtype=float)
-    one = y.ndim == 1
-    ids, m = (None, 1) if one else (np.arange(len(y)), len(y))  # live rows
+    (m, d), K = y.shape, None
+    ids = np.arange(m)  # the live rows
     stats.update(_NO_RUN, rhs_calls=1, rhs_rows=m)
     rtol, atol, max_steps = cfg.rtol, cfg.atol, cfg.max_steps
     a, b, e5, e3, (grow_exp, shrink_exp, start_exp) = pair
@@ -298,18 +303,14 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
     _, h = (yield float(t0), y, k1, 0.0, ids, None, h) or (None, h)
     if t_end == t0 or y.size == 0:
         return
-    where, lower, upper, all_, any_, sqrt = _ONE_ROW if one else _ROWS
-    rows_apart = rowwise and not one
-    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    n_stages = len(a)
-    t = float(t0) if one else np.full((len(y), 1), float(t0))
-    d, K = y.shape[-1], None
+    n_stages, t = len(a), np.full((m, 1), float(t0))
     while True:
         if stats["attempts"] >= max_steps:
             raise FlowError(f"step budget {max_steps} exhausted at t={t}",
                             "step_budget")
-        h = where(past(t + h, t_end), t_end - t, h)
-        if not all_(abs(h) >= 1e-14 * lower(1.0, abs(t))):  # NaN fails too
+        h = np.where(past(t + h, t_end), t_end - t, h)
+        # a NaN step fails too
+        if np.count_nonzero(abs(h) >= 1e-14 * np.maximum(1.0, abs(t))) < m:
             if not (np.isfinite(h).all() and np.isfinite(y).all()
                     and np.isfinite(k1).all()):
                 raise FlowError(f"non-finite step, state or derivative at "
@@ -317,19 +318,17 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
             raise FlowError(f"step underflow at t={t}, point {y}",
                             "underflow")
         if K is None:  # stage derivatives, the stage axis at -2
-            shape = y.shape
-            if rows_apart:  # (m, stages, d): one product per row
-                K = np.empty((len(y), n_stages, d))
+            if rowwise:  # (m, stages, d): one product per row
+                K = np.empty((m, n_stages, d))
                 stage = K.transpose(1, 0, 2)
                 combine = np.matmul
             else:  # (stages, m d): one product for all rows
                 K = np.empty((n_stages, y.size))
-                stage = K.reshape((n_stages,) + shape)
-                combine = np.dot if one else (
-                    lambda w, K: w.dot(K).reshape(shape))
+                stage = K.reshape(n_stages, m, d)
+                combine = lambda w, K: w.dot(K).reshape(-1, d)
             before = [K[..., :i, :] for i in range(n_stages)]
-        # h spread over each row of a batch that shares one product
-        hb = h if one or rows_apart else h.repeat(d, axis=1)
+        # h spread over each row where the rows share one product
+        hb = h if rowwise else h.repeat(d, axis=1)
         stage[0] = k1
         for i in range(1, n_stages):
             stage[i] = k = f(y + hb * combine(a[i], before[i]))
@@ -337,33 +336,34 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         if e3 is None:  # RMS error norm of each row
             q = hb * combine(e5, K) / scale
-            err = sqrt(np.add.reduce(q * q, axis=-1, keepdims=not one) / d)
+            err = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True) / d)
         else:  # DOP853's blend of its two estimates, 0 where both vanish
             # from the stages' differences to the first one, where the
             # rounding of a large common part (a drift) does not enter
             dK = K[..., 1:, :] - K[..., :1, :]
             q = hb * combine(e5[1:], dK) / scale
             q3 = hb * combine(e3[1:], dK) / scale
-            err = np.add.reduce(q * q, axis=-1, keepdims=not one)
-            err = err / sqrt(lower(1e-300, d * (err + 0.01 * np.add.reduce(
-                q3 * q3, axis=-1, keepdims=not one))))
+            err = np.add.reduce(q * q, axis=-1, keepdims=True)
+            err = err / np.sqrt(np.maximum(1e-300, d * (err + 0.01 * (
+                np.add.reduce(q3 * q3, axis=-1, keepdims=True)))))
         ok = err <= 1.0
-        n_ok = int(any_(ok))  # the accepted rows
+        n_ok = int(np.count_nonzero(ok))  # the accepted rows
         stats["attempts"] += 1
         stats["rhs_calls"] += n_stages - 1
         stats["rhs_rows"] += (n_stages - 1) * m
         stats["accepted"] += n_ok
         stats["rejected"] += m - n_ok
-        e = lower(err, 1e-10)
-        grow = upper(max_factor, lower(min_factor, where(
-            err < 1e-10, max_factor, safety * np.power(e, -grow_exp))))
+        # the floor 1e-10 of e gives both pairs the largest growth factor
+        e = np.maximum(err, 1e-10)
+        grow = np.minimum(_MAX_FACTOR, np.maximum(
+            _MIN_FACTOR, _SAFETY * np.power(e, -grow_exp)))
         if n_ok == m:
             t, y, k1, h = t + h, y_new, k, h * grow  # FSAL
         else:
-            # the norm first: one point's builtin max drops a NaN second
-            shrink = lower(safety * np.power(e, -shrink_exp), min_factor)
-            t, y, k1 = where(ok, t + h, t), where(ok, y_new, y), where(ok, k, k1)
-            h = h * where(ok, grow, shrink)
+            shrink = np.maximum(_SAFETY * np.power(e, -shrink_exp),
+                                _MIN_FACTOR)
+            t, y = np.where(ok, t + h, t), np.where(ok, y_new, y)
+            k1, h = np.where(ok, k, k1), h * np.where(ok, grow, shrink)
             if not n_ok:
                 continue
         if project is not None:
@@ -375,92 +375,62 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
         done = reached(t, t_end)
         if drop is not None:
             done = done | drop[:, None]
-        if any_(done):
-            if all_(done):
+        n_done = np.count_nonzero(done)
+        if n_done:
+            if n_done == m:
                 return
             keep = ~done[:, 0]
             ids, y, k1 = ids[keep], y[keep], k1[keep]
             t, h, K, m = t[keep], h[keep], None, len(ids)
 
 
-def _dense_output(f, t0, t1, y0, y1, f0, f1, K, t):
-    """DOP853's 7th-order continuous extension of one step, at times t (m,).
+def _dense_output(f, steps, times):
+    """DOP853's 7th-order continuous extension of steps, at their times.
 
-    The step went from (t0, y0) to (t1, y1), with derivatives f0 and f1
-    there and stages K (13, d); the extension's three extra stages cost
-    three calls of ``f``.  Returns the points (m, d); at t0 and t1 they
-    are y0 and y1 to rounding.
+    Each step (t0, y0, f0, t1, y1, f1, K) went from (t0, y0) to (t1, y1),
+    with derivatives f0 and f1 there and stages K (13, d); ``times`` holds,
+    for each step, the times (k,) to evaluate it at.  The three extra
+    stages of all steps cost three calls of ``f`` on (steps, d).  Returns
+    the points (sum of k, d), step after step; at t0 and t1 they are y0
+    and y1 to rounding.
     """
-    h = t1 - t0
-    stages = np.empty((16, y0.size))
-    stages[:13] = K
+    t0, y0, f0, t1, y1, f1, K = (np.array(v) for v in zip(*steps))
+    h = (t1 - t0)[:, None]
+    stages = np.empty((len(steps), 16, y0.shape[-1]))
+    stages[:, :13] = K
     for i, a in enumerate(_DENSE_A, start=13):
-        stages[i] = f(y0 + h * a.dot(stages[:i]))
+        stages[:, i] = f(y0 + h * np.matmul(a, stages[:, :i]))
     dy = y1 - y0
     coeffs = [dy, h * f0 - dy, 2 * dy - h * (f0 + f1),
-              *(h * _DENSE_D.dot(stages))]
-    x = ((t - t0) / h)[:, None]
+              *(h[:, None] * np.matmul(_DENSE_D, stages)).transpose(1, 0, 2)]
+    which = np.repeat(np.arange(len(steps)), [len(t) for t in times])
+    x = ((np.concatenate(times) - t0[which]) / h[which, 0])[:, None]
     y = 0.0
     for i, c in enumerate(reversed(coeffs)):  # nested in x and 1 - x
-        y = (y + c) * (x if i % 2 == 0 else 1 - x)
-    return y0 + y
-
-
-def _one_point(f, t0, y0, t1, cfg, renorm, t_eval, stats):
-    """Times and points of the run from one start point (d,), whose counts
-    and largest accepted error norm go to ``stats``.
-
-    The points are the accepted steps, or the dense output at ``t_eval``:
-    each time is evaluated on the step that holds it, a time before t0 on
-    the first step and one after t1 on the last.
-    """
-    steps = _adaptive_steps(f, t0, y0, t1, cfg, _DOP853, stats, renorm)
-    t, y, fy = next(steps)[:3]
-    ts, ys = [t], [y]
-    if t_eval is not None:
-        t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-        sign = 1.0 if t1 >= t0 else -1.0  # the steps run in this direction
-        order = np.argsort(sign * t_eval, kind="stable")
-        ahead = sign * t_eval[order]
-        points, j = np.empty((len(t_eval), len(y))), 0
-    max_err = 0.0
-    for t_new, y_new, f_new, err, _, K, _ in steps:
-        max_err = max(max_err, err)
-        if t_eval is None:
-            ts.append(t_new)
-            ys.append(y_new)
-        else:
-            k = (len(ahead) if sign * t_new >= sign * t1
-                 else int(np.searchsorted(ahead, sign * t_new, "right")))
-            if k > j:
-                points[order[j:k]] = _dense_output(
-                    f, t, t_new, y, y_new, fy, f_new, K, t_eval[order[j:k]])
-                stats["rhs_calls"] += len(_DENSE_A)  # its extra stages
-                stats["rhs_rows"] += len(_DENSE_A)
-                j = k
-        t, y, fy = t_new, y_new, f_new
-    stats["max_local_error"] = float(max_err)
-    if t_eval is None:
-        return np.array(ts), np.stack(ys, axis=0)
-    points[order[j:]] = y  # t1 == t0: no step was taken
-    return t_eval, points
+        y = (y + c[which]) * (x if i % 2 == 0 else 1 - x)
+    return y0[which] + y
 
 
 def integrate(field, p0, t_span, cfg=None, t_eval=None):
     """Integrate the flow of a field from p0 over t_span.
 
     ``field`` is a FieldHandle (sphere charts are renormalized after every
-    accepted step) or a plain callable.  The steps are DOP853's.  For one
-    start point p0 (d,) the trajectory holds the accepted step points, or
-    with ``t_eval`` the 7th-order dense output at the requested times.  A
-    batch p0 (m, d) runs as one call, every row with its own step control;
+    accepted step) or a plain callable, which has to act on the last axis
+    of a batch (m, d) of points, as every library field does.  The steps
+    are DOP853's, and a single start p0 (d,) runs as a batch of one.  Its
+    trajectory holds the accepted step points, or with ``t_eval`` the
+    7th-order dense output at the requested times: each time is evaluated
+    on the step that holds it, a time before t0 on the first step and one
+    after t1 on the last.  A batch p0 (m, d) runs as one call, every row
+    with its own step control and, bit for bit, the steps of its own run;
     the result holds only the start and end points, ``times`` [t0, t1] and
     ``points`` (2, m, d), and ``t_eval`` raises ValueError.  Samples are in
     chronological order, so ``end`` is the point at the later time also for
     a backward run.  The stats are the RK loop's record (``_adaptive_steps``)
-    with the dense output's extra stages: the ints "rhs_calls" and
-    "rhs_rows" (field calls, a batch call counting once, and the rows they
-    evaluated), "attempts" (step attempts, which a batch's rows make
+    with the dense output's extra stages, three calls that evaluate three
+    rows for each step that holds a requested time: the ints "rhs_calls"
+    and "rhs_rows" (field calls, a batch call counting once, and the rows
+    they evaluated), "attempts" (step attempts, which a batch's rows make
     together), "accepted" and "rejected" (row steps, summed over rows), and
     "max_local_error", the largest accepted local error norm.  Angles in
     the result are wrapped.
@@ -472,23 +442,47 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
         chart, f = None, field
     t0, t1 = float(t_span[0]), float(t_span[1])
     p0 = np.asarray(p0, dtype=float)
+    one = p0.ndim == 1
+    if t_eval is not None:
+        if not one:
+            raise ValueError("dense output (t_eval) needs one start point, "
+                             f"not a batch of shape {p0.shape}")
+        t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
+        sign = 1.0 if t1 >= t0 else -1.0  # the steps run in this direction
+        order = np.argsort(sign * t_eval, kind="stable")
+        ahead = (sign * t_eval[order]).tolist()
     renorm = chart.wrap if chart is not None and chart.is_sphere else None
     stats = {}
-    if p0.ndim == 1:
-        times, points = _one_point(f, t0, p0, t1, cfg, renorm, t_eval, stats)
-    elif t_eval is not None:
-        raise ValueError("dense output (t_eval) needs one start point, "
-                         f"not a batch of shape {p0.shape}")
-    else:  # each row's end is recorded after renorm put it on the chart
-        ends, max_err = p0.copy(), 0.0
-        steps = _adaptive_steps(f, t0, p0, t1, cfg, _DOP853, stats, renorm,
-                                rowwise=True)
-        next(steps)  # the start, with err 0
-        for _, y, _, err, ids, _, _ in steps:
-            ends[ids] = y
-            max_err = float(err.max(where=err <= 1.0, initial=max_err))
-        stats["max_local_error"] = max_err
+    steps = _adaptive_steps(f, t0, p0[None] if one else p0, t1, cfg, _DOP853,
+                            stats, renorm, rowwise=True)
+    _, y, fy = next(steps)[:3]  # the start, with err 0
+    run = [(t0, y[0], fy[0])] if one else []
+    ends, max_err = y.copy(), 0.0
+    held, at, j = [], [], 0  # the steps that hold a time, and their times
+    for t, y, fy, err, ids, K, _ in steps:
+        ends[ids] = y  # after renorm put the row on the chart
+        max_err = float(err.max(where=err <= 1.0, initial=max_err))
+        if one:  # a single start keeps every step's (t, y, f(y))
+            run.append((float(t[0, 0]), y[0], fy[0]))
+        if t_eval is not None:
+            now = sign * run[-1][0]
+            k = len(ahead) if now >= sign * t1 else bisect_right(ahead, now)
+            if k > j:
+                held.append(run[-2] + run[-1] + (K[0].copy(),))
+                at.append(t_eval[order[j:k]])
+                j = k
+    stats["max_local_error"] = max_err
+    if not one:
         times, points = np.array([t0, t1]), np.stack([p0, ends])
+    elif t_eval is None:
+        times, points, _ = (np.array(v) for v in zip(*run))
+    else:
+        times, points = t_eval, np.empty((len(t_eval), p0.size))
+        if held:
+            points[order[:j]] = _dense_output(f, held, at)
+            stats["rhs_calls"] += len(_DENSE_A)
+            stats["rhs_rows"] += len(_DENSE_A) * len(held)
+        points[order[j:]] = run[-1][1]  # t1 == t0: no step was taken
     if chart is not None:
         points = chart.wrap(points)
     if times.size > 1 and times[-1] < times[0]:
@@ -751,13 +745,15 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     it declares none; it holds the counts also when the step budget ends
     the run, and all five are 0 where nothing is integrated (a fixed point,
     a torus closure, a start that is not finite).  Raises ValueError when
-    ``direction`` is neither "forward" nor "backward", when X is not
-    T-invariant at p0, or when a declared base rule misses the field's base
-    tangent there.
+    ``direction`` is neither "forward" nor "backward", when ``horizon`` is
+    not finite and > 0, when X is not T-invariant at p0, or when a declared
+    base rule misses the field's base tangent there.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', "
                          f"got {direction!r}")
+    if not 0.0 < horizon < math.inf:  # NaN fails too
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)

@@ -307,6 +307,22 @@ def test_bad_config_returns_2(tmp_path, capsys, command, config):
     assert next(iter(config)) in err or "bad config value" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"rtol": -1e-9}, {"atol": -1}, {"rtol": 0, "atol": 0}, {"rtol": "nan"},
+], ids=["rtol_negative", "atol_negative", "both_0", "rtol_nan"])
+def test_trace_rejects_tolerances_that_make_no_sense(tmp_path, capsys,
+                                                     config):
+    # a negative tolerance used to run, and both 0 or a NaN to end in a
+    # non-finite step (exit 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["trace", "--scenario", "line", "--config", str(cfg),
+                "--quiet", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rtol and atol must be finite")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_malformed_json_returns_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

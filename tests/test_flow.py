@@ -142,13 +142,13 @@ def test_dense_output_is_exact_to_degree_seven(k):
     # size 1 gives u of degree k + 1 <= 7 exactly at every fraction of the
     # step, and reproduces both ends; degree 8 it cannot
     def f(y):
-        return np.array([1.0, y[0] ** k])
+        return np.stack([np.ones_like(y[..., 0]), y[..., 0] ** k], axis=-1)
 
     y0 = np.array([0.5, 0.25])
     y1, K = _dop853_step(f, y0, 1.0)
     theta = np.linspace(0.0, 1.0, 11)
-    got = flow_module._dense_output(f, 0.0, 1.0, y0, y1, K[0], K[12], K,
-                                    theta)
+    got = flow_module._dense_output(f, [(0.0, y0, K[0], 1.0, y1, K[12], K)],
+                                    [theta])
     exact = y0[1] + ((0.5 + theta) ** (k + 1) - 0.5 ** (k + 1)) / (k + 1)
     np.testing.assert_array_equal(got[0], y0)
     np.testing.assert_allclose(got[-1], y1, rtol=1e-14, atol=0.0)
@@ -194,8 +194,9 @@ def test_dense_output_adds_at_most_the_tolerance(scenario):
 
 
 def test_dense_stages_only_on_steps_that_hold_a_requested_time():
-    # three extra field calls for each step that holds a time of t_eval;
-    # the steps themselves do not change
+    # three extra field calls for the run, which evaluate three rows for
+    # each step that holds a time of t_eval; the steps themselves do not
+    # change
     m = line_model_fields("circle", n=2, a=(1.0, SQRT2))
     steps = integrate(m.Xprime, [0.5, 0.1, 0.2], (0.0, 5.0))
     n = steps.stats["accepted"]
@@ -203,7 +204,34 @@ def test_dense_stages_only_on_steps_that_hold_a_requested_time():
         dense = integrate(m.Xprime, [0.5, 0.1, 0.2], (0.0, 5.0),
                           t_eval=t_eval).stats
         assert dense["accepted"] == n
-        assert dense["rhs_calls"] == steps.stats["rhs_calls"] + 3 * held
+        assert dense["rhs_calls"] == steps.stats["rhs_calls"] + 3
+        assert dense["rhs_rows"] == steps.stats["rhs_rows"] + 3 * held
+
+
+@pytest.mark.parametrize("scenario", ["circle", "s5", "s5_undamped"])
+def test_dense_output_of_a_run_is_that_of_each_held_step_alone(
+        scenario, monkeypatch):
+    # the held steps' extra stages and interpolants, evaluated together,
+    # give each step's points bit for bit as a call on that step alone
+    if scenario == "circle":
+        fld = line_model_fields("circle", n=2, a=(1.0, SQRT2)).Xprime
+        p0, t1 = np.array([0.5, 0.1, 0.2]), 5.0
+    else:
+        fld = describing_field_s5() if scenario == "s5" else _undamped_s5()
+        p0, t1 = embed_s5(np.array([0.3, 0.3]), (0.1, 0.2, 0.3)), 100.0
+    dense, calls = flow_module._dense_output, []
+
+    def recorded(f, steps, times):
+        calls.append((steps, times))
+        return dense(f, steps, times)
+
+    monkeypatch.setattr(flow_module, "_dense_output", recorded)
+    traj = integrate(fld, p0, (0.0, t1), t_eval=np.linspace(0.0, t1, 64))
+    (steps, times), = calls
+    assert len(steps) > 1
+    alone = [dense(fld.func, [s], [t]) for s, t in zip(steps, times)]
+    np.testing.assert_array_equal(traj.points,
+                                  fld.chart.wrap(np.concatenate(alone)))
 
 
 def test_time_reversal_roundtrip():
@@ -288,6 +316,23 @@ def test_step_budget_raises():
     cfg = IntegratorConfig(max_steps=3)
     with pytest.raises(FlowError):
         integrate(X, [1.0, 0.0], (0.0, 50.0), cfg)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rtol=-1e-9), dict(atol=-1.0), dict(rtol=0.0, atol=0.0),
+    dict(rtol=np.nan), dict(atol=np.inf), dict(max_steps=0),
+    dict(max_steps=1.5), dict(max_steps=True)])
+def test_integrator_config_rejects_what_makes_no_sense(kwargs):
+    with pytest.raises(ValueError, match="must"):
+        IntegratorConfig(**kwargs)
+
+
+def test_integrator_config_takes_one_zero_tolerance():
+    # a pure absolute or a pure relative bound is still a bound
+    X = xi_plus_affine(1, (1.0,))
+    for cfg in (IntegratorConfig(rtol=0.0), IntegratorConfig(atol=0.0)):
+        assert integrate(X, [1.0, 0.0], (0.0, 0.1), cfg).stats["accepted"]
+    assert IntegratorConfig(max_steps=1).max_steps == 1
 
 
 def test_flow_commutation_residual_product_chart():
@@ -524,6 +569,18 @@ def test_classify_rejects_an_unknown_direction(direction):
     m = line_model_fields("line", n=1, a=(1.0,))
     with pytest.raises(ValueError, match=repr(direction)):
         classify_limit(m.Xprime, np.array([0.5, 0.0]), direction)
+
+
+@pytest.mark.parametrize("horizon", [-5.0, 0.0, np.nan, np.inf])
+def test_classify_rejects_a_horizon_that_is_not_a_positive_number(horizon):
+    # -5 and nan used to run on as if there were no horizon: this planar
+    # start escaped at arc length 46.7, where horizon 5 stops it
+    X = build_planar_demo().field
+    p0 = np.array([0.3297, 0.2496, 3.8, 1.527])
+    rep = classify_limit(X, p0, "forward", horizon=5.0)
+    assert (rep.kind, rep.stop_reason) == ("inconclusive", "horizon")
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        classify_limit(X, p0, "forward", horizon=horizon)
 
 
 def test_classify_fixed_point_on_dead_fiber():
