@@ -72,6 +72,19 @@ def _integer(value, key, least=None):
     return value
 
 
+def _number(value, key):
+    """A config value of ``key`` that must be a finite int or float (a bool,
+    a string or NaN is not one here), as a float."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be finite: an int or a float, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def _frequencies(cfg):
+    return tuple(_number(f, "frequencies") for f in cfg["frequencies"])
+
+
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -85,18 +98,17 @@ def _merged_config(scenario, cfg):
 def _build_manifest(scenario, cfg):
     if scenario in ("line", "circle"):
         return build_line_describing(
-            scenario, n=_integer(cfg["n"], "n"),
-            freqs=tuple(float(f) for f in cfg["frequencies"]),
+            scenario, n=_integer(cfg["n"], "n"), freqs=_frequencies(cfg),
         )
     if scenario == "planar":
         return build_planar_demo(
             orders=tuple(_integer(m, "orders") for m in cfg["orders"]),
-            radius=float(cfg["radius"]),
+            radius=_number(cfg["radius"], "radius"),
             n=_integer(cfg["n"], "n"),
-            freqs=tuple(float(f) for f in cfg["frequencies"]),
+            freqs=_frequencies(cfg),
         )
     if scenario == "s5":
-        return build_s5(tuple(float(f) for f in cfg["frequencies"]))
+        return build_s5(_frequencies(cfg))
     raise ConfigError(f"unknown scenario {scenario!r}")
 
 
@@ -145,19 +157,21 @@ def cmd_trace(args):
     cfg, manifest = _scenario(args)
     fld = manifest.field
     dim = fld.chart.dim
-    p0 = np.asarray(cfg.get("p0", fld.chart.wrap([0.5] * dim)), dtype=float)
+    p0 = (np.array([_number(v, "p0") for v in cfg["p0"]]) if "p0" in cfg
+          else fld.chart.wrap([0.5] * dim))
     if p0.size != dim:
         raise ConfigError(f"p0 must have {dim} coordinates")
     if fld.chart.is_sphere and abs(np.linalg.norm(p0) - 1.0) > 1e-9:
         raise ConfigError("p0 must lie on the unit sphere")
     t_span = cfg.get("t_span", [0.0, 10.0])
-    if not (isinstance(t_span, list) and len(t_span) == 2
-            and all(type(t) in (int, float) for t in t_span)):
+    if not (isinstance(t_span, list) and len(t_span) == 2):
         raise ConfigError(f"t_span must be two numbers, got {t_span!r}")
+    t_span = [_number(t, "t_span") for t in t_span]
     n_eval = _integer(cfg.get("n_eval", 200), "n_eval", 1)
+    # named together, as IntegratorConfig checks them together
     icfg = IntegratorConfig(
-        rtol=float(cfg.get("rtol", 1e-9)),
-        atol=float(cfg.get("atol", 1e-12)),
+        rtol=_number(cfg.get("rtol", 1e-9), "rtol and atol"),
+        atol=_number(cfg.get("atol", 1e-12), "rtol and atol"),
     )
     t_eval = np.linspace(t_span[0], t_span[1], n_eval)
     traj = integrate(fld, p0, t_span, icfg, t_eval=t_eval)
@@ -194,7 +208,8 @@ def cmd_verify(args):
 def cmd_probe(args):
     cfg = _merged_config("probe", _load_config(args.config))
     k = _integer(cfg.get("k", 2), "k")
-    a = [float(v) for v in cfg.get("frequencies", [1.0, 2.0 ** 0.5])]
+    a = [_number(v, "frequencies")
+         for v in cfg.get("frequencies", [1.0, 2.0 ** 0.5])]
     rep = commutant_dimension_probe(
         k, a,
         degree=_integer(cfg.get("degree", 2), "degree"),

@@ -12,9 +12,12 @@ rests on them (see ``_BaseFlow``).
 The loop advances a batch of points, a single start as a batch of one;
 every row has its own step size, and a row leaves the batch when it is
 finished.  It holds no caller's step policy: a caller sends back each
-row's steps.  ``integrate`` takes a batch (m, d) of start points in one
-call and returns their start and end points; dense output needs one start
-point.
+row's steps.  Nor does it project its points: it evaluates the field once
+per stage, so ``integrate`` returns S^5 points as DOP853 computed them,
+and a field that is not tangent to the sphere shows as drift.
+``integrate`` takes a batch (m, d) of start points in one call and
+returns their start and end points; dense output needs one start point,
+and it finds the step that holds each requested time after the run.
 ``flow_commutation_residual`` runs its two sides, for one or many torus
 elements, as one such batch.
 The limits of a T-invariant field are those of its base dynamics.
@@ -35,7 +38,6 @@ move, on a source torus, the flow is a linear drift on the torus, and
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from operator import ge, gt, le, lt
 from typing import NamedTuple, Optional
@@ -245,8 +247,7 @@ def _initial_step(f0, y0, direction, rtol, exponent):
     return direction * np.where(rate < 1e-300, 1e-3, h)
 
 
-def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
-                    rowwise=False):
+def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, rowwise=False):
     """Generator of accepted steps (t, y, f(y), err_norm, ids, K, h).
 
     ``pair`` (``_DOP853`` or ``_CASH_KARP``) is the Runge-Kutta pair it
@@ -254,9 +255,9 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
     is a batch of one.  Every row has its own time and step size and is
     accepted or rejected on its own error norm; t, err and h are (m, 1)
     columns, and ``ids`` are the original numbers of the live rows.  A
-    yield follows every attempt that accepted some row, once ``project(y)``
-    (the sphere renormalizer, or None) has given the points to go on from
-    and ``f`` has been evaluated there again.  ``K`` holds the attempt's
+    yield follows every attempt that accepted some row; the points are the
+    pair's own, and f(y) is the attempt's last stage (FSAL), so ``f`` is
+    evaluated once per stage and never again.  ``K`` holds the attempt's
     stages along its axis -2 (None at the first yield); the next attempt
     overwrites it.  ``h`` is the step each live row tries next,
     ``_initial_step``'s guess at the first yield.  The consumer may answer
@@ -276,8 +277,8 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
 
     ``stats`` is the run's record, a dict the loop fills as it runs, so
     its counts hold also when FlowError ends the run: "rhs_calls" and
-    "rhs_rows", the calls of ``f`` and the rows they evaluated (the start,
-    the stages and the re-evaluations after ``project``); "attempts", the
+    "rhs_rows", the calls of ``f`` and the rows they evaluated (the start
+    and the stages, 1 + (stages - 1) * attempts calls); "attempts", the
     step attempts, which all live rows make together; "accepted" and
     "rejected", the row steps accepted and rejected, summed over rows.
 
@@ -366,11 +367,6 @@ def _adaptive_steps(f, t0, y0, t_end, cfg, pair, stats, project=None,
             k1, h = np.where(ok, k, k1), h * np.where(ok, grow, shrink)
             if not n_ok:
                 continue
-        if project is not None:
-            y = project(y)
-            k1 = np.asarray(f(y), dtype=float)
-            stats["rhs_calls"] += 1
-            stats["rhs_rows"] += m
         drop, h = (yield t, y, k1, err, ids, K, h) or (None, h)
         done = reached(t, t_end)
         if drop is not None:
@@ -414,26 +410,29 @@ def _dense_output(f, steps, times):
 def integrate(field, p0, t_span, cfg=None, t_eval=None):
     """Integrate the flow of a field from p0 over t_span.
 
-    ``field`` is a FieldHandle (sphere charts are renormalized after every
-    accepted step) or a plain callable, which has to act on the last axis
-    of a batch (m, d) of points, as every library field does.  The steps
-    are DOP853's, and a single start p0 (d,) runs as a batch of one.  Its
-    trajectory holds the accepted step points, or with ``t_eval`` the
-    7th-order dense output at the requested times: each time is evaluated
-    on the step that holds it, a time before t0 on the first step and one
-    after t1 on the last.  A batch p0 (m, d) runs as one call, every row
-    with its own step control and, bit for bit, the steps of its own run;
-    the result holds only the start and end points, ``times`` [t0, t1] and
-    ``points`` (2, m, d), and ``t_eval`` raises ValueError.  Samples are in
-    chronological order, so ``end`` is the point at the later time also for
-    a backward run.  The stats are the RK loop's record (``_adaptive_steps``)
-    with the dense output's extra stages, three calls that evaluate three
-    rows for each step that holds a requested time: the ints "rhs_calls"
-    and "rhs_rows" (field calls, a batch call counting once, and the rows
-    they evaluated), "attempts" (step attempts, which a batch's rows make
-    together), "accepted" and "rejected" (row steps, summed over rows), and
-    "max_local_error", the largest accepted local error norm.  Angles in
-    the result are wrapped.
+    ``field`` is a FieldHandle or a plain callable, which has to act on the
+    last axis of a batch (m, d) of points, as every library field does.  The
+    steps are DOP853's, and a single start p0 (d,) runs as a batch of one.
+    Its trajectory holds the accepted step points, or with ``t_eval`` the
+    7th-order dense output at the requested times: after the run, each time
+    is evaluated on the first step whose end is not before it, in the run's
+    direction, else on the last step; so a time before t0 falls on the first
+    step and one after t1 on the last.  A batch p0 (m, d) runs as one call,
+    every row with its own step control and, bit for bit, the steps of its
+    own run; the result holds only the start and end points, ``times``
+    [t0, t1] and ``points`` (2, m, d), and ``t_eval`` raises ValueError.
+    Samples are in chronological order, so ``end`` is the point at the
+    later time also for a backward run.  The stats are the RK loop's record
+    (``_adaptive_steps``) with the dense output's extra stages, three calls
+    that evaluate three rows for each step that holds a requested time: the
+    ints "rhs_calls" and "rhs_rows" (field calls, a batch call counting
+    once, and the rows they evaluated), "attempts" (step attempts, which a
+    batch's rows make together), "accepted" and "rejected" (row steps,
+    summed over rows), and "max_local_error", the largest accepted local
+    error norm.  Angles in the result are wrapped.  Sphere points are
+    returned as integrated, not renormalized, so a field that is not
+    tangent to the sphere drifts off it.  Raises ValueError for a t_span
+    entry that is not finite.
     """
     cfg = cfg or IntegratorConfig()
     if isinstance(field, FieldHandle):
@@ -441,49 +440,48 @@ def integrate(field, p0, t_span, cfg=None, t_eval=None):
     else:
         chart, f = None, field
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {t_span!r}")
     p0 = np.asarray(p0, dtype=float)
     one = p0.ndim == 1
-    if t_eval is not None:
-        if not one:
-            raise ValueError("dense output (t_eval) needs one start point, "
-                             f"not a batch of shape {p0.shape}")
-        t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-        sign = 1.0 if t1 >= t0 else -1.0  # the steps run in this direction
-        order = np.argsort(sign * t_eval, kind="stable")
-        ahead = (sign * t_eval[order]).tolist()
-    renorm = chart.wrap if chart is not None and chart.is_sphere else None
+    if t_eval is not None and not one:
+        raise ValueError("dense output (t_eval) needs one start point, "
+                         f"not a batch of shape {p0.shape}")
     stats = {}
     steps = _adaptive_steps(f, t0, p0[None] if one else p0, t1, cfg, _DOP853,
-                            stats, renorm, rowwise=True)
+                            stats, rowwise=True)
     _, y, fy = next(steps)[:3]  # the start, with err 0
     run = [(t0, y[0], fy[0])] if one else []
+    Ks = []  # the stages of a single start's steps, kept for t_eval
     ends, max_err = y.copy(), 0.0
-    held, at, j = [], [], 0  # the steps that hold a time, and their times
     for t, y, fy, err, ids, K, _ in steps:
-        ends[ids] = y  # after renorm put the row on the chart
+        ends[ids] = y
         max_err = float(err.max(where=err <= 1.0, initial=max_err))
-        if one:  # a single start keeps every step's (t, y, f(y))
+        if one:  # a single start keeps every step's (t, y, f(y)) and K
             run.append((float(t[0, 0]), y[0], fy[0]))
-        if t_eval is not None:
-            now = sign * run[-1][0]
-            k = len(ahead) if now >= sign * t1 else bisect_right(ahead, now)
-            if k > j:
-                held.append(run[-2] + run[-1] + (K[0].copy(),))
-                at.append(t_eval[order[j:k]])
-                j = k
+            Ks.append(None if t_eval is None else K[0].copy())
     stats["max_local_error"] = max_err
     if not one:
         times, points = np.array([t0, t1]), np.stack([p0, ends])
-    elif t_eval is None:
-        times, points, _ = (np.array(v) for v in zip(*run))
     else:
-        times, points = t_eval, np.empty((len(t_eval), p0.size))
-        if held:
-            points[order[:j]] = _dense_output(f, held, at)
+        times, points, _ = (np.array(v) for v in zip(*run))
+    if t_eval is not None:
+        t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
+        sign = 1.0 if t1 >= t0 else -1.0  # the steps run in this direction
+        # the step that holds each time: the first whose end is not before
+        # it, else the last
+        k = np.searchsorted(sign * times[1:-1], sign * t_eval)
+        order = np.argsort(k, kind="stable")
+        held, first = np.unique(k[order], return_index=True)
+        # t1 == t0: no step was taken
+        times, points = t_eval, np.repeat(points[-1:], t_eval.size, axis=0)
+        if Ks and t_eval.size:
+            points[order] = _dense_output(
+                f, [run[i] + run[i + 1] + (Ks[i],) for i in held],
+                np.split(t_eval[order], first[1:]))
             stats["rhs_calls"] += len(_DENSE_A)
             stats["rhs_rows"] += len(_DENSE_A) * len(held)
-        points[order[j:]] = run[-1][1]  # t1 == t0: no step was taken
-    if chart is not None:
+    if chart is not None and not chart.is_sphere:
         points = chart.wrap(points)
     if times.size > 1 and times[-1] < times[0]:
         times, points = times[::-1].copy(), points[::-1].copy()
@@ -745,15 +743,17 @@ def classify_limit(field, p0, direction="forward", horizon=200.0, cfg=None,
     it declares none; it holds the counts also when the step budget ends
     the run, and all five are 0 where nothing is integrated (a fixed point,
     a torus closure, a start that is not finite).  Raises ValueError when
-    ``direction`` is neither "forward" nor "backward", when ``horizon`` is
-    not finite and > 0, when X is not T-invariant at p0, or when a declared
-    base rule misses the field's base tangent there.
+    ``direction`` is neither "forward" nor "backward", when ``horizon`` or
+    ``fiber_tol`` is not finite and > 0, when X is not T-invariant at p0, or
+    when a declared base rule misses the field's base tangent there.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', "
                          f"got {direction!r}")
     if not 0.0 < horizon < math.inf:  # NaN fails too
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if not 0.0 < fiber_tol < math.inf:  # NaN fails too
+        raise ValueError(f"fiber_tol must be finite and > 0, got {fiber_tol!r}")
     cfg = cfg or IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=200_000)
     chart = field.chart
     p0 = np.asarray(p0, dtype=float)
@@ -823,11 +823,14 @@ def basin_census(field, n_samples, seed=0, sampler=None, fiber_tol=1e-5,
     points where it declares none; "attempts" the batch step attempts;
     "accepted" and "rejected" the row steps summed over samples.  It holds
     the counts also when the step budget ends the run.  Raises ValueError
-    when ``n_samples`` is below 1, when X is not T-invariant at the first
-    sample, or when a declared rule misses the field's base tangent there.
+    when ``n_samples`` is below 1, when ``fiber_tol`` is not finite and
+    > 0, when X is not T-invariant at the first sample, or when a declared
+    rule misses the field's base tangent there.
     """
     if n_samples < 1:
         raise ValueError(f"a census needs n_samples >= 1, got {n_samples}")
+    if not 0.0 < fiber_tol < math.inf:  # NaN fails too
+        raise ValueError(f"fiber_tol must be finite and > 0, got {fiber_tol!r}")
     chart = field.chart
     rng = np.random.default_rng(seed)
     xs = (sampler or chart.sample_base)(rng, n_samples)
@@ -866,20 +869,15 @@ class SingularityReport:
 
 
 def _probe_directions(chart, x0, r_max):
-    bd = chart.base_dim
-    if bd == 1:
+    """The first 4 base directions u whose ray to r_max stays in the base
+    (on S^5, x0 + r_max u in the triangle)."""
+    if chart.base_dim == 1:
         cands = [np.array([1.0]), np.array([-1.0])]
     else:
         angles = 0.4 + np.arange(8) * (np.pi / 4.0)
         cands = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    out = []
-    for u in cands:
-        if chart.is_sphere and not in_triangle(x0 + r_max * u, margin=0.0):
-            continue
-        out.append(u)
-        if len(out) == 4:
-            break
-    return out
+    return [u for u in cands if not chart.is_sphere
+            or in_triangle(x0 + r_max * u, margin=0.0)][:4]
 
 
 def estimate_order(field, p0):

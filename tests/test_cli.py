@@ -323,6 +323,43 @@ def test_trace_rejects_tolerances_that_make_no_sense(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("build --scenario circle", {"frequencies": [True, 2]}),
+    ("verify --scenario circle", {"frequencies": [True, 2]}),
+    ("build --scenario circle", {"frequencies": ["1", "1.4142135623730951"]}),
+    ("build --scenario circle", {"frequencies": ["nan", 1]}),
+    ("build --scenario s5", {"frequencies": [1.0, float("nan"), 3.0]}),
+    ("build --scenario planar", {"radius": "2"}),
+    ("build --scenario planar", {"radius": float("inf")}),
+    ("trace --scenario line", {"p0": ["0.5", "0.1"]}),
+    ("trace --scenario line", {"p0": [0.5, float("nan")]}),
+    ("trace --scenario line", {"rtol": True}),
+    ("trace --scenario line", {"atol": "1e-12"}),
+    ("trace --scenario line", {"t_span": [0, float("nan")]}),
+    ("trace --scenario line", {"t_span": [0, float("inf")]}),
+    ("trace --scenario line", {"t_span": ["0", 1]}),
+    ("probe", {"frequencies": [1, False]}),
+], ids=["build-frequencies_bool", "verify-frequencies_bool",
+        "build-frequencies_string", "build-frequencies_nan",
+        "build-s5_frequencies_nan", "build-radius_string", "build-radius_inf",
+        "trace-p0_string", "trace-p0_nan", "trace-rtol_bool",
+        "trace-atol_string", "trace-t_span_nan", "trace-t_span_inf",
+        "trace-t_span_string", "probe-frequencies_bool"])
+def test_number_keys_take_only_finite_ints_and_floats(tmp_path, capsys,
+                                                      command, config):
+    # each of these ran with exit 0 (a bool read as 1, a string parsed, NaN
+    # built into a drift) or, for a non-finite t_span, until killed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # NaN and Infinity, as json reads them
+    out = tmp_path / "x.out"
+    assert run(command.split() + ["--config", str(cfg), "--quiet",
+                                  "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(config)) in err
+    assert "must be finite: an int or a float" in err
+    assert not out.exists()
+
+
 def test_malformed_json_returns_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

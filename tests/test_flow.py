@@ -30,7 +30,7 @@ from torusflow.flow import (
     flow_commutation_residual,
     integrate,
 )
-from torusflow.geometry import TWO_PI, Chart, embed_s5
+from torusflow.geometry import TWO_PI, Chart, embed_s5, sphere_normalize
 
 SQRT2 = np.sqrt(2.0)
 
@@ -229,9 +229,67 @@ def test_dense_output_of_a_run_is_that_of_each_held_step_alone(
     traj = integrate(fld, p0, (0.0, t1), t_eval=np.linspace(0.0, t1, 64))
     (steps, times), = calls
     assert len(steps) > 1
-    alone = [dense(fld.func, [s], [t]) for s, t in zip(steps, times)]
+    alone = np.concatenate([dense(fld.func, [s], [t])
+                            for s, t in zip(steps, times)])
+    if not fld.chart.is_sphere:  # sphere points are returned as integrated
+        alone = fld.chart.wrap(alone)
+    np.testing.assert_array_equal(traj.points, alone)
+
+
+def _recorded_steps(monkeypatch):
+    """The steps (t, y, f(y), K) that ``integrate`` takes from the RK loop,
+    recorded as it runs; K is None at the start."""
+    loop, steps = flow_module._adaptive_steps, []
+
+    def recorded(*args, **kwargs):
+        for out in loop(*args, **kwargs):
+            t, y, fy, _, _, K, _ = out
+            steps.append((float(np.ravel(t)[0]), y[0].copy(), fy[0].copy(),
+                          None if K is None else K[0].copy()))
+            yield out
+
+    monkeypatch.setattr(flow_module, "_adaptive_steps", recorded)
+    return steps
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 5.0), (5.0, -1.0), (2.0, 2.0)],
+                         ids=["forward", "backward", "zero_length"])
+@pytest.mark.parametrize("scenario", ["circle", "planar"])
+def test_dense_output_puts_each_time_on_the_step_that_holds_it(
+        scenario, t_span, monkeypatch):
+    # shuffled, repeated and out-of-span times, and times at step ends: each
+    # is, bit for bit, the dense output of the first step whose end is not
+    # before it (in the run's direction), else of the last step, alone
+    fld = {"circle": lambda: line_model_fields("circle", n=2,
+                                               a=(1.0, SQRT2)).Xprime,
+           "planar": lambda: build_planar_demo().field}[scenario]()
+    p0 = fld.chart.wrap(np.full(fld.chart.dim, 0.5))
+    t0, t1 = t_span
+    ends = integrate(fld, p0, t_span).times
+    t_eval = np.concatenate([t0 + (t1 - t0) * np.array(
+        [0.5, -0.25, 1.0, 0.1, 0.5, 1.5, 0.0, 0.9]), ends[1:4], [t0 - 3.0]])
+    t_eval = np.random.default_rng(2).permutation(t_eval)
+    steps = _recorded_steps(monkeypatch)
+    traj = integrate(fld, p0, t_span, t_eval=t_eval)
+    sign = 1.0 if t1 >= t0 else -1.0
+    want, held = [], set()
+    for t in t_eval:
+        i = next((i for i, s in enumerate(steps[1:])
+                  if sign * s[0] >= sign * t), len(steps) - 2)
+        if i < 0:  # no step was taken: the start
+            want.append(p0)
+            continue
+        held.add(i)
+        step = steps[i][:3] + steps[i + 1]
+        want.append(flow_module._dense_output(fld.func, [step], [[t]])[0])
+    # the times as given, reversed when the last is before the first
+    flip = slice(None, None, -1 if t_eval[-1] < t_eval[0] else 1)
+    np.testing.assert_array_equal(traj.times, t_eval[flip])
     np.testing.assert_array_equal(traj.points,
-                                  fld.chart.wrap(np.concatenate(alone)))
+                                  fld.chart.wrap(np.array(want))[flip])
+    calls = 1 + 12 * traj.stats["attempts"] + 3 * bool(held)
+    assert traj.stats["rhs_calls"] == calls
+    assert (t0 == t1) is (not held)
 
 
 def test_time_reversal_roundtrip():
@@ -243,13 +301,26 @@ def test_time_reversal_roundtrip():
     assert X.chart.distance(back, X.chart.wrap(p0)) < 1e-7
 
 
-def test_sphere_renormalization_keeps_unit_norm():
+def test_sphere_drift_shows_a_field_that_leaves_the_sphere():
+    # sphere points are returned as integrated: a tangent field stays on the
+    # sphere to the integrator's error, and one with a radial part 0.01 y
+    # leaves it (|y| = e^(t / 100)) or blows up
+    U1 = fundamental_fields_s5()[0]
     X5 = describing_field_s5()
-    y0 = embed_s5(np.array([0.3, 0.3]), (0.1, 0.2, 0.3))
-    traj = integrate(X5, y0, (0.0, 100.0),
-                     t_eval=np.linspace(0.0, 100.0, 64))
-    drift = np.max(np.abs(np.linalg.norm(traj.points, axis=1) - 1.0))
-    assert drift < 1e-8
+    y0 = sphere_normalize(np.random.default_rng(1).normal(size=6))
+    t_eval = np.linspace(0.0, 100.0, 101)
+
+    def drift(func):
+        fld = FieldHandle("f", Chart("sphere5"), func)
+        traj = integrate(fld, y0, (0.0, 100.0), t_eval=t_eval)
+        assert traj.stats["rhs_calls"] == 1 + 12 * traj.stats["attempts"] + 3
+        return np.max(np.abs(np.linalg.norm(traj.points, axis=1) - 1.0))
+
+    assert drift(U1.func) < 1e-8
+    assert drift(lambda y: U1.func(y) + 0.01 * y) >= 1.0
+    with np.errstate(all="ignore"), pytest.raises(FlowError) as exc:
+        drift(lambda y: X5.func(y) + 0.01 * y)
+    assert exc.value.reason == "non_finite"
 
 
 def test_one_point_step_sequence_is_pinned():
@@ -399,15 +470,13 @@ def test_batch_rows_match_one_point_runs(name, fld, pts, t_span):
         s.stats["max_local_error"] for s in singles)
     # the rows make their attempts together, until the last row is done
     assert batch.stats["attempts"] == max(s.stats["attempts"] for s in singles)
+    assert batch.stats["rhs_rows"] == sum(s.stats["rhs_rows"] for s in singles)
+    assert batch.stats["rhs_calls"] == 1 + 12 * batch.stats["attempts"]
     if fld.chart.is_sphere:
         assert np.max(np.abs(np.linalg.norm(batch.points, axis=-1) - 1.0)) \
             < 1e-8
         if name == "s5_undamped":  # the certificate can see a moved point
             assert np.min(fld.chart.distance(batch.start, batch.end)) > 0.1
-    else:  # on a sphere the re-evaluation after renormalizing takes every
-        # live row, also one whose step the attempt rejected
-        assert batch.stats["rhs_rows"] == sum(
-            s.stats["rhs_rows"] for s in singles)
 
 
 def test_batch_refuses_dense_output():
@@ -485,6 +554,27 @@ def test_zero_length_span_returns_the_start(p0):
     np.testing.assert_array_equal(traj.start, p0)
     np.testing.assert_array_equal(traj.end, p0)
     assert traj.stats["accepted"] == traj.stats["rejected"] == 0
+
+
+@pytest.mark.parametrize("t_span", [(0.0, np.nan), (0.0, np.inf),
+                                    (np.nan, 1.0)])
+def test_non_finite_t_span_raises_value_error(t_span):
+    # such a span used to run until killed
+    X = xi_plus_affine(1, (1.0,))
+    for p0 in ([1.0, 0.5], [[1.0, 0.5], [-0.5, 1.0]]):
+        with pytest.raises(ValueError, match="t_span must be finite"):
+            integrate(X, p0, t_span)
+
+
+@pytest.mark.parametrize("fiber_tol", [0.0, -1e-5, np.nan, np.inf])
+def test_fiber_tol_must_be_finite_and_positive(fiber_tol):
+    # 0 used to end a census "underflow" and -1e-5 assign every sample to
+    # the singular set as "all_assigned"
+    fld = build_line_describing("line").field
+    with pytest.raises(ValueError, match="fiber_tol must be finite and > 0"):
+        basin_census(fld, 4, fiber_tol=fiber_tol)
+    with pytest.raises(ValueError, match="fiber_tol must be finite and > 0"):
+        classify_limit(fld, [0.4, 0.0], fiber_tol=fiber_tol)
 
 
 def test_adaptive_steps_take_the_steps_their_consumer_sends():
